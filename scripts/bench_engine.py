@@ -18,6 +18,9 @@ BENCH_sweep.json's orchestration numbers:
     (/0) vs banked ddr4 backend (/1), reported as `banked_cost`; and
     BM_BatchPipelined tracks absolute access_batch throughput (its
     software pipelining has no toggle — it cannot change results).
+    BM_HierarchyWalkRandom/16 (a random walk over 2x the L3, nearly all
+    misses) with the stream prefetcher off (/0) vs on (/1) gives
+    `prefetcher_overhead`, ns per access on over off.
   * the fig9 smoke sweep end to end, fast paths off vs on (both filter
     toggles together), with a byte-compare of the emitted tables: the
     filters are host-speed knobs only, so the figure output must be
@@ -48,7 +51,8 @@ import time
 L1_LATENCY_CYCLES = 4
 
 MICRO_FILTER = ("BM_L1HitSequential|BM_EngineStepOverhead|BM_L2HitBand"
-                "|BM_DramBoundStream|BM_BatchPipelined")
+                "|BM_DramBoundStream|BM_BatchPipelined"
+                "|BM_HierarchyWalkRandom/16/")
 FIG9_ARGS = [
     "--scale", "64", "--ranks", "8", "--steps", "1", "--quick",
     "--max-cs", "1", "--max-bw", "1",
@@ -102,6 +106,17 @@ def run_micro(binary):
     # or the pipelining rotting away — shows up as a trajectory break.
     out["BM_BatchPipelined"] = {
         "accesses_per_second": round(per_name["BM_BatchPipelined"]),
+    }
+    # The stream prefetcher's price on a miss-heavy random walk, where every
+    # L2 miss runs on_miss and none continues a stream: ns per access with
+    # the prefetcher on (/1) over off (/0). A ratio of two runs on the same
+    # host, so it travels across machines.
+    off = per_name["BM_HierarchyWalkRandom/16/0"]
+    on = per_name["BM_HierarchyWalkRandom/16/1"]
+    out["BM_HierarchyWalkRandom"] = {
+        "accesses_per_second_prefetcher_off": round(off),
+        "accesses_per_second_prefetcher_on": round(on),
+        "prefetcher_overhead": round(off / on, 3),
     }
     return out
 
@@ -168,6 +183,9 @@ def main():
     if report["micro"]:
         hit_heavy = report["micro"]["BM_L1HitSequential"]["filter_speedup"]
         report["hit_heavy_filter_speedup_ge_2x"] = hit_heavy >= 2.0
+        overhead = report["micro"]["BM_HierarchyWalkRandom"][
+            "prefetcher_overhead"]
+        report["prefetcher_overhead_le_1_5x"] = overhead <= 1.5
     pathlib.Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
     # Hard gate, --quick or not: a JSON regenerated without a passing

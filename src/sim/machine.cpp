@@ -85,6 +85,7 @@ void MachineConfig::validate() const {
   if (l1.line_bytes != l2.line_bytes || l2.line_bytes != l3.line_bytes)
     throw std::invalid_argument("MachineConfig: mismatched line sizes");
   if (mem_backend == MemBackendKind::kBankedDram) dram.validate(l3.line_bytes);
+  if (prefetcher.enabled) prefetcher.validate();
 }
 
 MachineConfig MachineConfig::xeon20mb(std::uint32_t nodes) {

@@ -5,6 +5,26 @@
 // mechanism: its constant prime stride is prefetch-friendly, which lets a
 // single thread consume more memory bandwidth; CSThr's random pattern
 // deliberately defeats it.
+//
+// Every L2 miss runs on_miss, and the interference agents' misses dominate
+// the simulator's host time, so each of its three decisions is an indexed
+// lookup rather than a scan of the stream table:
+//
+//  * Continue: armed streams (stride != 0) are hashed by their predicted
+//    next line, last_line + stride. A negative prediction can never match
+//    a miss and is left unindexed.
+//  * Pair: fresh streams (stride == 0, confidence 0) are hashed by their
+//    last line's granule, a power of two >= 2 * max_stride_lines lines, so
+//    every line within max_stride_lines of a miss lies in one of the two
+//    granules around it. Candidates are checked exactly against
+//    0 < |delta| <= max_stride_lines.
+//  * Allocate: valid slots always form a prefix of the table and every
+//    touch is a distinct moment, so the victim is the first never-used
+//    slot, else the head of an intrusive LRU list.
+//
+// When several streams match a miss, the lowest slot index wins — the
+// order a front-to-back scan of the table would find them — so the
+// prefetcher's decisions do not depend on hash-bucket layout.
 #include <cstdint>
 #include <vector>
 
@@ -28,6 +48,10 @@ struct PrefetcherConfig {
   /// lines. Mirrors real streamers and bounds mis-predicted pollution.
   std::uint32_t page_lines = 64;
   bool enabled = true;
+
+  /// Throws std::invalid_argument for an empty stream table or a zero page
+  /// size. MachineConfig::validate calls it when the prefetcher is enabled.
+  void validate() const;
 };
 
 /// Tracks up to `num_streams` candidate miss streams (LRU-allocated) and
@@ -38,6 +62,7 @@ struct PrefetcherConfig {
 /// bandwidth.
 class StreamPrefetcher {
  public:
+  /// Validates `config` when it is enabled.
   explicit StreamPrefetcher(PrefetcherConfig config);
 
   /// Observes a demand miss at `line_addr` (line-address space); appends
@@ -50,17 +75,39 @@ class StreamPrefetcher {
   const PrefetcherConfig& config() const { return config_; }
 
  private:
+  using Slot = std::uint32_t;
+  static constexpr Slot kNone = ~Slot{0};
+
   struct Stream {
     Addr last_line = 0;
-    std::int64_t stride = 0;
+    std::int64_t stride = 0;  // 0 until the stream pairs (confidence 0)
     std::uint32_t confidence = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
+    Slot chain_next = kNone;  // next slot in the same index bucket
+    Slot lru_prev = kNone;    // towards the least recently used slot
+    Slot lru_next = kNone;    // towards the most recently used slot
   };
 
+  Slot bucket(Addr key) const;
+  /// The index bucket holding `s`, or nullptr when `s` is unindexed.
+  Slot* chain_of(const Stream& s);
+  void link(Slot i);
+  void unlink(Slot i);
+  /// Moves `i` to the most recently used end of the LRU list.
+  void touch(Slot i);
+  /// Lowest slot in bucket `b` of `heads` accepted by `match`, or kNone.
+  template <typename Match>
+  Slot lowest_match(const std::vector<Slot>& heads, Slot b,
+                    Match match) const;
+
   PrefetcherConfig config_;
-  std::vector<Stream> streams_;
-  std::uint64_t tick_ = 0;
+  std::vector<Stream> streams_;    // slots [0, used_) are valid
+  std::vector<Slot> next_heads_;   // armed streams by predicted next line
+  std::vector<Slot> fresh_heads_;  // fresh streams by last-line granule
+  unsigned bucket_shift_ = 0;
+  unsigned granule_shift_ = 0;
+  Slot used_ = 0;
+  Slot lru_head_ = kNone;
+  Slot lru_tail_ = kNone;
   std::uint64_t confirmed_ = 0;
 };
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/memory_system.hpp"
+#include "sim/prefetcher.hpp"
+
 namespace am::sim {
 namespace {
 
@@ -87,6 +90,28 @@ TEST(MachineConfig, ValidateCatchesBadTopology) {
   m = MachineConfig::xeon20mb();
   m.l2.line_bytes = 128;
   EXPECT_THROW(m.validate(), std::invalid_argument);
+}
+
+TEST(MachineConfig, ValidateCatchesEmptyStreamTable) {
+  // An enabled prefetcher with no stream slots has nowhere to allocate.
+  auto m = MachineConfig::xeon20mb_scaled(256);
+  m.prefetcher.num_streams = 0;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  EXPECT_THROW((void)StreamPrefetcher{m.prefetcher}, std::invalid_argument);
+  // A disabled prefetcher is never consulted, so its geometry is free.
+  m.prefetcher.enabled = false;
+  EXPECT_NO_THROW(m.validate());
+  EXPECT_NO_THROW((void)MemorySystem{m});
+}
+
+TEST(MachineConfig, ValidateCatchesZeroPageLines) {
+  // A zero page size would divide by zero on the first confirmed stream.
+  auto m = MachineConfig::xeon20mb_scaled(256);
+  m.prefetcher.page_lines = 0;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  EXPECT_THROW((void)MemorySystem{m}, std::invalid_argument);
+  m.prefetcher.enabled = false;
+  EXPECT_NO_THROW(m.validate());
 }
 
 }  // namespace
