@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace am {
 
@@ -70,13 +71,25 @@ void parallel_for(ThreadPool& pool, std::size_t n,
 void parallel_for(ThreadPool& pool, std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t)>& fn) {
   if (grain == 0) grain = 1;
+  // Pool tasks must not throw, so each index parks its exception in its own
+  // slot; no two tasks share a slot, and wait_idle() orders every write
+  // before the scan below.
+  std::vector<std::exception_ptr> errors(n);
   for (std::size_t begin = 0; begin < n; begin += grain) {
     const std::size_t end = std::min(begin + grain, n);
-    pool.submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+    pool.submit([&fn, &errors, begin, end] {
+      for (std::size_t i = begin; i < end; ++i) {
+        try {
+          fn(i);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      }
     });
   }
   pool.wait_idle();
+  for (const auto& error : errors)
+    if (error) std::rethrow_exception(error);
 }
 
 }  // namespace am

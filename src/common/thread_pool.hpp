@@ -24,7 +24,8 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task; tasks may not throw (std::terminate otherwise).
+  /// Enqueues a task; a throwing task calls std::terminate. Work that may
+  /// throw goes through parallel_for, which catches per index.
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished.
@@ -42,14 +43,17 @@ class ThreadPool {
   bool stop_ AM_GUARDED_BY(mutex_) = false;
 };
 
-/// Runs fn(i) for i in [0, n) across the pool's threads and waits.
+/// Runs fn(i) for i in [0, n) across the pool's threads and waits. fn may
+/// throw: every index still runs, and after the barrier the exception of
+/// the lowest failing index is rethrown, so which error surfaces does not
+/// depend on the pool's size or schedule.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
 /// Chunked overload: splits [0, n) into contiguous chunks of up to `grain`
 /// indices and submits one task per chunk, so large grids pay one queue
 /// round-trip per chunk instead of per index. fn still runs once per index,
-/// in order within each chunk.
+/// in order within each chunk, with the same exception contract.
 void parallel_for(ThreadPool& pool, std::size_t n, std::size_t grain,
                   const std::function<void(std::size_t)>& fn);
 

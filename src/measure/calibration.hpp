@@ -5,6 +5,13 @@
 // k BWThrs consume (via miss counters, §III-A). The resulting tables map
 // "k interference threads" to "resource left for the application", which
 // is what turns a degradation sweep into resource-use bounds.
+//
+// Every probe is an independent engine, so each call runs its probes
+// concurrently on a thread pool it owns and joins before returning; callers
+// need no pool of their own, and the call is safe from inside another
+// pool's task. Each probe fills its own slot and the per-k statistics are
+// folded serially in a fixed order, so the tables are bit-identical to a
+// serial run and independent of the host's core count.
 #include <cstdint>
 #include <vector>
 
@@ -42,10 +49,17 @@ struct CalibrationOptions {
   std::vector<std::size_t> probe_distributions{4, 9};
   std::uint64_t accesses_per_probe = 400'000;
   std::uint64_t seed = 1;
+
+  /// Throws std::invalid_argument on options no probe can run: no ratios
+  /// or distributions (the mean of no estimates would read 0 bytes), a
+  /// ratio that is not positive and finite, a distribution index outside
+  /// Table II, or zero accesses per probe.
+  void validate() const;
 };
 
 /// Fig. 6 procedure: run probe benchmarks against k CSThrs, measure L3
 /// miss rates, invert Eq. 4 into effective capacity, average over probes.
+/// Validates `opts` before building any engine.
 CapacityCalibration calibrate_capacity(const sim::MachineConfig& machine,
                                        const interfere::CSThrConfig& cs,
                                        const CalibrationOptions& opts = {});

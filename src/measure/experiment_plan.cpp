@@ -1,7 +1,6 @@
 #include "measure/experiment_plan.hpp"
 
 #include <chrono>
-#include <exception>
 #include <stdexcept>
 
 #include "common/mutex.hpp"
@@ -231,40 +230,34 @@ ResultTable SweepRunner::run_points(const ExperimentPlan& plan,
   // so clang's -Wthread-safety cannot attach it to members — TSan (the
   // tsan preset runs the sweep suites) checks this one dynamically.
   Mutex store_mutex;
-  std::vector<std::exception_ptr> errors(todo.size());
   auto run_one = [&](std::size_t t) {
-    try {
-      const std::size_t i = owned[todo[t]];
-      const ExperimentPoint& pt = points[i];
-      const WorkloadSpec& w = plan.workloads()[pt.workload];
-      const InterferenceSpec spec =
-          pt.resource == Resource::kCacheStorage
-              ? InterferenceSpec::storage(pt.threads, opts_.cs)
-              : InterferenceSpec::bandwidth(pt.threads, opts_.bw);
-      SimBackend backend(machine_, seed_for(i));
-      const auto t0 = std::chrono::steady_clock::now();
-      results[todo[t]] = backend.run(w.factory, spec, opts_.max_cycles);
-      // Wall-clock, not simulated seconds: simulation speed varies with
-      // workload complexity, and the scheduler's cost model needs the
-      // former. Never part of the result — only a batching hint.
-      const double wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (store != nullptr) {
-        // Record (and optionally checkpoint) each point as it completes,
-        // not after the barrier: a process killed mid-plan keeps every
-        // checkpointed run (all finished ones, minus whatever a throttled
-        // checkpointer skipped), so a supervised retry re-runs only
-        // what's missing from the last save.
-        // Completion order varies under a pool, but records are keyed and
-        // the store file is canonically sorted — determinism is untouched.
-        const MutexLock lock(store_mutex);
-        store->put(key_for(plan, i), results[todo[t]], host, wall);
-        if (opts_.checkpoint) opts_.checkpoint(*store);
-      }
-    } catch (...) {
-      // Pool tasks must not throw; surface the failure after the barrier.
-      errors[t] = std::current_exception();
+    const std::size_t i = owned[todo[t]];
+    const ExperimentPoint& pt = points[i];
+    const WorkloadSpec& w = plan.workloads()[pt.workload];
+    const InterferenceSpec spec =
+        pt.resource == Resource::kCacheStorage
+            ? InterferenceSpec::storage(pt.threads, opts_.cs)
+            : InterferenceSpec::bandwidth(pt.threads, opts_.bw);
+    SimBackend backend(machine_, seed_for(i));
+    const auto t0 = std::chrono::steady_clock::now();
+    results[todo[t]] = backend.run(w.factory, spec, opts_.max_cycles);
+    // Wall-clock, not simulated seconds: simulation speed varies with
+    // workload complexity, and the scheduler's cost model needs the
+    // former. Never part of the result — only a batching hint.
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (store != nullptr) {
+      // Record (and optionally checkpoint) each point as it completes,
+      // not after the barrier: a process killed mid-plan keeps every
+      // checkpointed run (all finished ones, minus whatever a throttled
+      // checkpointer skipped), so a supervised retry re-runs only
+      // what's missing from the last save.
+      // Completion order varies under a pool, but records are keyed and
+      // the store file is canonically sorted — determinism is untouched.
+      const MutexLock lock(store_mutex);
+      store->put(key_for(plan, i), results[todo[t]], host, wall);
+      if (opts_.checkpoint) opts_.checkpoint(*store);
     }
   };
 
@@ -272,9 +265,6 @@ ResultTable SweepRunner::run_points(const ExperimentPlan& plan,
     parallel_for(*pool, todo.size(), opts_.grain, run_one);
   else
     for (std::size_t t = 0; t < todo.size(); ++t) run_one(t);
-
-  for (const auto& error : errors)
-    if (error) std::rethrow_exception(error);
 
   if (executed != nullptr) *executed = todo.size();
 

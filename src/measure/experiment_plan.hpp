@@ -177,8 +177,9 @@ class SweepRunner {
                        SweepRunnerOptions opts = {});
 
   /// Executes every point of the plan, serially (pool == nullptr) or over
-  /// the pool. The table is identical either way. The first exception any
-  /// experiment throws is rethrown (in plan order) after all runs settle.
+  /// the pool. The table is identical either way. A throwing experiment's
+  /// exception propagates: serially it ends the run, over the pool every
+  /// other run settles first and the first failure in plan order wins.
   ResultTable run(const ExperimentPlan& plan, ThreadPool* pool = nullptr) const;
 
   /// Cache-aware, shardable run. Only the points of `shard` enter the

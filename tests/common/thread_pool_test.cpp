@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace am {
@@ -57,6 +59,53 @@ TEST(ThreadPool, ReusableAfterWait) {
   parallel_for(pool, 10, [&](std::size_t) { ++count; });
   parallel_for(pool, 10, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ThreadPool, ParallelForRethrowsAfterEveryIndexRan) {
+  ThreadPool pool(4);
+  for (const std::size_t grain : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<std::atomic<int>> hits(50);
+    try {
+      parallel_for(pool, hits.size(), grain, [&](std::size_t i) {
+        ++hits[i];
+        if (i == 17) throw std::runtime_error("index 17");
+      });
+      FAIL() << "no exception, grain=" << grain;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 17");
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "grain=" << grain << " i=" << i;
+  }
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheLowestFailingIndex) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  // The highest failing index is the likeliest to finish first; the lowest
+  // must still be the one that surfaces, on every schedule.
+  for (int rep = 0; rep < 20; ++rep) {
+    try {
+      parallel_for(pool, 40, [&](std::size_t i) {
+        ++ran;
+        if (i == 9 || i == 23 || i == 39)
+          throw std::runtime_error(std::to_string(i));
+      });
+      FAIL() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "9");
+    }
+  }
+  EXPECT_EQ(ran.load(), 20 * 40);
+}
+
+TEST(ThreadPool, ReusableAfterAThrowingParallelFor) {
+  ThreadPool pool(2);
+  const auto always_throw = [](std::size_t) { throw std::logic_error("x"); };
+  EXPECT_THROW(parallel_for(pool, 8, always_throw), std::logic_error);
+  std::atomic<int> count{0};
+  parallel_for(pool, 10, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 10);
 }
 
 TEST(ThreadPool, DefaultSizeIsPositive) {

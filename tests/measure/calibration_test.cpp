@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 namespace am::measure {
 namespace {
 
@@ -100,6 +104,80 @@ TEST(CapacityCalibration, RejectsTooManyThreads) {
   opts.buffer_to_l3_ratios = {0.05};
   opts.accesses_per_probe = 200;
   EXPECT_NO_THROW(calibrate_capacity(machine(), cs_cfg(), opts));
+}
+
+TEST(CalibrationOptions, RejectsDegenerateProbeSets) {
+  auto expect_rejected = [](const CalibrationOptions& opts) {
+    EXPECT_THROW(opts.validate(), std::invalid_argument);
+    EXPECT_THROW(calibrate_capacity(machine(), cs_cfg(), opts),
+                 std::invalid_argument);
+  };
+  EXPECT_NO_THROW(CalibrationOptions{}.validate());
+  auto opts = quick_opts(1);
+  opts.buffer_to_l3_ratios = {};  // mean of no estimates would read 0 bytes
+  expect_rejected(opts);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -1.5, inf, nan}) {
+    opts = quick_opts(1);
+    opts.buffer_to_l3_ratios = {2.5, bad};
+    expect_rejected(opts);
+  }
+  opts = quick_opts(1);
+  opts.probe_distributions = {};
+  expect_rejected(opts);
+  opts = quick_opts(1);
+  opts.probe_distributions = {9, 10};  // Table II has patterns 0..9
+  expect_rejected(opts);
+  opts = quick_opts(1);
+  opts.accesses_per_probe = 0;
+  expect_rejected(opts);
+}
+
+TEST(Calibration, RejectsThreadCountsThatWrap) {
+  auto opts = quick_opts(UINT32_MAX);
+  EXPECT_THROW(calibrate_capacity(machine(), cs_cfg(), opts),
+               std::invalid_argument);
+  EXPECT_THROW(calibrate_bandwidth(machine(), bw_cfg(), UINT32_MAX),
+               std::invalid_argument);
+}
+
+// Hexfloat goldens captured from the former serial probe loop: concurrent
+// probes must reproduce it bit for bit. Two ratios x two distributions give
+// each level four probes, so the goldens also pin the order in which a
+// level's estimates are folded into its mean and stddev.
+TEST(Calibration, MultiProbeTablesMatchSerialGoldens) {
+  const auto m = MachineConfig::xeon20mb_scaled(512);
+  interfere::CSThrConfig cs;
+  cs.buffer_bytes = 4ull * 1024 * 1024 / 512;
+  interfere::BWThrConfig bw;
+  bw.buffer_bytes = 4096;
+  CalibrationOptions opts;
+  opts.max_threads = 2;
+  opts.buffer_to_l3_ratios = {2.0, 3.0};
+  opts.probe_distributions = {4, 9};
+  opts.accesses_per_probe = 5'000;
+
+  const auto capacity = calibrate_capacity(m, cs, opts);
+  const auto bandwidth = calibrate_bandwidth(m, bw, 2);
+  const std::vector<double> available{0x1.1133013790d83p+15,
+                                      0x1.c796be1d12066p+14,
+                                      0x1.641a41e118b07p+14};
+  const std::vector<double> stddev{0x1.ffa7ec8af9932p+12, 0x1.392b2347cf6b2p+12,
+                                   0x1.2a5b887018bcp+11};
+  const std::vector<double> used{0x0p+0, 0x1.931894p+31, 0x1.933b1cp+32};
+  EXPECT_EQ(capacity.available_bytes, available);
+  EXPECT_EQ(capacity.stddev_bytes, stddev);
+  EXPECT_EQ(bandwidth.peak_bytes_per_sec, 0x1.58686a6f37d1ep+33);
+  EXPECT_EQ(bandwidth.used_bytes_per_sec, used);
+
+  // A second call reruns every probe on a fresh pool and schedule.
+  const auto capacity2 = calibrate_capacity(m, cs, opts);
+  const auto bandwidth2 = calibrate_bandwidth(m, bw, 2);
+  EXPECT_EQ(capacity2.available_bytes, capacity.available_bytes);
+  EXPECT_EQ(capacity2.stddev_bytes, capacity.stddev_bytes);
+  EXPECT_EQ(bandwidth2.peak_bytes_per_sec, bandwidth.peak_bytes_per_sec);
+  EXPECT_EQ(bandwidth2.used_bytes_per_sec, bandwidth.used_bytes_per_sec);
 }
 
 }  // namespace
