@@ -68,6 +68,34 @@ void BM_HierarchyWalkRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_HierarchyWalkRandom)->Args({16, 0})->Args({16, 1})->Args({1, 0});
 
+// The CSThr cache-walk workload tracked by scripts/bench_engine.py: random
+// load-then-store pairs over a buffer 8x the L2 but a quarter of the L3,
+// warmed into the L3 first. Nearly every load misses both private caches
+// and hits the L3, and its fills evict lines the previous stores dirtied,
+// so each pair pays the L3 hit plus the dirty-victim write-backs
+// (Cache::mark_dirty) into the L2 and the L3 — the path the CSThr
+// interference agent exercises. Items are accesses, two per pair.
+void BM_CsthrReadModifyWrite(benchmark::State& state) {
+  auto cfg = am::sim::MachineConfig::xeon20mb_scaled(16);
+  am::sim::MemorySystem ms(cfg);
+  const std::uint64_t bytes = cfg.l2.size_bytes * 8;
+  const std::uint64_t lines = bytes / 64;
+  const am::sim::Addr base = ms.alloc(bytes);
+  am::sim::Cycles now = 0;
+  for (std::uint64_t line = 0; line < lines; ++line)
+    now = ms.access(0, base + line * 64, am::sim::AccessKind::kLoad, now)
+              .complete;
+  am::Rng rng(13);
+  for (auto _ : state) {
+    const am::sim::Addr addr = base + rng.bounded(lines) * 64;
+    now = ms.access(0, addr, am::sim::AccessKind::kLoad, now).complete;
+    now = ms.access(0, addr, am::sim::AccessKind::kStore, now).complete;
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(state.iterations() * 2);
+}
+BENCHMARK(BM_CsthrReadModifyWrite);
+
 // The memory-backend-path workload tracked by scripts/bench_engine.py:
 // a 64-byte-strided walk over a buffer 8x the (scaled) L3, so nearly every
 // access misses through to the backend — host cost is dominated by the

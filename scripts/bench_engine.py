@@ -21,6 +21,9 @@ BENCH_sweep.json's orchestration numbers:
     BM_HierarchyWalkRandom/16 (a random walk over 2x the L3, nearly all
     misses) with the stream prefetcher off (/0) vs on (/1) gives
     `prefetcher_overhead`, ns per access on over off.
+    BM_CsthrReadModifyWrite (random load-then-store over an L3-resident
+    buffer 8x the L2, the CSThr agent's access mix) tracks the absolute
+    throughput of the L3-hit and dirty-victim write-back path.
   * the fig9 smoke sweep end to end, fast paths off vs on (both filter
     toggles together), with a byte-compare of the emitted tables: the
     filters are host-speed knobs only, so the figure output must be
@@ -52,7 +55,7 @@ L1_LATENCY_CYCLES = 4
 
 MICRO_FILTER = ("BM_L1HitSequential|BM_EngineStepOverhead|BM_L2HitBand"
                 "|BM_DramBoundStream|BM_BatchPipelined"
-                "|BM_HierarchyWalkRandom/16/")
+                "|BM_HierarchyWalkRandom/16/|BM_CsthrReadModifyWrite")
 FIG9_ARGS = [
     "--scale", "64", "--ranks", "8", "--steps", "1", "--quick",
     "--max-cs", "1", "--max-bw", "1",
@@ -117,6 +120,13 @@ def run_micro(binary):
         "accesses_per_second_prefetcher_off": round(off),
         "accesses_per_second_prefetcher_on": round(on),
         "prefetcher_overhead": round(off / on, 3),
+    }
+    # The cache walk behind CSThr: L3 hits whose fills evict dirty private
+    # victims. Absolute throughput only (no toggle), tracked so the flat
+    # tag arrays or the write-back slot hints rotting away show up as a
+    # trajectory break.
+    out["BM_CsthrReadModifyWrite"] = {
+        "accesses_per_second": round(per_name["BM_CsthrReadModifyWrite"]),
     }
     return out
 

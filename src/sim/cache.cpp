@@ -1,5 +1,7 @@
 #include "sim/cache.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace am::sim {
@@ -15,17 +17,20 @@ void CacheConfig::validate() const {
                                 name);
   if (num_sets() == 0)
     throw std::invalid_argument("CacheConfig: zero sets in " + name);
+  // Slots (filter entries, AccessOutcome::slot, MemorySystem's hints) are
+  // 32-bit.
+  if (num_lines() > UINT32_MAX)
+    throw std::invalid_argument("CacheConfig: more than 2^32-1 lines in " +
+                                name);
 }
 
 Cache::Cache(CacheConfig config) : config_(std::move(config)) {
   config_.validate();
   indexer_ = SetIndexer(config_.set_hash, config_.num_sets());
-  lines_.resize(config_.num_lines());
+  tags_.assign(config_.num_lines(), kNoLine);
+  stamps_.resize(config_.num_lines());
+  meta_.resize(config_.num_lines());
   if (config_.filter) filter_.resize(config_.num_sets());
-}
-
-std::size_t Cache::set_base(Addr line_addr) const {
-  return static_cast<std::size_t>(indexer_.index(line_addr) * config_.ways);
 }
 
 Cache::AccessOutcome Cache::access(Addr line_addr, std::uint16_t owner,
@@ -33,106 +38,92 @@ Cache::AccessOutcome Cache::access(Addr line_addr, std::uint16_t owner,
   AccessOutcome out;
   const std::size_t base = set_base(line_addr);
   ++stamp_;
-  std::size_t victim = base;
-  std::uint64_t victim_stamp = UINT64_MAX;
-  bool found_invalid = false;
+  // Hit probe: tags only, early exit.
   for (std::size_t i = base; i < base + config_.ways; ++i) {
-    Line& line = lines_[i];
-    if (line.valid && line.tag == line_addr) {
-      line.stamp = stamp_;
-      line.sharers |= sharer_bit;
-      line.dirty |= is_store;
+    if (tags_[i] == line_addr) {
+      stamps_[i] = stamp_;
+      Meta& meta = meta_[i];
+      meta.sharers |= sharer_bit;
+      meta.dirty |= is_store;
       out.hit = true;
+      out.slot = static_cast<std::uint32_t>(i);
       filter_update(line_addr, i);
       return out;
     }
-    if (!line.valid) {
-      if (!found_invalid) {
-        victim = i;
-        found_invalid = true;
-      }
-    } else if (!found_invalid && line.stamp < victim_stamp) {
-      victim = i;
-      victim_stamp = line.stamp;
-    }
   }
-  if (!found_invalid && config_.replacement == Replacement::kRandom)
-    victim = base + static_cast<std::size_t>(victim_rng_.bounded(config_.ways));
-  Line& line = lines_[victim];
-  if (line.valid) {
+  const std::size_t victim = base + victim_way(base);
+  Meta& meta = meta_[victim];
+  if (tags_[victim] != kNoLine) {
     out.evicted = true;
-    out.evicted_dirty = line.dirty;
-    out.evicted_line = line.tag;
-    out.evicted_sharers = line.sharers;
+    out.evicted_dirty = meta.dirty;
+    out.evicted_line = tags_[victim];
+    out.evicted_sharers = meta.sharers;
   }
-  const std::uint64_t insert_stamp =
-      stamp_ > config_.insert_age ? stamp_ - config_.insert_age : 0;
-  line = Line{line_addr, insert_stamp, sharer_bit, owner, /*valid=*/true,
-              /*dirty=*/is_store};
+  // Inserted insert_age accesses in the past, clamped at clock 0; stored
+  // + 1 like every stamp.
+  const std::uint64_t clock = stamp_ - 1;
+  const std::uint64_t insert_clock =
+      clock > config_.insert_age ? clock - config_.insert_age : 0;
+  tags_[victim] = line_addr;
+  stamps_[victim] = insert_clock + 1;
+  meta = Meta{sharer_bit, owner, /*dirty=*/is_store};
+  out.slot = static_cast<std::uint32_t>(victim);
   // The victim and the fill share a set, so this also unmaps a victim that
   // happened to be the set's filter entry.
   filter_update(line_addr, victim);
   return out;
 }
 
-bool Cache::contains(Addr line_addr) const {
-  const std::size_t base = set_base(line_addr);
-  for (std::size_t i = base; i < base + config_.ways; ++i)
-    if (lines_[i].valid && lines_[i].tag == line_addr) return true;
-  return false;
-}
-
-void Cache::touch(Addr line_addr) {
-  const std::size_t base = set_base(line_addr);
-  for (std::size_t i = base; i < base + config_.ways; ++i) {
-    if (lines_[i].valid && lines_[i].tag == line_addr) {
-      lines_[i].stamp = ++stamp_;
-      return;
-    }
+std::uint32_t Cache::victim_way(std::size_t base) {
+  // Branchless min over the set's stamps; strict `<` keeps the lowest way
+  // on ties. Invalid ways hold stamp 0 and valid lines at least 1, so the
+  // min is the first invalid way when there is one, else the LRU line.
+  // LRU ties between valid lines are real: insert_age > 0 clamps early
+  // fills to the same stamp and lands later fills on earlier hit stamps.
+  const std::uint32_t ways = config_.ways;
+  const std::uint64_t* stamps = &stamps_[base];
+  std::uint32_t victim = 0;
+  std::uint64_t oldest = stamps[0];
+  for (std::uint32_t w = 1; w < ways; ++w) {
+    const std::uint64_t stamp = stamps[w];
+    const bool older = stamp < oldest;
+    oldest = older ? stamp : oldest;
+    victim = older ? w : victim;
   }
-}
-
-bool Cache::mark_dirty(Addr line_addr) {
-  const std::size_t base = set_base(line_addr);
-  for (std::size_t i = base; i < base + config_.ways; ++i) {
-    if (lines_[i].valid && lines_[i].tag == line_addr) {
-      lines_[i].dirty = true;
-      return true;
-    }
-  }
-  return false;
+  // Only a full set draws from the stream, so the random policy's RNG
+  // sequence depends on the same events as it always has.
+  if (oldest != 0 && config_.replacement == Replacement::kRandom)
+    return static_cast<std::uint32_t>(victim_rng_.bounded(ways));
+  return victim;
 }
 
 bool Cache::invalidate(Addr line_addr) {
-  const std::size_t base = set_base(line_addr);
-  for (std::size_t i = base; i < base + config_.ways; ++i) {
-    Line& line = lines_[i];
-    if (line.valid && line.tag == line_addr) {
-      const bool dirty = line.dirty;
-      line = Line{};
-      filter_drop(line_addr);
-      return dirty;
-    }
-  }
-  return false;
+  const std::size_t i = find(line_addr);
+  if (i == kAbsent) return false;
+  tags_[i] = kNoLine;
+  stamps_[i] = 0;
+  filter_drop(line_addr);
+  return meta_[i].dirty;
 }
 
 void Cache::flush() {
-  for (auto& line : lines_) line = Line{};
+  // An invalid way's meta_ entry is never read; fills overwrite it.
+  std::fill(tags_.begin(), tags_.end(), kNoLine);
+  std::fill(stamps_.begin(), stamps_.end(), 0);
   for (auto& slot : filter_) slot = FilterSlot{};
 }
 
 std::uint64_t Cache::occupancy_lines(std::uint16_t owner) const {
   std::uint64_t count = 0;
-  for (const auto& line : lines_)
-    if (line.valid && line.owner == owner) ++count;
+  for (std::size_t i = 0; i < tags_.size(); ++i)
+    if (tags_[i] != kNoLine && meta_[i].owner == owner) ++count;
   return count;
 }
 
 std::uint64_t Cache::resident_lines() const {
   std::uint64_t count = 0;
-  for (const auto& line : lines_)
-    if (line.valid) ++count;
+  for (const Addr tag : tags_)
+    if (tag != kNoLine) ++count;
   return count;
 }
 

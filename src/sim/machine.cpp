@@ -1,6 +1,8 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 namespace am::sim {
@@ -73,6 +75,15 @@ void apply_set_hash(MachineConfig& machine, const std::string& spec) {
 void MachineConfig::validate() const {
   if (nodes == 0 || sockets_per_node == 0 || cores_per_socket == 0)
     throw std::invalid_argument("MachineConfig: empty topology");
+  // The L3 sharer mask holds one bit per core of a socket.
+  if (cores_per_socket > 32)
+    throw std::invalid_argument(
+        "MachineConfig: more than 32 cores per socket");
+  // Cache owner tags are 16-bit core ids. Widened so the product cannot
+  // wrap before the check.
+  const std::uint64_t sockets = std::uint64_t{nodes} * sockets_per_node;
+  if (sockets > 65536 || sockets * cores_per_socket > 65536)
+    throw std::invalid_argument("MachineConfig: more than 65536 cores");
   if (frequency_ghz <= 0.0)
     throw std::invalid_argument("MachineConfig: frequency <= 0");
   if (mem_bandwidth_bytes_per_sec <= 0.0 || link_bandwidth_bytes_per_sec <= 0.0)
@@ -84,6 +95,12 @@ void MachineConfig::validate() const {
   l3.validate();
   if (l1.line_bytes != l2.line_bytes || l2.line_bytes != l3.line_bytes)
     throw std::invalid_argument("MachineConfig: mismatched line sizes");
+  // MemorySystem shifts byte addresses by log2(line_bytes); at least one
+  // bit of shift keeps every line address below 2^63, so none can equal
+  // Cache::kNoLine.
+  if (l1.line_bytes < 2 || !std::has_single_bit(l1.line_bytes))
+    throw std::invalid_argument(
+        "MachineConfig: line size must be a power of two >= 2");
   if (mem_backend == MemBackendKind::kBankedDram) dram.validate(l3.line_bytes);
   if (prefetcher.enabled) prefetcher.validate();
 }

@@ -8,9 +8,6 @@ namespace am::sim {
 
 MemorySystem::MemorySystem(MachineConfig config) : config_(std::move(config)) {
   config_.validate();
-  if (!std::has_single_bit(
-          static_cast<std::uint64_t>(config_.l1.line_bytes)))
-    throw std::invalid_argument("line size must be a power of two");
   line_shift_ = std::countr_zero(
       static_cast<std::uint64_t>(config_.l1.line_bytes));
   // The machine-level toggles reach the private caches here: the L1
@@ -38,6 +35,10 @@ MemorySystem::MemorySystem(MachineConfig config) : config_(std::move(config)) {
         config_.link_bytes_per_cycle(), /*latency=*/0));
   counters_.resize(cores);
   hint_countdown_.assign(cores, config_.l3_hint_interval);
+  l1_lines_ = config_.l1.num_lines();
+  l2_lines_ = config_.l2.num_lines();
+  l1_to_l2_.assign(cores * l1_lines_, 0);
+  l2_to_l3_.assign(cores * l2_lines_, 0);
   batch_window_.reserve(config_.max_outstanding_misses);
 }
 
@@ -48,18 +49,6 @@ Addr MemorySystem::alloc(std::uint64_t bytes, std::uint64_t align) {
   const Addr base = next_alloc_;
   next_alloc_ += bytes;
   return base;
-}
-
-void MemorySystem::handle_private_eviction(CoreId core,
-                                           const Cache::AccessOutcome& out,
-                                           bool from_l1) {
-  // Private victims generate no bus traffic, but a dirty victim's data
-  // must survive in the level below so its eventual L3 eviction writes
-  // back to memory.
-  if (!out.evicted || !out.evicted_dirty) return;
-  const std::uint32_t socket = config_.socket_of(core);
-  if (from_l1 && l2_[core]->mark_dirty(out.evicted_line)) return;
-  (void)l3_[socket]->mark_dirty(out.evicted_line);
 }
 
 bool MemorySystem::back_invalidate(std::uint32_t socket, Addr line,
@@ -128,10 +117,17 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   if (config_.l1_filter) ++ctr.l1_filter_fallthroughs;
 
   // L1. Cache::access is probe-and-insert: a miss here already fills the
-  // line, so only the victim needs handling.
+  // line, so only the victim needs handling. Private victims generate no
+  // bus traffic, but a dirty victim's data must survive in the level below
+  // so its eventual L3 eviction writes back to memory. The fill took the
+  // victim's slot, so that slot's hint still names the victim's L2 slot
+  // until the L2 lookup below rewrites it.
   const auto l1_out =
       l1_[core]->access(line, static_cast<std::uint16_t>(core), 0, is_store);
-  handle_private_eviction(core, l1_out, /*from_l1=*/true);
+  std::uint32_t& l2_slot = l1_to_l2_[core * l1_lines_ + l1_out.slot];
+  if (l1_out.evicted_dirty &&
+      !l2_[core]->mark_dirty(l1_out.evicted_line, l2_slot))
+    (void)l3_[socket]->mark_dirty(l1_out.evicted_line);
   if (l1_out.hit) {
     ++ctr.l1_hits;
     if (config_.l3_hint_interval != 0 && --hint_countdown_[core] == 0) {
@@ -147,7 +143,7 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   // sharer OR, dirty OR — see Cache::try_fast_hit). A hit never evicts
   // and leaves the filter slot already current, so skipping the walk is
   // bit-identical (sim.filter_identity_test, smoke.fig9_l2_filter_identity).
-  if (l2_[core]->try_fast_hit(line, 0, is_store)) {
+  if (l2_[core]->try_fast_hit(line, 0, is_store, &l2_slot)) {
     ++ctr.l2_hits;
     ++ctr.l2_filter_hits;
     if (config_.l3_hint_interval != 0 && --hint_countdown_[core] == 0) {
@@ -161,7 +157,10 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   // L2.
   const auto l2_out =
       l2_[core]->access(line, static_cast<std::uint16_t>(core), 0, is_store);
-  handle_private_eviction(core, l2_out, /*from_l1=*/false);
+  l2_slot = l2_out.slot;
+  std::uint32_t& l3_slot = l2_to_l3_[core * l2_lines_ + l2_out.slot];
+  if (l2_out.evicted_dirty)
+    (void)l3_[socket]->mark_dirty(l2_out.evicted_line, l3_slot);
   if (l2_out.hit) {
     ++ctr.l2_hits;
     if (config_.l3_hint_interval != 0 && --hint_countdown_[core] == 0) {
@@ -179,6 +178,7 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
       1u << (core % config_.cores_per_socket);
   const auto out = l3_[socket]->access(line, static_cast<std::uint16_t>(core),
                                        sharer_bit, is_store);
+  l3_slot = out.slot;
   handle_l3_eviction(socket, core, out, now);
   if (out.hit) {
     ++ctr.l3_hits;

@@ -102,9 +102,6 @@ class MemorySystem {
   /// filter (MachineConfig::l2_filter) before the full L2 walk.
   AccessResult access_slow(CoreId core, Addr addr, AccessKind kind,
                            Cycles now);
-  /// Propagates a dirty private victim's state down the hierarchy.
-  void handle_private_eviction(CoreId core, const Cache::AccessOutcome& out,
-                               bool from_l1);
   /// Removes private copies; returns true if any copy was dirty.
   bool back_invalidate(std::uint32_t socket, Addr line, std::uint32_t sharers);
   /// Handles an L3 eviction: back-invalidation + a single write-back
@@ -123,6 +120,16 @@ class MemorySystem {
   std::vector<std::unique_ptr<BandwidthChannel>> nic_;       // per node
   std::vector<Counters> counters_;                              // per core
   std::vector<std::uint32_t> hint_countdown_;                   // per core
+  // Slot hints for dirty write-backs, indexed core * lines + private slot:
+  // the slot the same line last occupied one level down. An L2->L3 hint is
+  // exact while the L2 holds the line (the L3 is inclusive: its copy cannot
+  // move, and evicting it back-invalidates the L2's). The L2 does not
+  // include the L1, so an L1->L2 hint may be stale; Cache::mark_dirty then
+  // falls back to its set scan.
+  std::vector<std::uint32_t> l1_to_l2_;
+  std::vector<std::uint32_t> l2_to_l3_;
+  std::size_t l1_lines_ = 0;  // per-core stride of l1_to_l2_
+  std::size_t l2_lines_ = 0;  // per-core stride of l2_to_l3_
   std::vector<Addr> prefetch_buf_;
   std::vector<Cycles> batch_window_;  // access_batch miss-completion window
   Addr next_alloc_ = 1 << 16;

@@ -22,6 +22,14 @@ TEST(CacheConfig, ValidateRejectsBadGeometry) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+TEST(CacheConfig, ValidateRejectsMoreLinesThanSlotsHold) {
+  // Slots are 32-bit: 2^32 - 1 lines at most (checked without allocating).
+  CacheConfig c{(std::uint64_t{1} << 32) * 64, 64, 8, "huge"};
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.size_bytes = ((std::uint64_t{1} << 32) - 8) * 64;  // largest 8-way fit
+  EXPECT_NO_THROW(c.validate());
+}
+
 TEST(Cache, MissThenHit) {
   Cache cache(tiny());
   EXPECT_FALSE(cache.access(100, 0).hit);

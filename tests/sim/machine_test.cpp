@@ -92,6 +92,49 @@ TEST(MachineConfig, ValidateCatchesBadTopology) {
   EXPECT_THROW(m.validate(), std::invalid_argument);
 }
 
+TEST(MachineConfig, ValidateCatchesSocketWiderThanSharerMask) {
+  // The L3 sharer mask has one bit per core of a socket: 32 at most.
+  auto m = MachineConfig::xeon20mb_scaled(256);
+  m.cores_per_socket = 32;
+  EXPECT_NO_THROW(m.validate());
+  m.cores_per_socket = 33;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  EXPECT_THROW((void)MemorySystem{m}, std::invalid_argument);
+}
+
+TEST(MachineConfig, ValidateCatchesMoreCoresThanOwnerTags) {
+  // Owner tags are 16-bit core ids: 65536 cores at most.
+  auto m = MachineConfig::xeon20mb_scaled(256);
+  m.nodes = 4096;  // 4096 nodes x 2 sockets x 8 cores = 65536
+  EXPECT_NO_THROW(m.validate());
+  m.nodes = 4097;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  // A topology whose 32-bit core count wraps to 0 is rejected too.
+  m.nodes = 0x80000000u;
+  m.sockets_per_node = 2;
+  m.cores_per_socket = 1;
+  EXPECT_EQ(m.total_cores(), 0u);
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+}
+
+TEST(MachineConfig, ValidateCatchesBadLineSize) {
+  // Every level otherwise legal: each geometry is a whole number of sets.
+  const auto with_line = [](std::uint32_t line) {
+    auto m = MachineConfig::xeon20mb_scaled(256);
+    m.l1 = {std::uint64_t{line} * 8 * 2, line, 8, "L1D"};
+    m.l2 = {std::uint64_t{line} * 8 * 4, line, 8, "L2"};
+    m.l3 = {std::uint64_t{line} * 20 * 8, line, 20, "L3"};
+    return m;
+  };
+  EXPECT_NO_THROW(with_line(64).validate());
+  EXPECT_NO_THROW(with_line(2).validate());
+  // Not a power of two: MemorySystem could not shift addresses to lines.
+  EXPECT_THROW(with_line(48).validate(), std::invalid_argument);
+  EXPECT_THROW((void)MemorySystem{with_line(48)}, std::invalid_argument);
+  // One-byte lines would let a line address reach Cache::kNoLine.
+  EXPECT_THROW(with_line(1).validate(), std::invalid_argument);
+}
+
 TEST(MachineConfig, ValidateCatchesEmptyStreamTable) {
   // An enabled prefetcher with no stream slots has nowhere to allocate.
   auto m = MachineConfig::xeon20mb_scaled(256);

@@ -78,6 +78,79 @@ TEST(MemorySystem, DirtyEvictionChargesWriteback) {
   EXPECT_GT(ms.mem_backend(0).total_bytes(), bytes_before + fills - 64);
 }
 
+// Loads `count` lines spaced `stride` lines apart, from `first` on.
+Cycles load_lines(MemorySystem& ms, CoreId core, Addr first, Addr stride,
+                  std::uint64_t count, Cycles t) {
+  for (std::uint64_t k = 0; k < count; ++k)
+    t = ms.access(core, (first + k * stride) * 64, AccessKind::kLoad, t)
+            .complete;
+  return t;
+}
+
+// Evicts `line` from socket 0's L3 with loads from core 1 and returns the
+// write-backs core 1 was charged for.
+std::uint64_t evict_from_l3(MemorySystem& ms, Addr line, Cycles t) {
+  const auto& l3 = ms.config().l3;
+  (void)load_lines(ms, 1, line + l3.num_sets(), l3.num_sets(), l3.ways + 1, t);
+  EXPECT_FALSE(ms.l3(0).contains(line));
+  return ms.counters(1).writebacks;
+}
+
+// The L2 does not include the L1, so the L1->L2 slot hint of a line the L2
+// has since evicted names a slot now holding another line. The dirty L1
+// victim must then reach the L3, and the L3 eviction must write it back.
+TEST(MemorySystem, StaleL1ToL2HintStillLandsDirtyBitInL3) {
+  const auto cfg = small_machine();  // L1: 1 set x 8 ways, L2: 8 sets
+  MemorySystem ms(cfg);
+  const Addr a = ms.alloc(64, 1 << 20) / 64;
+  const Addr l2_sets = cfg.l2.num_sets();
+  Cycles t = ms.access(0, a * 64, AccessKind::kLoad, 0).complete;
+  t = ms.access(0, a * 64, AccessKind::kStore, t).complete;  // L1 dirty only
+  // Push `a` out of its L2 set while keeping it the L1's MRU line: L1 hits
+  // never reach the L2's LRU state.
+  for (Addr k = 1; k <= cfg.l2.ways; ++k) {
+    t = load_lines(ms, 0, a + k * l2_sets, 1, 1, t);
+    t = ms.access(0, a * 64, AccessKind::kLoad, t).complete;
+  }
+  ASSERT_FALSE(ms.l2(0).contains(a));
+  ASSERT_TRUE(ms.l1(0).contains(a));
+  // Now evict it from the L1 with lines of another L2 set.
+  t = load_lines(ms, 0, a + 1, l2_sets, cfg.l1.ways, t);
+  ASSERT_FALSE(ms.l1(0).contains(a));
+  ASSERT_TRUE(ms.l3(0).contains(a));
+  EXPECT_EQ(evict_from_l3(ms, a, t), 1u);
+}
+
+// The exact L2->L3 hint: a dirty L1 victim lands in the L2, and the dirty
+// L2 victim later marks the L3 copy through the hint.
+TEST(MemorySystem, DirtyPrivateVictimsReachL3ThroughHints) {
+  const auto cfg = small_machine();
+  MemorySystem ms(cfg);
+  const Addr a = ms.alloc(64, 1 << 20) / 64;
+  const Addr l2_sets = cfg.l2.num_sets();
+  Cycles t = ms.access(0, a * 64, AccessKind::kLoad, 0).complete;
+  t = ms.access(0, a * 64, AccessKind::kStore, t).complete;  // L1 dirty only
+  t = load_lines(ms, 0, a + 1, l2_sets, cfg.l1.ways, t);  // L1 -> L2
+  ASSERT_FALSE(ms.l1(0).contains(a));
+  ASSERT_TRUE(ms.l2(0).contains(a));
+  t = load_lines(ms, 0, a + l2_sets, l2_sets, cfg.l2.ways, t);  // L2 -> L3
+  ASSERT_FALSE(ms.l2(0).contains(a));
+  ASSERT_TRUE(ms.l3(0).contains(a));
+  EXPECT_EQ(evict_from_l3(ms, a, t), 1u);
+}
+
+// Without the store, the same sequence writes nothing back.
+TEST(MemorySystem, CleanPrivateVictimsWriteNothingBack) {
+  const auto cfg = small_machine();
+  MemorySystem ms(cfg);
+  const Addr a = ms.alloc(64, 1 << 20) / 64;
+  const Addr l2_sets = cfg.l2.num_sets();
+  Cycles t = ms.access(0, a * 64, AccessKind::kLoad, 0).complete;
+  t = load_lines(ms, 0, a + 1, l2_sets, cfg.l1.ways, t);
+  t = load_lines(ms, 0, a + l2_sets, l2_sets, cfg.l2.ways, t);
+  EXPECT_EQ(evict_from_l3(ms, a, t), 0u);
+}
+
 TEST(MemorySystem, BatchOverlapsMissesUpToWindow) {
   auto cfg = small_machine();
   cfg.max_outstanding_misses = 4;
