@@ -173,21 +173,23 @@ std::optional<LeaseOffer> read_lease_offer(const std::string& path) {
   return offer;
 }
 
-void write_lease_ack(const std::string& path, const LeaseAck& ack) {
+void write_lease_acks(const std::string& path, const LeaseAckFile& file) {
   std::ostringstream out;
   out << kAckHeader << '\n';
-  out << "lease\t" << ack.lease_id << '\n';
-  out << "points\t" << ack.points << '\n';
-  out << "executed\t" << ack.executed << '\n';
-  out << "wall\t" << num(ack.wall_seconds) << '\n';
+  for (const auto& ack : file.acks) {
+    out << "lease\t" << ack.lease_id << '\n';
+    out << "points\t" << ack.points << '\n';
+    out << "executed\t" << ack.executed << '\n';
+    out << "wall\t" << num(ack.wall_seconds) << '\n';
+  }
+  if (file.ready) out << "ready\t" << *file.ready << '\n';
   atomic_write_file(path, out.str(), "lease-ack");
 }
 
-std::optional<LeaseAck> read_lease_ack(const std::string& path) {
+std::optional<LeaseAckFile> read_lease_acks(const std::string& path) {
   std::vector<std::string> lines;
   if (!read_lines(path, kAckHeader, lines)) return std::nullopt;
-  LeaseAck ack;
-  bool saw_lease = false;
+  LeaseAckFile file;
   for (const auto& line : lines) {
     std::istringstream in(line);
     std::string key, v;
@@ -195,20 +197,25 @@ std::optional<LeaseAck> read_lease_ack(const std::string& path) {
     std::uint64_t u = 0;
     if (key == "lease") {
       if (!parse_u64(v, u)) return std::nullopt;
-      ack.lease_id = u;
-      saw_lease = true;
-    } else if (key == "points") {
-      if (!parse_u64(v, u)) return std::nullopt;
-      ack.points = static_cast<std::size_t>(u);
-    } else if (key == "executed") {
-      if (!parse_u64(v, u)) return std::nullopt;
-      ack.executed = static_cast<std::size_t>(u);
-    } else if (key == "wall") {
-      if (!parse_double(v, ack.wall_seconds)) return std::nullopt;
+      file.acks.emplace_back().lease_id = u;
+    } else if (key == "ready") {
+      if (file.ready || !parse_u64(v, u)) return std::nullopt;
+      file.ready = u;
+    } else if (key == "points" || key == "executed" || key == "wall") {
+      // A field belongs to the record the latest `lease` line opened.
+      if (file.acks.empty()) return std::nullopt;
+      LeaseAck& ack = file.acks.back();
+      if (key == "wall") {
+        if (!parse_double(v, ack.wall_seconds)) return std::nullopt;
+      } else {
+        if (!parse_u64(v, u)) return std::nullopt;
+        (key == "points" ? ack.points : ack.executed) =
+            static_cast<std::size_t>(u);
+      }
     }
   }
-  if (!saw_lease) return std::nullopt;
-  return ack;
+  if (file.acks.empty() && !file.ready) return std::nullopt;
+  return file;
 }
 
 void write_plan_info(const std::string& path, const PlanInfo& info) {

@@ -7,13 +7,20 @@
 //   * Lease file — scheduler → worker. One per worker slot, rewritten
 //     for every batch: the lease id, the plan indices to run, and a
 //     `done` flag that tells the worker to exit cleanly once the queue
-//     is drained. Workers poll it; a lease id they already acknowledged
-//     means "no new work yet".
-//   * Ack file (`<lease>.ack`) — worker → scheduler. Written after the
-//     worker has executed a lease's points and checkpointed its store:
-//     the lease id, how many points it covered, how many engine runs
-//     were actually executed (cache hits excluded), and the wall-clock
-//     the batch took (the scheduler's per-worker busy-time stat).
+//     is drained. Workers poll it; a lease id they already took means
+//     "no new work yet". The scheduler overwrites an offer only after
+//     the worker took it (see `ready` below), so no offer is lost.
+//   * Ack file (`<lease>.ack`) — worker → scheduler. Rewritten whole
+//     on every change: one record per lease the worker acknowledged
+//     since it started (the lease id, how many points it covered, how
+//     many engine runs were actually executed — cache hits excluded —
+//     and the wall-clock from taking the lease to its ack), plus an
+//     optional `ready <id>` line: the worker has taken offer `id` and
+//     has none of its points queued, so the scheduler may write the
+//     next offer while the taken points still run. A file without
+//     `ready` (a single record, as the daemon's worker writes it) asks
+//     for a new offer only once the worker holds nothing. Records are
+//     written after the worker has checkpointed its store.
 //   * Plan-info file — driver → scheduler, from a `--emit-plan` probe
 //     run: the plan size and a per-point relative cost estimate, which
 //     is everything a scheduler needs to build size-aware batches for a
@@ -59,6 +66,17 @@ struct LeaseAck {
   double wall_seconds = 0.0;
 };
 
+/// An ack file's full content. The scheduler processes every record
+/// whose lease it still holds open, so reading one record twice is
+/// harmless.
+struct LeaseAckFile {
+  std::vector<LeaseAck> acks;  // in acknowledgement order
+  /// The newest offer id the worker has taken with none of its points
+  /// still queued; nullopt = offer again only when the worker holds no
+  /// lease.
+  std::optional<std::uint64_t> ready;
+};
+
 /// A probed plan: size and per-point relative cost (costs.size() ==
 /// points; uniform 1.0 when the driver has no better estimate).
 struct PlanInfo {
@@ -88,12 +106,14 @@ std::string lease_heartbeat_path(const std::string& lease_path);
 /// Atomic writers; throw std::runtime_error on I/O failure (the
 /// scheduler must know its offer never reached the worker).
 void write_lease_offer(const std::string& path, const LeaseOffer& offer);
-void write_lease_ack(const std::string& path, const LeaseAck& ack);
+void write_lease_acks(const std::string& path, const LeaseAckFile& file);
 void write_plan_info(const std::string& path, const PlanInfo& info);
 
-/// Readers: the parsed file, or nullopt when absent or malformed.
+/// Readers: the parsed file, or nullopt when absent or malformed. An
+/// ack file is malformed when a record field precedes every `lease`
+/// line, `ready` repeats, or it holds neither a record nor `ready`.
 std::optional<LeaseOffer> read_lease_offer(const std::string& path);
-std::optional<LeaseAck> read_lease_ack(const std::string& path);
+std::optional<LeaseAckFile> read_lease_acks(const std::string& path);
 std::optional<PlanInfo> read_plan_info(const std::string& path);
 
 }  // namespace am

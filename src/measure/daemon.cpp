@@ -926,8 +926,12 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
         s.proc.kill();
       }
 
-      const auto ack = read_lease_ack(lease_ack_path(s.lease));
-      if (ack && s.has_current && ack->lease_id == s.current.id) {
+      const auto acks = read_lease_acks(lease_ack_path(s.lease));
+      const LeaseAck* ack = nullptr;
+      if (acks && s.has_current)
+        for (const LeaseAck& a : acks->acks)
+          if (a.lease_id == s.current.id) ack = &a;
+      if (ack != nullptr) {
         progressed = true;
         s.watch.last_progress = Clock::now();
         s.busy_seconds += ack->wall_seconds;
@@ -1224,7 +1228,7 @@ DaemonWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
     ack.points = offer->lease.points.size();
     ack.executed = executed;
     ack.wall_seconds = seconds_since(t0);
-    write_lease_ack(lease_ack_path(opts.lease_path), ack);
+    write_lease_acks(lease_ack_path(opts.lease_path), {{ack}, std::nullopt});
 
     last_activity = Clock::now();
     last_acked = offer->lease.id;

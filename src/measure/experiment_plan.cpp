@@ -70,6 +70,22 @@ std::vector<WorkLease> ExperimentPlan::batches(
   return make_batches(points_.size(), count, costs);
 }
 
+void ExperimentPlan::check_points(
+    const std::vector<std::size_t>& indices) const {
+  std::vector<bool> seen(points_.size(), false);
+  for (const std::size_t i : indices) {
+    if (i >= points_.size())
+      throw std::invalid_argument(
+          "ExperimentPlan: plan index " + std::to_string(i) +
+          " out of range for a plan of " + std::to_string(points_.size()) +
+          " points");
+    if (seen[i])
+      throw std::invalid_argument("ExperimentPlan: duplicate plan index " +
+                                  std::to_string(i) + " in the work list");
+    seen[i] = true;
+  }
+}
+
 void ExperimentPlan::add_point(WorkloadId workload, Resource resource,
                                std::uint32_t threads) {
   if (workload >= workloads_.size())
@@ -125,15 +141,18 @@ SweepRunner::SweepRunner(sim::MachineConfig machine, SweepRunnerOptions opts)
   machine_fp_ = machine_fingerprint(machine_);
 }
 
+InterferenceSpec SweepRunner::spec_for(const ExperimentPoint& pt) const {
+  return pt.resource == Resource::kCacheStorage
+             ? InterferenceSpec::storage(pt.threads, opts_.cs)
+             : InterferenceSpec::bandwidth(pt.threads, opts_.bw);
+}
+
 ScenarioKey SweepRunner::key_for(const ExperimentPlan& plan,
                                  std::size_t plan_index) const {
   const ExperimentPoint& pt = plan.points().at(plan_index);
-  const InterferenceSpec spec =
-      pt.resource == Resource::kCacheStorage
-          ? InterferenceSpec::storage(pt.threads, opts_.cs)
-          : InterferenceSpec::bandwidth(pt.threads, opts_.bw);
   return ScenarioKey::make(machine_fp_, plan.workloads()[pt.workload].name,
-                           pt.resource, pt.threads, spec_signature(spec),
+                           pt.resource, pt.threads,
+                           spec_signature(spec_for(pt)),
                            seed_for(plan_index), opts_.max_cycles);
 }
 
@@ -191,23 +210,33 @@ std::vector<double> SweepRunner::estimate_costs(
   return costs;
 }
 
+SweepRunner::PointRun SweepRunner::run_point(const ExperimentPlan& plan,
+                                             std::size_t plan_index) const {
+  const ExperimentPoint& pt = plan.points().at(plan_index);
+  SimBackend backend(machine_, seed_for(plan_index));
+  const auto t0 = std::chrono::steady_clock::now();
+  PointRun run;
+  run.result = backend.run(plan.workloads()[pt.workload].factory,
+                           spec_for(pt), opts_.max_cycles);
+  run.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  return run;
+}
+
+void SweepRunner::record(const ExperimentPlan& plan, std::size_t plan_index,
+                         const PointRun& run, const std::string& host,
+                         ResultStore& store) const {
+  store.put(key_for(plan, plan_index), run.result, host, run.wall_seconds);
+  if (opts_.checkpoint) opts_.checkpoint(store);
+}
+
 ResultTable SweepRunner::run_points(const ExperimentPlan& plan,
                                     ThreadPool* pool, ResultStore* store,
                                     const std::vector<std::size_t>& owned,
                                     std::size_t* executed) const {
+  plan.check_points(owned);
   const auto& points = plan.points();
-  std::vector<bool> seen(points.size(), false);
-  for (const std::size_t i : owned) {
-    if (i >= points.size())
-      throw std::invalid_argument(
-          "SweepRunner::run: plan index " + std::to_string(i) +
-          " out of range for a plan of " + std::to_string(points.size()) +
-          " points");
-    if (seen[i])
-      throw std::invalid_argument("SweepRunner::run: duplicate plan index " +
-                                  std::to_string(i) + " in the work list");
-    seen[i] = true;
-  }
 
   // Cache pass (serial, read-only): slot s of `results` holds the outcome
   // of plan point owned[s]; `todo` collects the slots that must run.
@@ -232,21 +261,8 @@ ResultTable SweepRunner::run_points(const ExperimentPlan& plan,
   Mutex store_mutex;
   auto run_one = [&](std::size_t t) {
     const std::size_t i = owned[todo[t]];
-    const ExperimentPoint& pt = points[i];
-    const WorkloadSpec& w = plan.workloads()[pt.workload];
-    const InterferenceSpec spec =
-        pt.resource == Resource::kCacheStorage
-            ? InterferenceSpec::storage(pt.threads, opts_.cs)
-            : InterferenceSpec::bandwidth(pt.threads, opts_.bw);
-    SimBackend backend(machine_, seed_for(i));
-    const auto t0 = std::chrono::steady_clock::now();
-    results[todo[t]] = backend.run(w.factory, spec, opts_.max_cycles);
-    // Wall-clock, not simulated seconds: simulation speed varies with
-    // workload complexity, and the scheduler's cost model needs the
-    // former. Never part of the result — only a batching hint.
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    const PointRun run = run_point(plan, i);
+    results[todo[t]] = run.result;
     if (store != nullptr) {
       // Record (and optionally checkpoint) each point as it completes,
       // not after the barrier: a process killed mid-plan keeps every
@@ -256,8 +272,7 @@ ResultTable SweepRunner::run_points(const ExperimentPlan& plan,
       // Completion order varies under a pool, but records are keyed and
       // the store file is canonically sorted — determinism is untouched.
       const MutexLock lock(store_mutex);
-      store->put(key_for(plan, i), results[todo[t]], host, wall);
-      if (opts_.checkpoint) opts_.checkpoint(*store);
+      record(plan, i, run, host, *store);
     }
   };
 

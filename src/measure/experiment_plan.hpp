@@ -108,6 +108,11 @@ class ExperimentPlan {
   std::vector<WorkLease> batches(std::size_t count,
                                  const std::vector<double>& costs = {}) const;
 
+  /// Throws std::invalid_argument unless `indices` are distinct plan
+  /// indices below size() — the check every work list (a shard slice, a
+  /// leased batch) passes before any of it runs.
+  void check_points(const std::vector<std::size_t>& indices) const;
+
  private:
   std::vector<WorkloadSpec> workloads_;
   std::vector<ExperimentPoint> points_;
@@ -173,6 +178,15 @@ struct SweepRunnerOptions {
 
 class SweepRunner {
  public:
+  /// One simulated plan point.
+  struct PointRun {
+    SimRunResult result;
+    /// Host wall-clock of the engine run, not simulated seconds: the
+    /// scheduler's cost model needs the former. Never part of the
+    /// result — ResultStore keeps it as a batching hint only.
+    double wall_seconds = 0.0;
+  };
+
   explicit SweepRunner(sim::MachineConfig machine,
                        SweepRunnerOptions opts = {});
 
@@ -202,6 +216,20 @@ class SweepRunner {
                          const std::vector<std::size_t>& owned,
                          std::size_t* executed = nullptr) const;
 
+  /// Simulates plan point `plan_index` under its per-index seed. Touches
+  /// no store, so any number may run concurrently (run_points and the
+  /// lease worker run them on pool threads). Throws std::out_of_range on
+  /// an index outside the plan.
+  PointRun run_point(const ExperimentPlan& plan, std::size_t plan_index) const;
+
+  /// Records a fresh run of `plan_index` into `store` under key_for,
+  /// tagged with the producing host's fingerprint and the run's
+  /// wall-clock, then calls options().checkpoint. Callers serialize
+  /// access to `store`; the checkpoint hook never runs concurrently.
+  void record(const ExperimentPlan& plan, std::size_t plan_index,
+              const PointRun& run, const std::string& host,
+              ResultStore& store) const;
+
   /// Per-point relative costs for ExperimentPlan::batches. A point whose
   /// key has a recorded wall-clock in `store` (a previous sweep ran it)
   /// costs its measured seconds; the rest fall back to a 1 + threads
@@ -226,6 +254,8 @@ class SweepRunner {
   const SweepRunnerOptions& options() const { return opts_; }
 
  private:
+  InterferenceSpec spec_for(const ExperimentPoint& pt) const;
+
   sim::MachineConfig machine_;
   SweepRunnerOptions opts_;
   std::string machine_fp_;  // machine_fingerprint(machine_), cached

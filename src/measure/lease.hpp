@@ -3,15 +3,21 @@
 //
 // A lease worker is a figure driver started with `--lease <file>`
 // instead of `--shard i/n`: rather than owning a fixed slice chosen at
-// spawn, it loops pulling batches of plan points from its scheduler
+// spawn, it pulls batches of plan points from its scheduler
 // (measure::SweepOrchestrator) through the lease file until the
-// scheduler says the queue is drained. Per batch: read the lease offer,
-// run the leased plan indices through the cache-aware SweepRunner,
-// persist the store, acknowledge — durable results strictly before the
-// receipt, so a crash between the two merely re-runs a fully cached
-// batch. Determinism is untouched: leased points keep their plan
-// indices (and so their seeds and store keys), making the merged store
-// bit-identical to a serial run however the batches were scheduled.
+// scheduler says the queue is drained. Leases stream: the points of
+// every taken lease join one FIFO, at most pool->size() of them run at
+// once, and as soon as the FIFO is empty — every taken point running or
+// done — the worker writes `ready <id>` to its ack file so the next
+// offer arrives while the last points still run. Pool threads only
+// simulate (SweepRunner::run_point); the calling thread alone does the
+// cache lookups, records, checkpoints, saves and acks. A lease is
+// acknowledged once its last point is recorded and the store is saved
+// — durable results strictly before the receipt, so a crash between the
+// two merely re-runs a fully cached batch. Determinism is untouched:
+// leased points keep their plan indices (and so their seeds and store
+// keys), making the merged store bit-identical to a serial run however
+// the batches were scheduled.
 //
 // The probe half (`--emit-plan <file>`) writes the plan's size and
 // per-point cost estimates for the scheduler, which cannot construct
@@ -45,11 +51,13 @@ struct SchedulingFlags {
 SchedulingFlags parse_scheduling_flags(const Cli& cli);
 
 struct LeaseWorkerOptions {
-  /// Delay between polls of the lease file while no fresh offer exists.
+  /// Delay between polls of the lease file while no fresh offer exists
+  /// (a finished point wakes the worker at once).
   double poll_seconds = 0.02;
   /// Give up (std::runtime_error, i.e. a retryable worker failure) when
-  /// no fresh offer arrives for this long — an orphaned worker whose
-  /// scheduler died must not poll forever. 0 disables.
+  /// no point runs and no fresh offer arrives for this long — an
+  /// orphaned worker whose scheduler died must not poll forever. 0
+  /// disables.
   double idle_timeout_seconds = 600.0;
 };
 
@@ -61,14 +69,16 @@ struct LeaseWorkerReport {
 };
 
 /// Runs the lease-worker protocol to completion against the offer file
-/// at `lease_path`. `store` must be lease-bound (ResultStoreFile::
-/// for_lease on the same lease path) and is saved before every ack;
-/// progress lines stream to `out`. Returns on reading a `done` offer
-/// (which gets no ack — the caller's exit 0 is the receipt). Throws
-/// std::runtime_error on idle timeout and
-/// std::invalid_argument on a lease naming out-of-range plan indices
-/// (scheduler and worker disagree about the plan — a usage error, not
-/// retryable).
+/// at `lease_path`, with pool->size() lanes (one, on the calling
+/// thread, when `pool` is null). `store` must be lease-bound
+/// (ResultStoreFile::for_lease on the same lease path) and is saved
+/// before every ack; progress lines stream to `out`. A `done` offer
+/// (which gets no ack — the caller's exit 0 is the receipt) drains the
+/// open leases, then the function returns. Throws std::runtime_error on
+/// idle timeout, std::invalid_argument on a lease naming out-of-range
+/// or repeated plan indices (scheduler and worker disagree about the
+/// plan — a usage error, not retryable), and whatever a point threw;
+/// points already in flight settle first.
 LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
                                    const SweepRunner& runner,
                                    ThreadPool* pool, ResultStoreFile& store,

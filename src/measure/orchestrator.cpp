@@ -78,6 +78,23 @@ struct Running {
   bool stalled = false;
 };
 
+using Span = std::pair<Clock::time_point, Clock::time_point>;
+
+/// Seconds covered by the union of `spans`: overlapping leases of one
+/// worker count once.
+double covered_seconds(std::vector<Span> spans) {
+  std::sort(spans.begin(), spans.end());
+  double total = 0.0;
+  Clock::time_point reach = Clock::time_point::min();
+  for (const auto& [from, to] : spans) {
+    const auto start = std::max(from, reach);
+    if (to <= start) continue;
+    total += std::chrono::duration<double>(to - start).count();
+    reach = to;
+  }
+  return total;
+}
+
 /// One worker slot of the lease scheduler. A slot's process may be
 /// respawned after a crash; its store file persists across respawns, so
 /// re-offered batches are mostly cache hits.
@@ -88,8 +105,11 @@ struct Slot {
   bool ever_spawned = false;
   bool done_offered = false;
   std::string lease;         // lease-file path
-  WorkLease current;         // offered batch (empty = none outstanding)
-  bool has_current = false;
+  std::vector<WorkLease> held;  // offered, not yet acknowledged
+  std::uint64_t last_offered = 0;
+  /// Acknowledged leases as [ack seen − ack wall, ack seen], never
+  /// before their worker's spawn; their union is the slot's busy time.
+  std::vector<Span> busy;
   Clock::time_point start;
   BeatWatch watch;
   bool stalled = false;
@@ -191,6 +211,10 @@ std::optional<PlanInfo> SweepOrchestrator::probe_plan(
     return std::nullopt;
   }
   const auto t0 = Clock::now();
+  // The probe only builds the plan, usually in a few milliseconds: poll
+  // with a backoff from 1 ms up to poll_seconds, so a sweep's first
+  // worker is not held back by a full poll period.
+  double wait = std::min(0.001, opts_.poll_seconds);
   while (probe.running()) {
     // The probe builds the plan but runs no experiments; a wedged probe
     // falls under the same stall policy as a wedged worker.
@@ -199,8 +223,8 @@ std::optional<PlanInfo> SweepOrchestrator::probe_plan(
       probe.kill();
       break;
     }
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(opts_.poll_seconds));
+    std::this_thread::sleep_for(std::chrono::duration<double>(wait));
+    wait = std::min(wait * 2.0, opts_.poll_seconds);
   }
   // wait() returns the cached status once the child is reaped, so this
   // never blocks twice — and never dereferences an empty optional.
@@ -532,14 +556,15 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
     entry.points = lease.points.size();
     entry.cost = lease.cost;
     report.leases.push_back(entry);
-    s.current = std::move(lease);
-    s.has_current = true;
+    s.last_offered = lease.id;
+    s.held.push_back(std::move(lease));
   };
   const auto offer_done = [&](Slot& s) {
     LeaseOffer off;
     off.lease.id = next_id++;
     off.done = true;
     write_lease_offer(s.lease, off);
+    s.last_offered = off.lease.id;
     s.done_offered = true;
   };
   const auto find_entry = [&](std::uint64_t id) -> LeaseLogEntry* {
@@ -555,23 +580,23 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
   /// poison point keeps killing workers, successive crashes bisect
   /// toward it instead of charging the whole batch's points a failure
   /// each time, and the halves can respawn on different slots.
-  const auto requeue_current = [&](Slot& s, std::size_t w) {
+  const auto requeue = [&](const WorkLease& lease, std::size_t w) {
     std::vector<std::size_t> survivors;
     std::size_t dead = 0;
-    for (const std::size_t p : s.current.points) {
+    for (const std::size_t p : lease.points) {
       if (++failures[p] > opts_.retries)
         ++dead;
       else
         survivors.push_back(p);
     }
-    if (auto* e = find_entry(s.current.id)) e->completed = false;
+    if (auto* e = find_entry(lease.id)) e->completed = false;
     if (dead > 0)
       log << "worker " << w << ": " << dead
           << " point(s) exhausted their retry budget\n";
     if (!survivors.empty()) {
       const std::size_t half = survivors.size() / 2;
       const double cost_per_point =
-          s.current.cost / static_cast<double>(s.current.points.size());
+          lease.cost / static_cast<double>(lease.points.size());
       WorkLease front_half;
       front_half.points.assign(survivors.begin(), survivors.begin() + half);
       WorkLease back_half;
@@ -585,16 +610,14 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
         log << "worker " << w << ": batch split into " << half << " + "
             << (survivors.size() - half) << " point(s) for requeue\n";
     }
-    s.has_current = false;
-    s.current = WorkLease{};
   };
 
   try {
     while (true) {
       // Fill: spawn (or respawn) a process on every slot that has work.
-      // A dead slot never holds a batch here — requeue_current always
-      // returned it to the queue, where any free slot (this one
-      // included) can pick it up under a fresh lease id.
+      // A dead slot never holds a batch here — requeue always returned
+      // its batches to the queue, where any free slot (this one
+      // included) can pick them up under fresh lease ids.
       for (std::size_t w = 0; w < slots_n && !abort; ++w) {
         Slot& s = slots[w];
         if (s.live || s.closed) continue;
@@ -627,8 +650,8 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
         s.ever_spawned = true;
         s.live = true;
         log << "worker " << w << ": launched (pid " << s.proc.pid()
-            << "), lease " << s.current.id << " (" << s.current.points.size()
-            << " point(s))\n";
+            << "), lease " << s.last_offered << " ("
+            << s.held.back().points.size() << " point(s))\n";
       }
 
       bool any_live = false;
@@ -646,34 +669,49 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
           s.proc.kill();
         }
 
+        // Liveness first: a worker seen exited has already written its
+        // last ack, so the read below sees every lease it acknowledged.
+        const bool running = s.proc.running();
         // Acks count as progress for both scheduling and supervision.
-        const auto ack = read_lease_ack(lease_ack_path(s.lease));
-        const bool acked =
-            ack && s.has_current && ack->lease_id == s.current.id;
-        if (acked) {
-          progressed = true;
-          s.watch.last_progress = Clock::now();
-          s.stat.busy_seconds += ack->wall_seconds;
-          s.stat.batches += 1;
-          s.stat.points += ack->points;
-          report.engine_runs += ack->executed;
-          for (const std::size_t p : s.current.points) point_done[p] = true;
-          if (auto* e = find_entry(s.current.id)) {
-            e->completed = true;
-            e->executed = ack->executed;
-            e->wall_seconds = ack->wall_seconds;
+        // Any record of a lease still held is processed once; repeats
+        // of already-processed records are skipped.
+        bool ready = false;
+        if (const auto acks = read_lease_acks(lease_ack_path(s.lease))) {
+          for (const LeaseAck& ack : acks->acks) {
+            const auto held = std::find_if(
+                s.held.begin(), s.held.end(),
+                [&](const WorkLease& h) { return h.id == ack.lease_id; });
+            if (held == s.held.end()) continue;
+            progressed = true;
+            const auto seen = Clock::now();
+            s.watch.last_progress = seen;
+            const auto ran_from =
+                seen - std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(ack.wall_seconds));
+            s.busy.emplace_back(std::max(ran_from, s.start), seen);
+            s.stat.batches += 1;
+            s.stat.points += ack.points;
+            report.engine_runs += ack.executed;
+            for (const std::size_t p : held->points) point_done[p] = true;
+            if (auto* e = find_entry(ack.lease_id)) {
+              e->completed = true;
+              e->executed = ack.executed;
+              e->wall_seconds = ack.wall_seconds;
+            }
+            log << "worker " << w << ": lease " << ack.lease_id << " done ("
+                << ack.points << " point(s), " << ack.executed
+                << " engine run(s), " << fmt_seconds(ack.wall_seconds)
+                << " s)\n";
+            s.held.erase(held);
           }
-          log << "worker " << w << ": lease " << s.current.id << " done ("
-              << ack->points << " point(s), " << ack->executed
-              << " engine run(s), " << fmt_seconds(ack->wall_seconds)
-              << " s)\n";
-          s.has_current = false;
-          s.current = WorkLease{};
+          ready = acks->ready == s.last_offered;
         }
 
-        if (s.proc.running()) {
-          // Hand the next batch (or the shutdown offer) to a free worker.
-          if (!s.has_current && !s.done_offered) {
+        if (running) {
+          // Hand the next batch (or the shutdown offer) to a worker that
+          // holds nothing, or that took the last offer and queued all of
+          // its points (`ready`) — its lanes are still busy.
+          if (!s.done_offered && (s.held.empty() || ready)) {
             if (!queue.empty())
               offer(s, w);
             else
@@ -703,15 +741,20 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
                          ") — see " + s.lease + ".log";
           log << report.error << "\n";
           abort = true;
-        } else if (s.has_current) {
-          log << "worker " << w << ": " << attempt.status.describe()
-              << " holding lease " << s.current.id << " — re-queueing\n";
-          requeue_current(s, w);
+        } else if (!s.held.empty()) {
+          // Latest first, so the earliest lease ends up at the queue's
+          // front.
+          for (auto h = s.held.rbegin(); h != s.held.rend(); ++h) {
+            log << "worker " << w << ": " << attempt.status.describe()
+                << " holding lease " << h->id << " — re-queueing\n";
+            requeue(*h, w);
+          }
+          s.held.clear();
         } else if (attempt.status.success() && s.done_offered) {
           log << "worker " << w << ": done in "
               << fmt_seconds(attempt.wall_seconds) << " s ("
               << s.stat.batches << " batch(es), "
-              << fmt_seconds(s.stat.busy_seconds) << " s busy)\n";
+              << fmt_seconds(covered_seconds(s.busy)) << " s busy)\n";
           s.closed = true;
         } else {
           // Idle crash (or an exit 0 we never asked for): nothing to
@@ -731,7 +774,7 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
         break;
       }
       // Outstanding batches always sit on a live slot or in the queue
-      // (requeue_current restores a dead slot's batch to the queue), so
+      // (requeue restores a dead slot's batches to the queue), so
       // these two exhaust the termination condition.
       if (queue.empty() && !any_live) break;
       if (!progressed)
@@ -760,6 +803,7 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
       slots_n == 0 ? 0 : (total_batches + slots_n - 1) / slots_n;
   for (auto& s : slots) {
     WorkerStat stat = s.stat;
+    stat.busy_seconds = covered_seconds(s.busy);
     stat.steals = stat.batches > fair ? stat.batches - fair : 0;
     report.worker_stats.push_back(stat);
   }

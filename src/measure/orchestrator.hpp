@@ -12,11 +12,16 @@
 //     size and per-point cost estimates, builds size-aware batches
 //     (common/work_lease.hpp make_batches — greedy LPT over measured run
 //     times when the store has them), then feeds batches to worker
-//     slots (`--lease <file>`) through atomically-written lease files
-//     as each slot finishes its previous batch. Crashed or stalled
-//     leases are re-queued with a per-point retry budget; the manifest
-//     records every lease assignment plus per-worker load-balance stats
-//     (busy time, batch count, steals).
+//     slots (`--lease <file>`) through atomically-written lease files.
+//     A slot gets its next offer when it holds no lease, or when its
+//     ack file says `ready` for the last offer — the worker has that
+//     lease's points running or done and wants more while they run
+//     (measure/lease.hpp), so a slot may hold several leases at once.
+//     Every acknowledged record of a held lease is processed once. A
+//     crashed or stalled worker's leases are all re-queued with a
+//     per-point retry budget; the manifest records every lease
+//     assignment plus per-worker load-balance stats (busy time, batch
+//     count, steals).
 //
 // Guarantees, in both modes:
 //
@@ -91,6 +96,8 @@ struct OrchestratorOptions {
   /// Extra attempts beyond the first — per shard (static) or per plan
   /// point (lease; a point is charged whenever a lease holding it dies).
   std::size_t retries = 1;
+  /// Delay between polls of the worker fleet. The plan probe is polled
+  /// with a backoff from 1 ms up to this.
   double poll_seconds = 0.05;
   /// Kill a worker whose beat sequence has not advanced for this long
   /// (0 = disabled). With append_worker_flags the command is a --worker
@@ -147,7 +154,11 @@ struct LeaseLogEntry {
 /// Per-worker-slot load-balance accounting (lease mode).
 struct WorkerStat {
   std::size_t worker = 0;
-  double busy_seconds = 0.0;  // sum of acknowledged lease wall-clocks
+  /// Wall time with at least one lease of this slot running: the union
+  /// of its acknowledged leases' intervals (overlapping leases count
+  /// once), each ending when its ack was seen and lasting the worker's
+  /// reported wall-clock.
+  double busy_seconds = 0.0;
   std::size_t batches = 0;
   std::size_t points = 0;
   std::size_t respawns = 0;  // crash/stall recoveries on this slot

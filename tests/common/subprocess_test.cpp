@@ -43,7 +43,10 @@ TEST(Subprocess, ReportsTerminatingSignal) {
 }
 
 TEST(Subprocess, KillStopsARunningChild) {
-  auto p = Subprocess::spawn({"/bin/sh", "-c", "sleep 30"});
+  // exec: the killed pid must be the sleeper itself. A shell that forks
+  // `sleep` (dash does) would leave it orphaned holding the test's
+  // stdout open for 30 s.
+  auto p = Subprocess::spawn({"/bin/sh", "-c", "exec sleep 30"});
   EXPECT_TRUE(p.running());
   p.kill();
   const auto st = p.wait();
@@ -103,7 +106,7 @@ TEST(Subprocess, SpawnFailureThrows) {
 TEST(Subprocess, DestructorKillsRunningChild) {
   pid_t pid = -1;
   {
-    auto p = Subprocess::spawn({"/bin/sh", "-c", "sleep 30"});
+    auto p = Subprocess::spawn({"/bin/sh", "-c", "exec sleep 30"});
     pid = p.pid();
     ASSERT_GT(pid, 0);
   }

@@ -440,8 +440,9 @@ TEST_F(SweepDaemonTest, WorkerExecutesOffersBitIdenticallyAndReusesCache) {
     off.store_path = lease_store_path(lease);
     write_lease_offer(lease, off);
     for (int i = 0; i < 6000; ++i) {
-      if (const auto ack = read_lease_ack(lease_ack_path(lease)))
-        if (ack->lease_id == id) return *ack;
+      if (const auto acks = read_lease_acks(lease_ack_path(lease)))
+        for (const LeaseAck& ack : acks->acks)
+          if (ack.lease_id == id) return ack;
       std::this_thread::sleep_for(5ms);
     }
     ADD_FAILURE() << "no ack for lease " << id << "; worker log:\n"

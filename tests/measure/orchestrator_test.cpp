@@ -441,6 +441,79 @@ TEST_F(OrchestratorTest, DeadWorkersBatchIsSplitOnRequeue) {
       << log.str();
 }
 
+/// A streaming lease worker over a 4-point plan. While the marker
+/// exists it takes every offer, acknowledges nothing and asks for more
+/// with `ready`; on taking its second lease it dies holding both. The
+/// respawn acknowledges each lease (legacy single-record acks) with a
+/// reported wall of 1 s, far beyond its real lifetime.
+constexpr const char* kStreamingCrashLeaseWorkerScript = R"sh(
+case "$3" in
+  --emit-plan)
+    printf '#am-plan-info v1\npoints\t4\n' > "$4.tmp" && mv "$4.tmp" "$4"
+    exit 0 ;;
+  --lease)
+    lease=$4; last=; taken=0
+    while :; do
+      if [ -f "$lease" ]; then
+        id=$(awk '$1=="lease"{print $2}' "$lease")
+        dn=$(awk '$1=="done"{print $2}' "$lease")
+        if [ -n "$id" ] && [ "$id" != "$last" ]; then
+          if [ "$dn" = "1" ]; then exit 0; fi
+          last=$id
+          if [ -f "$2/streaming.marker" ]; then
+            taken=$((taken + 1))
+            if [ "$taken" = 2 ]; then rm "$2/streaming.marker"; kill -9 $$; fi
+            printf '#am-lease-ack v1\nready\t%s\n' "$id" \
+              > "$lease.ack.tmp" && mv "$lease.ack.tmp" "$lease.ack"
+          else
+            np=$(awk '$1=="points"{print NF-1}' "$lease")
+            printf '#am-lease-ack v1\nlease\t%s\npoints\t%s\nexecuted\t1\nwall\t1.0\n' \
+              "$id" "$np" > "$lease.ack.tmp" && mv "$lease.ack.tmp" "$lease.ack"
+          fi
+        fi
+      fi
+      sleep 0.01
+    done ;;
+esac
+exit 0
+)sh";
+
+TEST_F(OrchestratorTest, WorkerKilledHoldingTwoLeasesRequeuesBoth) {
+  { std::ofstream(dir_ / "streaming.marker") << "x"; }
+  auto o = opts(kStreamingCrashLeaseWorkerScript, 1, /*retries=*/1);
+  o.schedule = Schedule::kLease;
+  o.probe_plan = true;
+  o.workers = 1;
+  o.lease_batches = 2;
+  SweepOrchestrator orch(o);
+  std::ostringstream log;
+  const auto report = orch.run(log);
+  EXPECT_TRUE(report.success) << log.str();
+  ASSERT_EQ(report.attempts.size(), 2u) << log.str();
+  EXPECT_TRUE(report.attempts[0].status.signaled);
+  // `ready` drew the second offer while the first was still held; both
+  // went back to the queue, bisected into single-point leases.
+  ASSERT_EQ(report.leases.size(), 6u) << log.str();
+  for (std::size_t l = 0; l < 2; ++l) {
+    EXPECT_FALSE(report.leases[l].completed);
+    EXPECT_EQ(report.leases[l].points, 2u);
+  }
+  for (std::size_t l = 2; l < 6; ++l) {
+    EXPECT_TRUE(report.leases[l].completed);
+    EXPECT_EQ(report.leases[l].points, 1u);
+  }
+  EXPECT_NE(log.str().find("holding lease 1 "), std::string::npos);
+  EXPECT_NE(log.str().find("holding lease 2 "), std::string::npos);
+  EXPECT_TRUE(report.missing_points.empty());
+  // Busy time is wall time with a lease open, not a sum of reported
+  // lease walls (4 x 1 s here).
+  ASSERT_EQ(report.worker_stats.size(), 1u);
+  EXPECT_GT(report.worker_stats[0].busy_seconds, 0.0);
+  EXPECT_LE(report.worker_stats[0].busy_seconds,
+            report.attempts[1].wall_seconds);
+  EXPECT_EQ(report.worker_stats[0].respawns, 1u);
+}
+
 TEST_F(OrchestratorTest, LeaseModeRejectsCustomCommandsWithoutTheContract) {
   auto o = opts("exit 0", 1, 0);
   o.schedule = Schedule::kLease;
