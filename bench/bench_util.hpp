@@ -3,7 +3,7 @@
 // construction, scaled interference configurations, the synthetic-
 // benchmark experiment used by Fig. 5 and Fig. 6, and the `run_driver`
 // entry-point wrapper that makes a driver exec-able as a supervised
-// shard worker (`--worker`, see measure::SweepOrchestrator).
+// lease worker (`--lease FILE --worker`, see measure::SweepOrchestrator).
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -84,8 +84,8 @@ struct BenchContext {
 /// store keys) with banked-DRAM overrides --dram-channels, --dram-banks,
 /// --dram-row-bytes, --dram-refresh-interval and --dram-refresh-cycles
 /// (cycles; applied after the preset, validated together),
-/// --results-dir DIR (persistent result store), --shard i/n (static
-/// slice), --lease FILE (dynamic lease-worker mode), --emit-plan FILE
+/// --results-dir DIR (persistent result store), --shard i/n (manual
+/// multi-host slice), --lease FILE (lease-worker mode), --emit-plan FILE
 /// (scheduler probe). The three scheduling flags are mutually exclusive
 /// — each fixes the invocation's entire control flow.
 inline BenchContext make_context(const Cli& cli,
@@ -161,9 +161,8 @@ inline measure::ResultStoreFile make_store(const BenchContext& ctx) {
 ///     fails fast instead of retrying a doomed command, any other
 ///     exception exits kWorkerExitRunFailed (retryable); no exception
 ///     escapes to std::terminate's ambiguous SIGABRT.
-///   * `--worker` mode (requires --results-dir or --lease): maintains a
-///     heartbeat file next to this worker's store (static shards) or
-///     lease file (lease mode) for liveness supervision.
+///   * `--worker` mode (requires --lease): maintains a heartbeat file
+///     next to the lease file for liveness supervision.
 ///   * `--test-crash-marker PATH` fault injection: the first invocation
 ///     to claim (atomically delete) the marker file dies via SIGKILL
 ///     before any work, so orchestrator kill/retry paths are testable
@@ -179,10 +178,9 @@ int run_driver(int argc, char** argv, const std::string& driver,
     BenchContext ctx = make_context(cli, default_scale, nodes);
     ctx.driver = driver;
     ctx.worker = cli.get_bool("worker", false);
-    if (ctx.worker && ctx.results_dir.empty() && ctx.lease_path.empty())
+    if (ctx.worker && ctx.lease_path.empty())
       throw std::invalid_argument(
-          "--worker requires --results-dir or --lease: a worker's only "
-          "output is its store file");
+          "--worker requires --lease: workers are lease workers");
     const auto marker = cli.get("test-crash-marker", "");
     if (!marker.empty() && ctx.emit_plan_path.empty() &&
         std::filesystem::remove(marker)) {
@@ -191,12 +189,7 @@ int run_driver(int argc, char** argv, const std::string& driver,
       std::raise(SIGKILL);
     }
     std::optional<HeartbeatWriter> heartbeat;
-    if (ctx.worker)
-      heartbeat.emplace(
-          !ctx.lease_path.empty()
-              ? lease_heartbeat_path(ctx.lease_path)
-              : measure::store_path(ctx.results_dir, driver, ctx.shard) +
-                    ".hb");
+    if (ctx.worker) heartbeat.emplace(lease_heartbeat_path(ctx.lease_path));
     return body(cli, ctx);
   } catch (const std::invalid_argument& e) {
     std::cerr << driver << ": " << e.what() << "\n";
@@ -215,8 +208,8 @@ int run_driver(int argc, char** argv, const std::string& driver,
 ///     for the scheduler and stop.
 ///   * `--lease FILE`: loop running leased batches until the scheduler
 ///     drains its queue.
-///   * `--shard i/n`: run the static slice, persist it, print the merge
-///     handoff.
+///   * `--shard i/n`: run the slice, persist it, print the merge
+///     handoff (the manual multi-host recipe).
 ///   * otherwise: the full (cache-aware) run.
 ///
 /// Returns the assembled table only in the last case; nullopt means the

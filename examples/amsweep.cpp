@@ -33,19 +33,18 @@
 //      2  usage
 //      3  retry later: daemon draining or unreachable
 //
-// 2. Orchestrator mode (everything else — the PR-5 interface):
+// 2. Orchestrator mode (everything else):
 //
-//      amsweep --results-dir DIR [--schedule static|lease] [--workers N]
-//              [--shards M] [--batches K] [--cost-model measured|uniform]
-//              [--retries K] [--driver-name NAME] [--poll-seconds S]
+//      amsweep --results-dir DIR [--workers N] [--batches K]
+//              [--cost-model measured|uniform] [--retries K]
+//              [--driver-name NAME] [--poll-seconds S]
 //              [--stall-timeout S] -- <figure driver> [driver flags...]
 //
-//    Runs a figure driver's grid across supervised worker processes
-//    under a static or dynamic (lease) schedule; the merged store is
-//    bit-identical to a direct serial run. Exit: 0 merged, 1 sweep
-//    failed (see manifest), 2 usage.
+//    Runs a figure driver's grid across supervised lease-worker
+//    processes; the merged store is bit-identical to a direct serial
+//    run. Unknown flags before the `--` are usage errors. Exit: 0
+//    merged, 1 sweep failed (see manifest), 2 usage.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -69,8 +68,7 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: amsweep --results-dir DIR [--schedule static|lease]\n"
-      "               [--workers N] [--shards M] [--batches K]\n"
+      "usage: amsweep --results-dir DIR [--workers N] [--batches K]\n"
       "               [--cost-model measured|uniform] [--retries K]\n"
       "               [--driver-name NAME] [--poll-seconds S]\n"
       "               [--stall-timeout S] -- <figure driver> [flags...]\n"
@@ -86,7 +84,7 @@ int usage() {
 /// on missing flags (usage) and SocketError when nothing answers (the
 /// caller maps that to exit 3, retry later).
 am::measure::DaemonClient connect(const am::Cli& cli) {
-  const auto timeout = cli.get_double("connect-timeout", 5.0);
+  const auto timeout = cli.get_seconds("connect-timeout", 5.0);
   const auto tcp = cli.get_int("tcp", -1);
   if (tcp >= 0) {
     if (tcp > 65535)
@@ -155,7 +153,7 @@ int cmd_submit(const am::Cli& cli) {
   std::cout << "submitted as job " << reply.job << " (" << reply.points
             << " points, namespace " << ns << ")\n";
   if (!cli.get_bool("wait", false)) return 0;
-  reply = client.wait(reply.job, cli.get_double("timeout", 0.0));
+  reply = client.wait(reply.job, cli.get_seconds("timeout", 0.0));
   print_reply(reply);
   return reply_exit(reply, true);
 }
@@ -176,7 +174,8 @@ int cmd_cancel(const am::Cli& cli) {
 
 int cmd_wait(const am::Cli& cli) {
   auto client = connect(cli);
-  const auto reply = client.wait(job_flag(cli), cli.get_double("timeout", 0.0));
+  const auto reply =
+      client.wait(job_flag(cli), cli.get_seconds("timeout", 0.0));
   if (reply.ok) print_reply(reply);
   return reply_exit(reply, true);
 }
@@ -354,7 +353,7 @@ int cmd_inject(const am::Cli& cli) {
     return 0;
   }
   try {
-    am::set_io_timeout(client.socket(), cli.get_double("timeout", 10.0));
+    am::set_io_timeout(client.socket(), cli.get_seconds("timeout", 10.0));
     const auto frame = am::read_frame(client.socket());
     const auto reply = am::measure::parse_reply(frame.payload);
     if (!reply || reply->ok) {
@@ -436,12 +435,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "amsweep: --results-dir is required\n");
       return usage();
     }
-    const auto schedule = cli.get("schedule", "static");
-    if (schedule == "lease")
-      opts.schedule = am::measure::Schedule::kLease;
-    else if (schedule != "static")
-      throw std::invalid_argument(
-          "--schedule must be 'static' or 'lease', got '" + schedule + "'");
     const auto cost_model = cli.get("cost-model", "measured");
     if (cost_model == "uniform")
       opts.use_measured_costs = false;
@@ -452,26 +445,9 @@ int main(int argc, char** argv) {
     // Validate signs before the size_t casts: a negative typo must be a
     // usage error, not SIZE_MAX workers or an effectively infinite retry
     // budget.
-    const auto positive = [&cli](const char* name, std::int64_t def) {
-      const auto v = cli.get_int(name, def);
-      if (v <= 0)
-        throw std::invalid_argument(std::string("--") + name +
-                                    " must be positive");
-      return static_cast<std::size_t>(v);
-    };
-    const auto non_negative = [&cli](const char* name, double def) {
-      const auto v = cli.get_double(name, def);
-      // strtod happily parses "nan" and "inf"; neither may reach
-      // sleep_for (NaN: unspecified, inf: sleeps forever) or silently
-      // disable stall supervision.
-      if (!std::isfinite(v) || v < 0.0)
-        throw std::invalid_argument(std::string("--") + name +
-                                    " must be a finite value >= 0");
-      return v;
-    };
-    opts.workers = positive("workers", 2);
-    opts.shards =
-        positive("shards", static_cast<std::int64_t>(opts.workers));
+    const auto workers = cli.get_int("workers", 2);
+    if (workers <= 0) throw std::invalid_argument("--workers must be positive");
+    opts.workers = static_cast<std::size_t>(workers);
     // 0 = auto (a few batches per worker slot); explicit counts must be
     // positive.
     const auto batches = cli.get_int("batches", 0);
@@ -482,10 +458,14 @@ int main(int argc, char** argv) {
     if (retries < 0)
       throw std::invalid_argument("--retries must be >= 0");
     opts.retries = static_cast<std::size_t>(retries);
-    opts.poll_seconds = non_negative("poll-seconds", 0.05);
-    opts.stall_timeout_seconds = non_negative("stall-timeout", 0.0);
+    opts.poll_seconds = cli.get_seconds("poll-seconds", 0.05);
+    opts.stall_timeout_seconds = cli.get_seconds("stall-timeout", 0.0);
     opts.driver = cli.get(
         "driver-name", std::filesystem::path(worker[0]).stem().string());
+    // A typo'd or retired flag (--schedule, --shards) must fail loudly,
+    // not run a sweep its script did not ask for.
+    for (const auto& flag : cli.unused())
+      throw std::invalid_argument("unknown flag --" + flag);
 
     am::measure::SweepOrchestrator orchestrator(std::move(opts));
     const auto report = orchestrator.run(std::cout);

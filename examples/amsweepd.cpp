@@ -21,8 +21,11 @@
 // nothing dispatches until a restart with workers. `--tcp-port 0`
 // asks the kernel for a port (written to <results-dir>/daemon/tcp.port).
 // `--test-crash-marker` is forwarded to every worker: the first worker
-// to claim a batch while FILE exists deletes it and SIGKILLs itself —
-// the deterministic crash the smoke test recovers from.
+// to start while FILE exists deletes it and SIGKILLs itself, holding
+// the lease the daemon offered before spawning it — the deterministic
+// crash the smoke test recovers from. Workers run the shared streaming
+// lease-worker loop (measure/lease.hpp) on the plan file each offer
+// names.
 //
 // SIGTERM/SIGINT request a graceful drain: in-flight leases finish,
 // every completed point is checkpointed, waiting submitters get
@@ -43,7 +46,10 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/heartbeat.hpp"
+#include "common/work_lease.hpp"
 #include "measure/daemon.hpp"
+#include "measure/worker_fleet.hpp"
 
 namespace {
 
@@ -79,28 +85,32 @@ std::string self_path(const char* argv0) {
 }
 
 int run_worker(const am::Cli& cli) {
-  am::measure::DaemonWorkerOptions opts;
-  opts.lease_path = cli.get("lease", "");
-  if (opts.lease_path.empty()) {
-    std::fprintf(stderr, "amsweepd --worker: --lease is required\n");
-    return 2;
-  }
-  opts.poll_seconds = cli.get_double("poll-seconds", opts.poll_seconds);
-  opts.idle_timeout_seconds =
-      cli.get_double("idle-timeout", opts.idle_timeout_seconds);
-  opts.test_crash_marker = cli.get("test-crash-marker", "");
   try {
-    const auto report = am::measure::run_daemon_worker(opts, std::cout);
-    std::cout << "worker done: " << report.leases << " leases, "
-              << report.points << " points, " << report.executed
-              << " executed\n";
-    return 0;
+    const auto lease = cli.get("lease", "");
+    if (lease.empty() || lease == "true")
+      throw std::invalid_argument("--lease FILE is required");
+    am::measure::LeaseWorkerOptions opts;
+    opts.poll_seconds = cli.get_seconds("poll-seconds", opts.poll_seconds);
+    opts.idle_timeout_seconds =
+        cli.get_seconds("idle-timeout", opts.idle_timeout_seconds);
+    // Fault injection, the figure drivers' rule: the first worker to
+    // claim (delete) the marker dies at startup. The daemon wrote this
+    // slot's first offer before spawning it, so it dies holding a lease.
+    const auto marker = cli.get("test-crash-marker", "");
+    if (!marker.empty() && std::filesystem::remove(marker)) {
+      std::fprintf(stderr, "amsweepd --worker: crash marker claimed, "
+                           "raising SIGKILL\n");
+      std::raise(SIGKILL);
+    }
+    const am::HeartbeatWriter heartbeat(am::lease_heartbeat_path(lease));
+    am::measure::run_daemon_worker(lease, std::cout, opts);
+    return am::measure::kWorkerExitOk;
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "amsweepd --worker: %s\n", e.what());
-    return 2;
+    return am::measure::kWorkerExitUsage;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "amsweepd --worker: %s\n", e.what());
-    return 3;
+    return am::measure::kWorkerExitRunFailed;
   }
 }
 
@@ -130,11 +140,11 @@ int main(int argc, char** argv) {
     if (batches < 0)
       throw std::invalid_argument("--batches must be >= 0 (0 = auto)");
     opts.batches_per_job = static_cast<std::size_t>(batches);
-    opts.poll_seconds = cli.get_double("poll-seconds", opts.poll_seconds);
+    opts.poll_seconds = cli.get_seconds("poll-seconds", opts.poll_seconds);
     opts.stall_timeout_seconds =
-        cli.get_double("stall-timeout", opts.stall_timeout_seconds);
+        cli.get_seconds("stall-timeout", opts.stall_timeout_seconds);
     opts.client_io_timeout_seconds =
-        cli.get_double("client-timeout", opts.client_io_timeout_seconds);
+        cli.get_seconds("client-timeout", opts.client_io_timeout_seconds);
     const auto tcp = cli.get_int("tcp-port", -1);
     if (tcp < -1 || tcp > 65535)
       throw std::invalid_argument("--tcp-port must be in [-1, 65535]");
@@ -145,7 +155,7 @@ int main(int argc, char** argv) {
     opts.worker_command = {self_path(argv[0]), "--worker"};
     opts.worker_command.push_back("--poll-seconds");
     opts.worker_command.push_back(std::to_string(opts.poll_seconds));
-    const auto idle = cli.get_double("idle-timeout", 600.0);
+    const auto idle = cli.get_seconds("idle-timeout", 600.0);
     opts.worker_command.push_back("--idle-timeout");
     opts.worker_command.push_back(std::to_string(idle));
     const auto marker = cli.get("test-crash-marker", "");

@@ -57,9 +57,11 @@ int advise(const am::Cli& cli) {
           : am::measure::ResultStoreFile::for_lease(
                 cli.get("results-dir", ""), "coschedule_advisor", lease);
   std::optional<am::HeartbeatWriter> heartbeat;
-  if (cli.get_bool("worker", false))
-    heartbeat.emplace(lease.empty() ? store.path() + ".hb"
-                                    : am::lease_heartbeat_path(lease));
+  if (cli.get_bool("worker", false)) {
+    if (lease.empty())
+      throw std::invalid_argument("--worker requires --lease");
+    heartbeat.emplace(am::lease_heartbeat_path(lease));
+  }
   auto machine = am::sim::MachineConfig::xeon20mb_scaled(kScale);
   am::sim::apply_mem_backend(machine, cli.get("mem-backend", "channel"));
   am::interfere::CSThrConfig cs;

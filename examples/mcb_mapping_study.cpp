@@ -9,9 +9,10 @@
 //               [--results-dir DIR] [--shard i/n | --lease FILE |
 //               --emit-plan FILE] [--worker]
 //
-// The scheduling flags make the study orchestratable by amsweep: --shard
-// is a static slice, --lease joins a dynamic work queue, --emit-plan
-// answers a scheduler's plan probe. Worker exit codes follow the
+// The scheduling flags make the study orchestratable by amsweep: --lease
+// (with --worker) joins its work queue, --emit-plan answers its plan
+// probe, and --shard runs a slice for the manual multi-host recipe
+// (merge the slices with amresult). Worker exit codes follow the
 // measure::SweepOrchestrator contract (2 = usage, 3 = run failure).
 #include <cstdio>
 #include <iostream>
@@ -44,10 +45,11 @@ int study(const am::Cli& cli) {
           : am::measure::ResultStoreFile::for_lease(
                 cli.get("results-dir", ""), "mcb_mapping_study", lease);
   std::optional<am::HeartbeatWriter> heartbeat;
-  if (cli.get_bool("worker", false))
-    heartbeat.emplace(lease.empty()
-                          ? store.path() + ".hb"
-                          : am::lease_heartbeat_path(lease));
+  if (cli.get_bool("worker", false)) {
+    if (lease.empty())
+      throw std::invalid_argument("--worker requires --lease");
+    heartbeat.emplace(am::lease_heartbeat_path(lease));
+  }
   auto machine =
       am::sim::MachineConfig::xeon20mb_scaled(kScale, /*nodes=*/12);
   // The backend is part of the machine fingerprint (when not the default

@@ -1,14 +1,16 @@
 # End-to-end exercise of the amsweep orchestrator (ctest smoke entry):
 # run a scaled-down fig9 grid serially, then the same grid through amsweep
-# with 2 worker processes and one injected worker kill (claimed crash
-# marker -> SIGKILL -> retried on the next free slot), in both static-shard
-# and lease (dynamic work-queue) modes, and require
-#   1. each orchestrated merged store to be bit-identical to the serial
+# with 2 lease-worker processes and one injected worker kill (claimed
+# crash marker -> SIGKILL while holding a lease -> requeued onto the next
+# free slot), and require
+#   1. the orchestrated merged store to be bit-identical to the serial
 #      one (kill + retry included),
 #   2. an unsharded driver re-run against the merged store to be fully
 #      cached (zero engine runs),
-#   3. repeated amsweeps over the same store to execute zero engine runs,
-#   4. the new scheduling flags to be strictly parsed (exit 2 on junk).
+#   3. a repeated amsweep over the same store to execute zero engine runs,
+#   4. a partially cached resume to complete the store bit-identically,
+#   5. amsweep's flags to be strictly parsed (exit 2 on junk, on unknown
+#      flags and on the retired --schedule/--shards).
 # Driven by -D vars:
 #   AMSWEEP — path to the amsweep binary
 #   FIG9    — path to the fig9_mcb_degradation binary
@@ -27,15 +29,25 @@ function(run_checked out_var)
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
+function(require_same_store a b what)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${a}" "${b}"
+    RESULT_VARIABLE diff)
+  if(NOT diff EQUAL 0)
+    message(FATAL_ERROR "${what} differs from the direct serial run's store")
+  endif()
+endfunction()
+
 # 1. The ground truth: the same grid run serially into its own store.
 run_checked(direct "${FIG9}" ${fig9_args} --results-dir "${WORKDIR}/direct")
 
-# 2. The orchestrated run, with exactly one worker dying mid-shard: the
+# 2. The orchestrated run, with exactly one worker dying mid-lease: the
 #    first worker to claim (delete) the marker raises SIGKILL before doing
-#    any work, and amsweep must retry that shard.
+#    any work, and amsweep must requeue the lease it held. (The plan probe
+#    never claims the marker.)
 file(WRITE "${WORKDIR}/crash.marker" "")
 run_checked(orchestrated "${AMSWEEP}"
-  --results-dir "${WORKDIR}/orch" --workers 2 --shards 2 --retries 1 --
+  --results-dir "${WORKDIR}/orch" --workers 2 --retries 1
+  --stall-timeout 120 --
   "${FIG9}" ${fig9_args} --test-crash-marker "${WORKDIR}/crash.marker")
 if(EXISTS "${WORKDIR}/crash.marker")
   message(FATAL_ERROR "no worker claimed the crash marker:\n${orchestrated}")
@@ -44,19 +56,18 @@ if(NOT orchestrated MATCHES "signal 9")
   message(FATAL_ERROR
     "expected a SIGKILLed worker attempt in the log:\n${orchestrated}")
 endif()
-if(NOT EXISTS "${WORKDIR}/orch/fig9_mcb_degradation.manifest.tsv")
+set(manifest_path "${WORKDIR}/orch/fig9_mcb_degradation.manifest.tsv")
+if(NOT EXISTS "${manifest_path}")
   message(FATAL_ERROR "amsweep did not write a run manifest")
 endif()
-
-# 3. Kill + retry must not change a single byte of the merged store.
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  "${WORKDIR}/direct/fig9_mcb_degradation.tsv"
-  "${WORKDIR}/orch/fig9_mcb_degradation.tsv"
-  RESULT_VARIABLE diff)
-if(NOT diff EQUAL 0)
-  message(FATAL_ERROR
-    "orchestrated store differs from the direct serial run's store")
+file(READ "${manifest_path}" manifest)
+if(NOT manifest MATCHES "schedule\tlease")
+  message(FATAL_ERROR "manifest does not record its schedule")
 endif()
+
+# 3. Kill + requeue must not change a single byte of the merged store.
+require_same_store("${WORKDIR}/direct/fig9_mcb_degradation.tsv"
+  "${WORKDIR}/orch/fig9_mcb_degradation.tsv" "orchestrated store")
 
 # 4. The merged store must make an unsharded driver re-run fully cached.
 run_checked(cached "${FIG9}" ${fig9_args} --results-dir "${WORKDIR}/orch")
@@ -66,38 +77,39 @@ if(NOT cached MATCHES "\\(0 executed")
     "${cached}")
 endif()
 
-# 5. And a repeated amsweep over the same store runs zero engine runs
-#    (every shard worker finds its slice already persisted).
+# 5. And a repeated amsweep over the same store runs zero engine runs —
+#    even though the cost model (now fed by recorded run times) may batch
+#    the points differently than the first pass.
 run_checked(resweep "${AMSWEEP}"
-  --results-dir "${WORKDIR}/orch" --workers 2 --shards 2 --retries 1 --
+  --results-dir "${WORKDIR}/orch" --workers 2 --retries 1 --
   "${FIG9}" ${fig9_args})
 if(NOT resweep MATCHES "0 engine runs total")
   message(FATAL_ERROR
     "expected a fully cached amsweep re-run, got:\n${resweep}")
 endif()
 
-# 6. A partially cached resume — a retry's view of the world: one shard's
-#    checkpoint present, the rest still to run — must record every fresh
+# 6. A partially cached resume — a retry's view of the world: one slice's
+#    records present, the rest still to run — must record every fresh
 #    result under its own plan point's key, so completing the store leaves
-#    it byte-identical to the direct serial run's.
+#    it byte-identical to the direct serial run's. The slice comes from a
+#    manual `--shard 0/2` run, the multi-host recipe's unit of work.
+run_checked(slice "${FIG9}" ${fig9_args} --results-dir "${WORKDIR}/slice"
+  --shard 0/2)
 file(MAKE_DIRECTORY "${WORKDIR}/partial")
-configure_file("${WORKDIR}/orch/fig9_mcb_degradation.shard0of2.tsv"
+configure_file("${WORKDIR}/slice/fig9_mcb_degradation.shard0of2.tsv"
   "${WORKDIR}/partial/fig9_mcb_degradation.tsv" COPYONLY)
 run_checked(partial "${FIG9}" ${fig9_args} --results-dir "${WORKDIR}/partial")
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  "${WORKDIR}/direct/fig9_mcb_degradation.tsv"
-  "${WORKDIR}/partial/fig9_mcb_degradation.tsv"
-  RESULT_VARIABLE pdiff)
-if(NOT pdiff EQUAL 0)
-  message(FATAL_ERROR
-    "partially cached resume corrupted the store (fresh records keyed by "
-    "the wrong plan point?)")
+if(partial MATCHES "\\(0 executed" OR partial MATCHES " 0 reused\\)")
+  message(FATAL_ERROR "the resume was not partially cached:\n${partial}")
 endif()
+require_same_store("${WORKDIR}/direct/fig9_mcb_degradation.tsv"
+  "${WORKDIR}/partial/fig9_mcb_degradation.tsv"
+  "partially cached resume (fresh records keyed by the wrong plan point?)")
 
 # 7. Malformed numeric flags are usage errors (exit 2) — strtod happily
 #    parses "nan" and "inf", but neither may reach sleep_for or disable
 #    stall supervision.
-foreach(bad nan inf)
+foreach(bad nan inf -1)
   execute_process(COMMAND "${AMSWEEP}" --results-dir "${WORKDIR}/orch"
     --poll-seconds ${bad} -- "${FIG9}" ${fig9_args}
     OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code)
@@ -107,52 +119,15 @@ foreach(bad nan inf)
   endif()
 endforeach()
 
-# 8. The dynamic scheduler: the same grid through lease-mode amsweep with
-#    one injected worker SIGKILL mid-lease. The killed lease must be
-#    re-queued (retry budget is per-point now) and the merged store must
-#    still be bit-identical to the direct serial run.
-file(WRITE "${WORKDIR}/lease-crash.marker" "")
-run_checked(leased "${AMSWEEP}"
-  --results-dir "${WORKDIR}/lease" --schedule lease --workers 2 --retries 1
-  --stall-timeout 120 --
-  "${FIG9}" ${fig9_args} --test-crash-marker "${WORKDIR}/lease-crash.marker")
-if(EXISTS "${WORKDIR}/lease-crash.marker")
-  message(FATAL_ERROR "no lease worker claimed the crash marker:\n${leased}")
-endif()
-if(NOT leased MATCHES "signal 9")
-  message(FATAL_ERROR
-    "expected a SIGKILLed lease worker in the log:\n${leased}")
-endif()
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-  "${WORKDIR}/direct/fig9_mcb_degradation.tsv"
-  "${WORKDIR}/lease/fig9_mcb_degradation.tsv"
-  RESULT_VARIABLE ldiff)
-if(NOT ldiff EQUAL 0)
-  message(FATAL_ERROR
-    "lease-scheduled store differs from the direct serial run's store")
-endif()
-file(READ "${WORKDIR}/lease/fig9_mcb_degradation.manifest.tsv" lease_manifest)
-if(NOT lease_manifest MATCHES "schedule\tlease")
-  message(FATAL_ERROR "lease manifest does not record its schedule")
-endif()
-
-# 9. A repeated lease-mode sweep over the merged store must execute zero
-#    engine runs — even though the cost model (now fed by recorded run
-#    times) may batch the points differently than the first pass.
-run_checked(lease_resweep "${AMSWEEP}"
-  --results-dir "${WORKDIR}/lease" --schedule lease --workers 2 --
-  "${FIG9}" ${fig9_args})
-if(NOT lease_resweep MATCHES "0 engine runs total")
-  message(FATAL_ERROR
-    "expected a fully cached lease re-sweep, got:\n${lease_resweep}")
-endif()
-
-# 10. The new scheduling flags are strictly parsed: unknown enum values
-#     and negative batch counts are usage errors (exit 2), as is --lease
-#     without a path on the driver side.
+# 8. The scheduling flags are strictly parsed: unknown enum values,
+#    negative batch counts, unknown flags and the retired --schedule and
+#    --shards are usage errors (exit 2), as are a value-less --lease, a
+#    --lease combined with --shard, and --worker without --lease on the
+#    driver side.
 foreach(bad_flags
-    "--schedule;sometimes" "--cost-model;vibes" "--batches;-1")
-  execute_process(COMMAND "${AMSWEEP}" --results-dir "${WORKDIR}/lease"
+    "--cost-model;vibes" "--batches;-1" "--bogus-flag;7"
+    "--schedule;lease" "--shards;2")
+  execute_process(COMMAND "${AMSWEEP}" --results-dir "${WORKDIR}/orch"
     ${bad_flags} -- "${FIG9}" ${fig9_args}
     OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code)
   if(NOT bad_code EQUAL 2)
@@ -160,16 +135,13 @@ foreach(bad_flags
       "expected amsweep ${bad_flags} to exit 2 (usage), got ${bad_code}")
   endif()
 endforeach()
-execute_process(COMMAND "${FIG9}" ${fig9_args} --lease
-  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code)
-if(NOT bad_code EQUAL 2)
-  message(FATAL_ERROR
-    "expected a value-less --lease to exit 2 (usage), got ${bad_code}")
-endif()
-execute_process(COMMAND "${FIG9}" ${fig9_args}
-  --lease "${WORKDIR}/x" --shard 0/2
-  OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code)
-if(NOT bad_code EQUAL 2)
-  message(FATAL_ERROR
-    "expected --lease with --shard to exit 2 (usage), got ${bad_code}")
-endif()
+foreach(bad_flags
+    "--lease" "--lease;${WORKDIR}/x;--shard;0/2"
+    "--worker;--results-dir;${WORKDIR}/orch")
+  execute_process(COMMAND "${FIG9}" ${fig9_args} ${bad_flags}
+    OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code)
+  if(NOT bad_code EQUAL 2)
+    message(FATAL_ERROR
+      "expected ${FIG9} ${bad_flags} to exit 2 (usage), got ${bad_code}")
+  endif()
+endforeach()

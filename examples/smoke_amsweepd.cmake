@@ -13,7 +13,8 @@
 #      and a plan resubmitted over a complete namespace store is served
 #      with ZERO re-executed engine runs,
 #   5. an unreachable daemon maps to client exit 3 (retry later),
-#   6. the manifest records per-worker balance (busy_max_over_mean).
+#   6. the manifest records per-worker balance (busy_max_over_mean),
+#   7. malformed timing flags are usage errors (exit 2).
 # Driven by -D vars:
 #   AMSWEEP  — path to the amsweep binary (client subcommands)
 #   AMSWEEPD — path to the amsweepd binary
@@ -78,6 +79,20 @@ function(drain_daemon tag)
   endif()
 endfunction()
 
+# 0. Timing flags are validated before the daemon serves: negative,
+#    NaN and infinite seconds are usage errors (exit 2), never a
+#    busy-spinning or never-waking serving loop.
+foreach(bad_flags "--poll-seconds;-1" "--poll-seconds;nan"
+    "--stall-timeout;-1" "--client-timeout;inf" "--idle-timeout;nan")
+  execute_process(COMMAND "${AMSWEEPD}" --socket "${SOCK}"
+    --results-dir "${WORKDIR}/badflags" --workers 0 ${bad_flags}
+    OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code TIMEOUT 20)
+  if(NOT bad_code EQUAL 2)
+    message(FATAL_ERROR
+      "expected amsweepd ${bad_flags} to exit 2 (usage), got ${bad_code}")
+  endif()
+endforeach()
+
 # 1. Two tenants' plans — overlapping grids so fair-share interleaving
 #    has identical points in flight for different namespaces — and their
 #    serial ground truths.
@@ -93,8 +108,8 @@ run_checked(out "${AMSWEEP}" run-local --plan "${WORKDIR}/bob.plan"
   --out "${WORKDIR}/direct_bob.tsv")
 
 # 2. Generation 1: a 2-worker daemon with one pre-armed worker kill —
-#    the first worker to claim a batch while the marker exists deletes
-#    it and SIGKILLs itself mid-lease.
+#    the first worker to start while the marker exists deletes it and
+#    SIGKILLs itself, holding the lease the daemon offered it.
 file(WRITE "${WORKDIR}/crash.marker" "")
 start_daemon(gen1 --socket "${SOCK}" --results-dir "${RESULTS}"
   --workers 2 --retries 1 --poll-seconds 0.01

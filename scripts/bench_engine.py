@@ -2,8 +2,7 @@
 """Benchmark raw engine speed and the filter fast-path payoffs.
 
 Tracks the simulator's hot path — `sim::MemorySystem::access` under
-`sim::Engine` — in BENCH_engine.json, the cycles/sec companion to
-BENCH_sweep.json's orchestration numbers:
+`sim::Engine` — in BENCH_engine.json:
 
   * pinned micro_sim_primitives workloads (google-benchmark JSON):
     BM_L1HitSequential (8-byte sequential walk over an L1-resident

@@ -72,6 +72,14 @@ double Cli::get_double(const std::string& name, double def) const {
   return v;
 }
 
+double Cli::get_seconds(const std::string& name, double def) const {
+  const double v = get_double(name, def);
+  if (!std::isfinite(v) || v < 0.0)
+    throw std::invalid_argument("--" + name +
+                                " must be a finite value >= 0");
+  return v;
+}
+
 bool Cli::get_bool(const std::string& name, bool def) const {
   const auto s = get(name, "");
   if (s.empty()) return def;

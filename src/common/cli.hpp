@@ -25,6 +25,10 @@ class Cli {
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
+  /// A duration in seconds: get_double, then std::invalid_argument
+  /// unless the value is finite and >= 0 (strtod accepts "nan" and
+  /// "inf", and neither may reach a sleep or a timeout).
+  double get_seconds(const std::string& name, double def) const;
 
   /// Parses --name=i/n (e.g. --shard 0/4). An absent flag is the whole job
   /// ({0, 1}). Throws std::invalid_argument on anything but two integers

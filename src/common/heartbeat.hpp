@@ -3,7 +3,7 @@
 // HeartbeatWriter on a path inside a directory its supervisor watches; a
 // background thread rewrites the file (pid + monotonic beat sequence
 // number) at a fixed interval, and removes it again on clean shutdown.
-// The supervisor (measure::SweepOrchestrator) polls the file with
+// The supervisor (measure::WorkerFleet) polls the file with
 // read_heartbeat and judges liveness by whether the beat sequence keeps
 // advancing against its own steady clock — waitpid only reports
 // *exits*, a SIGSTOPped or D-state child reports nothing forever.

@@ -113,11 +113,9 @@ void write_lease_offer(const std::string& path, const LeaseOffer& offer) {
   out << "lease\t" << offer.lease.id << '\n';
   out << "done\t" << (offer.done ? 1 : 0) << '\n';
   out << "cost\t" << num(offer.lease.cost) << '\n';
-  // Daemon-only fields, omitted when empty so single-plan lease files
-  // stay byte-identical to what PR-5 workers expect. Paths may not
-  // contain tabs or newlines — the format has no escaping.
+  // Daemon-only fields, omitted when empty. Paths may not contain tabs
+  // or newlines — the format has no escaping.
   if (!offer.plan_path.empty()) out << "plan\t" << offer.plan_path << '\n';
-  if (!offer.store_path.empty()) out << "store\t" << offer.store_path << '\n';
   if (!offer.seed_store_path.empty())
     out << "seed_store\t" << offer.seed_store_path << '\n';
   out << "points";
@@ -148,17 +146,12 @@ std::optional<LeaseOffer> read_lease_offer(const std::string& path) {
       std::string v;
       if (!(in >> v) || !parse_double(v, offer.lease.cost))
         return std::nullopt;
-    } else if (key == "plan" || key == "store" || key == "seed_store") {
+    } else if (key == "plan" || key == "seed_store") {
       // Path values run to end of line (spaces are legal in paths; tabs
       // and newlines are not — the writer has no escaping).
       if (line.size() <= key.size() + 1) return std::nullopt;
       const std::string value = line.substr(key.size() + 1);
-      if (key == "plan")
-        offer.plan_path = value;
-      else if (key == "store")
-        offer.store_path = value;
-      else
-        offer.seed_store_path = value;
+      (key == "plan" ? offer.plan_path : offer.seed_store_path) = value;
     } else if (key == "points") {
       std::string v;
       while (in >> v) {

@@ -5,11 +5,12 @@
 // complete previous file or a complete new one, never a torn mix:
 //
 //   * Lease file — scheduler → worker. One per worker slot, rewritten
-//     for every batch: the lease id, the plan indices to run, and a
-//     `done` flag that tells the worker to exit cleanly once the queue
-//     is drained. Workers poll it; a lease id they already took means
-//     "no new work yet". The scheduler overwrites an offer only after
-//     the worker took it (see `ready` below), so no offer is lost.
+//     for every batch: the lease id, the plan indices to run (plus, for
+//     the daemon, the plan file they index), and a `done` flag that
+//     tells the worker to exit cleanly once the queue is drained.
+//     Workers poll it; a lease id they already took means "no new work
+//     yet". The scheduler overwrites an offer only after the worker
+//     took it (see `ready` below), so no offer is lost.
 //   * Ack file (`<lease>.ack`) — worker → scheduler. Rewritten whole
 //     on every change: one record per lease the worker acknowledged
 //     since it started (the lease id, how many points it covered, how
@@ -18,9 +19,8 @@
 //     optional `ready <id>` line: the worker has taken offer `id` and
 //     has none of its points queued, so the scheduler may write the
 //     next offer while the taken points still run. A file without
-//     `ready` (a single record, as the daemon's worker writes it) asks
-//     for a new offer only once the worker holds nothing. Records are
-//     written after the worker has checkpointed its store.
+//     `ready` asks for a new offer only once the worker holds nothing.
+//     Records are written after the worker has checkpointed its store.
 //   * Plan-info file — driver → scheduler, from a `--emit-plan` probe
 //     run: the plan size and a per-point relative cost estimate, which
 //     is everything a scheduler needs to build size-aware batches for a
@@ -47,14 +47,11 @@ struct LeaseOffer {
   /// receipt). A done offer carries no points.
   bool done = false;
   /// Multi-plan scheduling (measure::SweepDaemon): the serialized plan
-  /// the batch's indices refer to, the store file the worker must
-  /// record results into, and an optional read-only store to seed its
-  /// cache from. All empty in the single-plan orchestrator handoff —
-  /// there the worker already owns its plan and store paths; writers
-  /// omit empty fields and legacy readers ignore unknown keys, so the
-  /// two generations of lease files interoperate.
+  /// the batch's indices refer to, and an optional read-only store to
+  /// seed the worker's cache from. Both empty in the single-plan
+  /// orchestrator handoff — there the worker already owns its plan;
+  /// writers omit empty fields and readers ignore unknown keys.
   std::string plan_path;
-  std::string store_path;
   std::string seed_store_path;
 };
 
@@ -89,12 +86,11 @@ struct PlanInfo {
 /// join the currently cheapest batch (ties by batch index). `costs` is
 /// empty (uniform) or one finite non-negative entry per point — with
 /// uniform costs the assignment degenerates to the round-robin shard
-/// slices {i : i ≡ b (mod count)}, which is what keeps `--shard i/n` a
-/// compatibility front-end of the same scheduler. Batches are disjoint,
-/// cover [0, points) exactly, and list their indices ascending; batch
-/// ids are the batch indices (schedulers re-issue under fresh lease
-/// ids). Throws std::invalid_argument on count == 0 or a bad cost
-/// vector. count > points leaves the high batches empty.
+/// slices {i : i ≡ b (mod count)} that `--shard i/n` runs. Batches are
+/// disjoint, cover [0, points) exactly, and list their indices
+/// ascending; batch ids are the batch indices (schedulers re-issue under
+/// fresh lease ids). Throws std::invalid_argument on count == 0 or a bad
+/// cost vector. count > points leaves the high batches empty.
 std::vector<WorkLease> make_batches(std::size_t points, std::size_t count,
                                     const std::vector<double>& costs = {});
 

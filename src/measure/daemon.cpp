@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,26 +16,15 @@
 #include <thread>
 
 #include "common/atomic_file.hpp"
-#include "common/heartbeat.hpp"
-#include "common/subprocess.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
+#include "measure/worker_fleet.hpp"
 
 namespace am::measure {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::string fmt_seconds(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", s);
-  return buf;
-}
 
 bool parse_u64_str(const std::string& s, std::uint64_t& out) {
   if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
@@ -66,35 +54,6 @@ std::optional<JobState> parse_job_state(const std::string& s) {
     if (s == job_state_name(st)) return st;
   return std::nullopt;
 }
-
-/// Same NTP-immune liveness judgment the orchestrator applies: the beat
-/// *sequence* must advance against our own steady clock.
-struct BeatWatch {
-  std::uint64_t last_beats = 0;
-  Clock::time_point last_progress;
-
-  void observe(const std::string& hb_path) {
-    if (const auto hb = read_heartbeat(hb_path))
-      if (hb->beats > last_beats) {
-        last_beats = hb->beats;
-        last_progress = Clock::now();
-      }
-  }
-
-  bool stalled(double timeout, Clock::time_point spawn) const {
-    if (timeout <= 0.0) return false;
-    if (last_beats > 0) return seconds_since(last_progress) > timeout;
-    return seconds_since(spawn) > timeout;  // daemon workers always beat
-  }
-
-  std::string describe(Clock::time_point spawn) const {
-    if (last_beats > 0)
-      return "heartbeat stuck at beat " + std::to_string(last_beats) +
-             " for " + fmt_seconds(seconds_since(last_progress)) + " s";
-    return "no heartbeat " + fmt_seconds(seconds_since(spawn)) +
-           " s after spawn";
-  }
-};
 
 constexpr const char* kQueueHeader = "#am-sweepd-queue v1";
 
@@ -290,25 +249,6 @@ struct Job {
   }
 };
 
-/// One worker slot, mirroring the orchestrator's lease-mode slot.
-struct Slot {
-  Subprocess proc;
-  bool live = false;
-  bool ever_spawned = false;
-  bool done_offered = false;
-  std::string lease;      // lease-file path
-  WorkLease current;
-  bool has_current = false;
-  std::uint64_t job = 0;  // owner of `current`
-  Clock::time_point start;
-  BeatWatch watch;
-  bool stalled = false;
-  double busy_seconds = 0.0;
-  std::size_t batches = 0;
-  std::size_t points = 0;
-  std::size_t respawns = 0;
-};
-
 }  // namespace
 
 DaemonReport SweepDaemon::run(std::ostream& log) {
@@ -325,14 +265,21 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
   // --- serving state -----------------------------------------------------
   std::map<std::uint64_t, Job> jobs;
   std::uint64_t next_job_id = 1;
-  std::uint64_t next_lease_id = 1;
   FairShareScheduler scheduler;
   std::vector<std::unique_ptr<Conn>> conns;
-  std::vector<Slot> slots(opts_.workers);
-  for (std::size_t w = 0; w < slots.size(); ++w)
-    slots[w].lease = (std::filesystem::path(daemon_dir(dir)) /
-                      ("wrk" + std::to_string(w) + ".lease"))
-                         .string();
+  WorkerFleetOptions fleet_opts;
+  for (std::size_t w = 0; w < opts_.workers; ++w)
+    fleet_opts.lease_paths.push_back(
+        (std::filesystem::path(daemon_dir(dir)) /
+         ("wrk" + std::to_string(w) + ".lease"))
+            .string());
+  fleet_opts.argv = [this](const std::string& lease_path) {
+    auto argv = opts_.worker_command;
+    argv.insert(argv.end(), {"--lease", lease_path});
+    return argv;
+  };
+  fleet_opts.stall_timeout_seconds = opts_.stall_timeout_seconds;
+  WorkerFleet fleet(std::move(fleet_opts));
   bool queue_dirty = false;
 
   // --- persistence -------------------------------------------------------
@@ -734,67 +681,36 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
     const auto it = jobs.find(id);
     return it != jobs.end() && !it->second.batch_queue.empty();
   };
-  const auto offer_to = [&](Slot& s, std::size_t w, std::uint64_t jid) {
+  /// The job's next batch as an offer: it names the job's plan and
+  /// seeds the worker's cache from the namespace store.
+  const auto next_batch = [&](std::uint64_t jid) {
     Job& job = jobs.at(jid);
-    WorkLease lease = std::move(job.batch_queue.front());
+    LeaseOffer next;
+    next.lease = std::move(job.batch_queue.front());
+    next.plan_path = job_spec_path(dir, jid);
+    next.seed_store_path = namespace_store_path(dir, job.ns);
     job.batch_queue.pop_front();
-    lease.id = next_lease_id++;
-    LeaseOffer off;
-    off.lease = lease;
-    off.plan_path = job_spec_path(dir, jid);
-    off.store_path = lease_store_path(s.lease);
-    off.seed_store_path = namespace_store_path(dir, job.ns);
-    write_lease_offer(s.lease, off);
-    s.current = std::move(lease);
-    s.has_current = true;
-    s.job = jid;
     ++job.outstanding;
-    log << "worker " << w << ": lease " << s.current.id << " -> job " << jid
-        << " (" << s.current.points.size() << " point(s))\n";
+    return next;
   };
-  const auto requeue_current = [&](Slot& s, std::size_t w) {
-    const auto it = jobs.find(s.job);
-    if (it != jobs.end()) {
-      Job& job = it->second;
-      --job.outstanding;
-      if (!job.terminal()) {
-        std::vector<std::size_t> survivors;
-        std::size_t dead = 0;
-        for (const std::size_t p : s.current.points) {
-          if (++job.failures[p] > opts_.retries)
-            ++dead;
-          else
-            survivors.push_back(p);
-        }
-        if (dead > 0) {
-          fail_job(job, std::to_string(dead) +
-                            " point(s) exhausted their retry budget");
-        } else if (!survivors.empty()) {
-          // Bisect on requeue, like the orchestrator: repeated crashes
-          // home in on a poison point instead of re-charging the whole
-          // batch every time.
-          const std::size_t half = survivors.size() / 2;
-          const double per_point =
-              s.current.cost /
-              static_cast<double>(std::max<std::size_t>(
-                  s.current.points.size(), 1));
-          WorkLease front_half, back_half;
-          front_half.points.assign(survivors.begin(),
-                                   survivors.begin() + half);
-          back_half.points.assign(survivors.begin() + half, survivors.end());
-          for (auto* part : {&back_half, &front_half}) {
-            if (part->empty()) continue;
-            part->cost =
-                per_point * static_cast<double>(part->points.size());
-            job.batch_queue.push_front(std::move(*part));
-          }
-          log << "worker " << w << ": requeued lease " << s.current.id
-              << " for job " << s.job << "\n";
-        }
-      }
-    }
-    s.has_current = false;
-    s.current = WorkLease{};
+  const auto log_offer = [&](const HeldLease& held, std::size_t w) {
+    log << "worker " << w << ": lease " << held.lease.id << " -> job "
+        << held.owner << " (" << held.lease.points.size() << " point(s))\n";
+  };
+  /// A lease its worker died holding: the owning job takes it back with
+  /// one failure charged to each point, or fails once a point's budget
+  /// is gone.
+  const auto requeue = [&](const HeldLease& held, std::size_t w) {
+    const auto it = jobs.find(held.owner);
+    if (it == jobs.end()) return;
+    Job& job = it->second;
+    --job.outstanding;
+    if (job.terminal()) return;
+    const std::size_t dead = requeue_with_bisect(
+        held.lease, opts_.retries, job.failures, job.batch_queue, w, log);
+    if (dead > 0)
+      fail_job(job, std::to_string(dead) +
+                        " point(s) exhausted their retry budget");
   };
 
   while (true) {
@@ -871,163 +787,88 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
         }
 
     // Fill worker slots: fair-share pick across jobs with pending work.
-    for (std::size_t w = 0; w < slots.size(); ++w) {
-      Slot& s = slots[w];
-      if (s.live || draining) continue;
+    for (std::size_t w = 0; w < fleet.size() && !draining; ++w) {
+      if (fleet.live(w)) continue;
       const auto jid = scheduler.pick(has_batch);
       if (!jid) break;  // nobody has pending batches
-      std::error_code ec;
-      std::filesystem::remove(s.lease, ec);
-      std::filesystem::remove(lease_ack_path(s.lease), ec);
-      std::filesystem::remove(lease_heartbeat_path(s.lease), ec);
-      offer_to(s, w, *jid);
-      auto argv = opts_.worker_command;
-      argv.push_back("--lease");
-      argv.push_back(s.lease);
+      progressed = true;
       try {
-        Subprocess::Options spawn_opts;
-        spawn_opts.stdout_path = s.lease + ".log";
-        spawn_opts.new_process_group = true;
-        s.proc = Subprocess::spawn(argv, spawn_opts);
+        log_offer(fleet.spawn(w, next_batch(*jid), *jid, log), w);
       } catch (const std::exception& e) {
         // Unspawnable worker command: nothing will ever run. Fail the
         // job holding the lease; the operator fixes the command.
         log << "worker " << w << ": " << e.what() << "\n";
-        const auto it = jobs.find(s.job);
-        requeue_current(s, w);
-        if (it != jobs.end() && !it->second.terminal())
-          fail_job(it->second,
-                   std::string("worker command unspawnable: ") + e.what());
-        continue;
+        Job& job = jobs.at(*jid);
+        --job.outstanding;
+        fail_job(job, std::string("worker command unspawnable: ") + e.what());
       }
-      s.start = Clock::now();
-      s.watch = BeatWatch{};
-      s.watch.last_progress = s.start;
-      s.stalled = false;
-      s.done_offered = false;
-      if (s.ever_spawned) ++s.respawns;
-      s.ever_spawned = true;
-      s.live = true;
-      progressed = true;
-      log << "worker " << w << ": launched (pid " << s.proc.pid() << ")\n";
     }
 
     // Poll the fleet.
     bool any_live = false;
-    for (std::size_t w = 0; w < slots.size(); ++w) {
-      Slot& s = slots[w];
-      if (!s.live) continue;
-      s.watch.observe(lease_heartbeat_path(s.lease));
-      if (!s.stalled &&
-          s.watch.stalled(opts_.stall_timeout_seconds, s.start)) {
-        log << "worker " << w << ": " << s.watch.describe(s.start)
-            << " — killing pid " << s.proc.pid() << "\n";
-        s.stalled = true;
-        s.proc.kill();
-      }
-
-      const auto acks = read_lease_acks(lease_ack_path(s.lease));
-      const LeaseAck* ack = nullptr;
-      if (acks && s.has_current)
-        for (const LeaseAck& a : acks->acks)
-          if (a.lease_id == s.current.id) ack = &a;
-      if (ack != nullptr) {
+    for (std::size_t w = 0; w < fleet.size(); ++w) {
+      if (!fleet.live(w)) continue;
+      const SlotPoll poll = fleet.poll(w, log);
+      for (const LeaseDone& done : poll.done) {
         progressed = true;
-        s.watch.last_progress = Clock::now();
-        s.busy_seconds += ack->wall_seconds;
-        s.batches += 1;
-        s.points += ack->points;
-        report.engine_runs += ack->executed;
-        const auto it = jobs.find(s.job);
-        if (it != jobs.end()) {
-          Job& job = it->second;
-          --job.outstanding;
-          job.executed += ack->executed;
-          for (const std::size_t p : s.current.points)
-            if (p < job.point_done.size() && !job.point_done[p]) {
-              job.point_done[p] = true;
-              ++job.done_points;
-            }
-          queue_dirty = true;
-          log << "worker " << w << ": lease " << s.current.id << " done ("
-              << ack->points << " point(s), " << ack->executed
-              << " engine run(s), " << fmt_seconds(ack->wall_seconds)
-              << " s)\n";
-          s.has_current = false;
-          s.current = WorkLease{};
-          if (job.state == JobState::kRunning &&
-              job.done_points == job.points && job.outstanding == 0 &&
-              job.batch_queue.empty())
-            finalize_job(job);
-        } else {
-          s.has_current = false;
-          s.current = WorkLease{};
-        }
+        report.engine_runs += done.ack.executed;
+        const auto it = jobs.find(done.held.owner);
+        if (it == jobs.end()) continue;
+        Job& job = it->second;
+        --job.outstanding;
+        job.executed += done.ack.executed;
+        for (const std::size_t p : done.held.lease.points)
+          if (p < job.point_done.size() && !job.point_done[p]) {
+            job.point_done[p] = true;
+            ++job.done_points;
+          }
+        queue_dirty = true;
+        if (job.state == JobState::kRunning &&
+            job.done_points == job.points && job.outstanding == 0 &&
+            job.batch_queue.empty())
+          finalize_job(job);
       }
 
-      if (s.proc.running()) {
-        if (!s.has_current && !s.done_offered) {
-          // Draining dispatches nothing new: in-flight leases finish,
-          // queued batches persist for the next daemon to resume.
-          if (const auto jid = draining ? std::optional<std::uint64_t>{}
-                                        : scheduler.pick(has_batch)) {
-            offer_to(s, w, *jid);
+      if (!poll.exit) {
+        // Draining dispatches nothing new: in-flight leases finish,
+        // queued batches persist for the next daemon to resume. With no
+        // pending batch anywhere, an idle worker keeps polling its last
+        // offer until a submission arrives.
+        if (poll.wants_offer) {
+          if (draining) {
+            fleet.offer_done(w);
             progressed = true;
-          } else if (draining) {
-            WorkLease done;
-            done.id = next_lease_id++;
-            LeaseOffer off;
-            off.lease = done;
-            off.done = true;
-            write_lease_offer(s.lease, off);
-            s.done_offered = true;
+          } else if (const auto jid = scheduler.pick(has_batch)) {
+            log_offer(fleet.offer(w, next_batch(*jid), *jid), w);
             progressed = true;
           }
-          // Otherwise: leave the acked offer in place; an idle worker
-          // polls it ("no new work yet") until a submission arrives.
         }
         any_live = true;
         continue;
       }
 
-      // Process exited; the ack block above already judged any receipt
-      // it wrote on the way out.
       progressed = true;
-      s.live = false;
-      // Already reaped (running() returned false); wait() hands back the
-      // cached status instead of dereferencing the optional unchecked.
-      const ExitStatus status = s.proc.wait();
-      if (!status.signaled && status.code == 2) {
-        // Usage rejection: this worker cannot run this offer, and no
-        // retry will change that — but unlike the one-shot
-        // orchestrator, the daemon fails only the job holding the
-        // lease; other tenants keep their fleet.
-        const auto it = jobs.find(s.job);
-        const bool had = s.has_current;
-        if (had) {
-          if (it != jobs.end()) --it->second.outstanding;
-          s.has_current = false;
-          s.current = WorkLease{};
+      const WorkerExit& exit = *poll.exit;
+      auto held = exit.held.rbegin();
+      if (!exit.status.signaled && exit.status.code == kWorkerExitUsage &&
+          held != exit.held.rend()) {
+        // Usage rejection of the newest offer, whose plan the worker was
+        // resolving: no retry will change that. Unlike the one-shot
+        // orchestrator, the daemon fails only that job; other tenants
+        // keep their fleet, and the slot's older leases requeue as a
+        // crash.
+        const auto it = jobs.find(held->owner);
+        if (it != jobs.end()) {
+          --it->second.outstanding;
+          if (!it->second.terminal())
+            fail_job(it->second, "worker rejected the lease (" +
+                                     exit.status.describe() + ") — see " +
+                                     fleet.lease_path(w) + ".log");
         }
-        if (had && it != jobs.end() && !it->second.terminal())
-          fail_job(it->second, "worker rejected the lease (" +
-                                   status.describe() + ") — see " + s.lease +
-                                   ".log");
-        else
-          log << "worker " << w << ": " << status.describe()
-              << " while idle\n";
-      } else if (s.has_current) {
-        log << "worker " << w << ": " << status.describe()
-            << " holding lease " << s.current.id << "\n";
-        requeue_current(s, w);
-      } else if (status.success() && s.done_offered) {
-        log << "worker " << w << ": drained in "
-            << fmt_seconds(seconds_since(s.start)) << " s (" << s.batches
-            << " batch(es), " << fmt_seconds(s.busy_seconds) << " s busy)\n";
-      } else {
-        log << "worker " << w << ": " << status.describe()
-            << " while idle\n";
+        ++held;
       }
+      // Latest first, so each job's earliest lease ends up at the front.
+      for (; held != exit.held.rend(); ++held) requeue(*held, w);
     }
 
     if (draining && !any_live) break;
@@ -1102,23 +943,15 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
       out << "job\t" << j.id << '\t' << j.ns << '\t'
           << job_state_name(j.state) << '\t' << j.points << '\t'
           << j.done_points << '\t' << j.executed << '\t' << j.error << '\n';
-    double busy_max = 0.0, busy_sum = 0.0;
-    std::size_t busy_n = 0;
-    for (std::size_t w = 0; w < slots.size(); ++w) {
-      const Slot& s = slots[w];
-      if (!s.ever_spawned) continue;
-      out << "worker\t" << w << '\t' << fmt_seconds(s.busy_seconds) << '\t'
-          << s.batches << '\t' << s.points << '\t' << s.respawns << '\n';
-      busy_max = std::max(busy_max, s.busy_seconds);
-      busy_sum += s.busy_seconds;
-      ++busy_n;
+    std::vector<WorkerStat> spawned;
+    for (std::size_t w = 0; w < fleet.size(); ++w) {
+      if (!fleet.ever_spawned(w)) continue;
+      const WorkerStat ws = spawned.emplace_back(fleet.stat(w));
+      out << "worker\t" << w << '\t' << fmt_seconds(ws.busy_seconds) << '\t'
+          << ws.batches << '\t' << ws.points << '\t' << ws.respawns << '\n';
     }
-    if (busy_n > 0 && busy_sum > 0.0) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.4f",
-                    busy_max / (busy_sum / static_cast<double>(busy_n)));
-      out << "busy_max_over_mean\t" << buf << '\n';
-    }
+    if (const auto balance = busy_max_over_mean(spawned); !balance.empty())
+      out << "busy_max_over_mean\t" << balance << '\n';
     atomic_write_file(manifest_path(dir), out.str(), "sweepd-manifest");
     log << "manifest: " << manifest_path(dir) << "\n";
   } catch (const std::exception& e) {
@@ -1131,113 +964,43 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
   return report;
 }
 
-DaemonWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
-                                     std::ostream& log) {
-  if (opts.lease_path.empty())
-    throw std::invalid_argument("daemon worker: --lease path is required");
-
+LeaseWorkerReport run_daemon_worker(const std::string& lease_path,
+                                    std::ostream& log,
+                                    const LeaseWorkerOptions& opts) {
+  auto store = ResultStoreFile::for_lease("", "amsweepd", lease_path);
   struct CachedPlan {
-    PlanSpec spec;
     ExperimentPlan plan;
+    SweepRunner runner;
   };
+  // Parsed once per plan path: fair-share dispatch interleaves jobs on
+  // one slot. std::map nodes stay put, so resolved pointers stay valid.
   std::map<std::string, CachedPlan> plans;
-
-  HeartbeatWriter heartbeat(lease_heartbeat_path(opts.lease_path));
-  DaemonWorkerReport report;
-  std::optional<std::uint64_t> last_acked;
-  auto last_activity = Clock::now();
-  for (;;) {
-    const auto offer = read_lease_offer(opts.lease_path);
-    const bool fresh =
-        offer && (!last_acked || offer->lease.id != *last_acked);
-    if (!fresh) {
-      if (opts.idle_timeout_seconds > 0.0 &&
-          seconds_since(last_activity) > opts.idle_timeout_seconds)
-        throw std::runtime_error("daemon worker: no offer for " +
-                                 std::to_string(opts.idle_timeout_seconds) +
-                                 " s — daemon gone?");
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(opts.poll_seconds));
-      continue;
-    }
-    last_activity = Clock::now();
-    if (offer->done) {
-      log << "daemon queue drained: " << report.leases << " lease(s), "
-          << report.points << " point(s), " << report.executed
-          << " engine run(s)\n";
-      return report;
-    }
-
-    if (!opts.test_crash_marker.empty() &&
-        std::filesystem::exists(opts.test_crash_marker)) {
-      // Deterministic fault injection: the first worker to claim a
-      // batch while the marker exists consumes it and dies mid-lease.
-      std::error_code ec;
-      std::filesystem::remove(opts.test_crash_marker, ec);
-      log << "test crash marker claimed — raising SIGKILL\n";
-      log.flush();
-      std::raise(SIGKILL);
-    }
-
-    if (offer->plan_path.empty() || offer->store_path.empty())
+  const auto checkpoint = store.checkpointer();
+  const auto resolve = [&](const LeaseOffer& offer) {
+    if (offer.plan_path.empty())
       throw std::invalid_argument(
-          "daemon worker: offer carries no plan/store path — not a daemon "
+          "daemon worker: offer carries no plan path — not a daemon "
           "scheduler?");
-
-    auto cached = plans.find(offer->plan_path);
+    auto cached = plans.find(offer.plan_path);
     if (cached == plans.end()) {
-      std::ifstream in(offer->plan_path);
+      std::ifstream in(offer.plan_path);
       if (!in)
         throw std::runtime_error("daemon worker: cannot read plan " +
-                                 offer->plan_path);
+                                 offer.plan_path);
       std::stringstream text;
       text << in.rdbuf();
-      CachedPlan cp;
-      cp.spec = parse_plan_spec(text.str());  // invalid_argument = usage
-      cp.plan = build_plan(cp.spec);
-      cached = plans.emplace(offer->plan_path, std::move(cp)).first;
+      const PlanSpec spec = parse_plan_spec(text.str());  // usage on throw
+      cached = plans
+                   .emplace(offer.plan_path,
+                            CachedPlan{build_plan(spec),
+                                       make_runner(spec, checkpoint)})
+                   .first;
     }
-    const CachedPlan& cp = cached->second;
-
-    const auto t0 = Clock::now();
-    ResultStore store = ResultStore::load_or_empty(offer->store_path);
-    if (!offer->seed_store_path.empty())
-      store.merge(ResultStore::load_or_empty(offer->seed_store_path));
-
-    // Per-point checkpointing (throttled): a SIGKILL mid-batch loses at
-    // most a second of finished engine runs, so the daemon's requeue
-    // re-runs mostly cache hits.
-    auto last_save = Clock::now();
-    bool first_save = true;
-    const std::string store_path = offer->store_path;
-    SweepRunner runner = make_runner(
-        cp.spec, [&last_save, &first_save, &store_path](const ResultStore& s) {
-          if (first_save || seconds_since(last_save) >= 1.0) {
-            s.save(store_path);
-            last_save = Clock::now();
-            first_save = false;
-          }
-        });
-
-    std::size_t executed = 0;
-    runner.run_points(cp.plan, nullptr, &store, offer->lease.points,
-                      &executed);
-    store.save(store_path);  // durable strictly before the receipt
-    LeaseAck ack;
-    ack.lease_id = offer->lease.id;
-    ack.points = offer->lease.points.size();
-    ack.executed = executed;
-    ack.wall_seconds = seconds_since(t0);
-    write_lease_acks(lease_ack_path(opts.lease_path), {{ack}, std::nullopt});
-
-    last_activity = Clock::now();
-    last_acked = offer->lease.id;
-    report.leases += 1;
-    report.points += ack.points;
-    report.executed += executed;
-    log << "lease " << offer->lease.id << ": " << ack.points << " point(s), "
-        << executed << " engine run(s)\n";
-  }
+    if (!offer.seed_store_path.empty())
+      store.store()->merge(ResultStore::load_or_empty(offer.seed_store_path));
+    return LeasePlan{&cached->second.plan, &cached->second.runner};
+  };
+  return run_lease_worker(resolve, nullptr, store, lease_path, log, opts);
 }
 
 DaemonClient DaemonClient::connect_unix(const std::string& socket_path,

@@ -3,10 +3,12 @@
 // service. A SweepDaemon listens on a Unix-domain (and optionally
 // loopback-TCP) socket for framed protocol messages (common/socket),
 // accepts serialized ExperimentPlans (measure/plan_wire) from
-// concurrent submitters, and feeds them through the same lease-file
-// worker handoff the one-shot orchestrator uses — supervised worker
-// processes, beat-sequence liveness, crash requeue with bisection,
-// per-point retry budgets. What the daemon adds on top:
+// concurrent submitters, and runs them on the same WorkerFleet the
+// one-shot orchestrator uses (measure/worker_fleet) — supervised worker
+// processes, beat-sequence liveness, streaming offers on `ready`, crash
+// requeue with bisection, per-point retry budgets, and busy time as the
+// union of lease intervals. Its workers run the shared lease-worker
+// loop (run_daemon_worker below). What the daemon adds on top:
 //
 //   * Tenancy: every submission names a namespace; a job's results are
 //     merged into <results_dir>/ns-<namespace>.tsv and only records
@@ -46,6 +48,7 @@
 #include <vector>
 
 #include "common/socket.hpp"
+#include "measure/lease.hpp"
 #include "measure/plan_wire.hpp"
 
 namespace am::measure {
@@ -113,7 +116,7 @@ struct SweepDaemonOptions {
   std::string results_dir;
   /// Worker command prefix; the daemon appends `--lease <file>`. Must
   /// speak the daemon-worker protocol (run_daemon_worker): the offer
-  /// itself carries the plan and store paths. Empty = invalid.
+  /// itself names the plan file. Empty = invalid.
   std::vector<std::string> worker_command;
   /// Concurrent worker slots. 0 = accept-only: jobs queue up but never
   /// dispatch — the deterministic substrate for queue-file tests and
@@ -193,37 +196,20 @@ class SweepDaemon {
   std::atomic<bool> drain_{false};
 };
 
-/// Options for the worker half (`amsweepd --worker`). The worker knows
-/// nothing about jobs or namespaces: it polls one lease file, and every
-/// offer names the plan to parse and the store to extend.
-struct DaemonWorkerOptions {
-  std::string lease_path;
-  double poll_seconds = 0.02;
-  /// Give up when no fresh offer arrives for this long (0 = disabled);
-  /// an orphaned worker must not poll forever.
-  double idle_timeout_seconds = 600.0;
-  /// Fault injection: when this file exists at batch-claim time, the
-  /// worker deletes it and raises SIGKILL — at most one worker dies per
-  /// marker file, deterministically, mid-lease.
-  std::string test_crash_marker;
-};
-
-struct DaemonWorkerReport {
-  std::size_t leases = 0;
-  std::size_t points = 0;
-  std::size_t executed = 0;
-};
-
-/// Runs the daemon-worker loop until a `done` offer: per fresh offer,
-/// parse the offered plan (cached per plan path — fair-share dispatch
-/// interleaves jobs on one slot), seed the cache from the offer's
-/// seed store, run the leased points, persist the slot store, ack.
-/// Durable results strictly precede every ack. Throws
-/// std::invalid_argument on a malformed offer/plan (usage — exit 2 in
-/// the binary) and std::runtime_error on idle timeout or I/O failure
+/// The worker half (`amsweepd --worker`): the shared lease-worker loop
+/// (run_lease_worker) on one lane, resolving each offer's plan file —
+/// parsed once per path and cached, since fair-share dispatch
+/// interleaves jobs on one slot — and merging the offer's seed store
+/// into the cache before its points run. Records go to the slot store
+/// next to the lease file (ResultStoreFile::for_lease without a results
+/// directory), where the daemon's finalize looks for them. The worker
+/// knows nothing about jobs or namespaces. Throws std::invalid_argument
+/// on an offer without a plan path or a malformed plan (usage — exit 2
+/// in the binary) and std::runtime_error on idle timeout or I/O failure
 /// (retryable — exit 3).
-DaemonWorkerReport run_daemon_worker(const DaemonWorkerOptions& opts,
-                                     std::ostream& log);
+LeaseWorkerReport run_daemon_worker(const std::string& lease_path,
+                                    std::ostream& log,
+                                    const LeaseWorkerOptions& opts = {});
 
 /// Client side of the protocol: one blocking request-reply per call.
 /// Every method throws SocketError on transport failure and

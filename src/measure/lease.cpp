@@ -80,6 +80,7 @@ class Mailbox {
 
 /// A taken lease that is not acknowledged yet.
 struct OpenLease {
+  LeasePlan target;
   std::size_t points = 0;
   std::size_t remaining = 0;  // points not yet recorded
   std::size_t executed = 0;
@@ -88,8 +89,7 @@ struct OpenLease {
 
 }  // namespace
 
-LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
-                                   const SweepRunner& runner,
+LeaseWorkerReport run_lease_worker(const LeaseResolver& resolve,
                                    ThreadPool* pool, ResultStoreFile& store,
                                    const std::string& lease_path,
                                    std::ostream& out,
@@ -117,13 +117,14 @@ LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
   // running. Only genuine waiting counts against the idle timeout.
   auto last_activity = Clock::now();
 
-  const auto launch = [&](std::uint64_t lease, std::size_t index) {
-    auto task = [&runner, &plan, &mailbox, lease, index] {
+  const auto launch = [&](std::uint64_t lease, const LeasePlan& target,
+                          std::size_t index) {
+    auto task = [target, &mailbox, lease, index] {
       Finished f;
       f.lease = lease;
       f.index = index;
       try {
-        f.run = runner.run_point(plan, index);
+        f.run = target.runner->run_point(*target.plan, index);
       } catch (...) {
         f.error = std::current_exception();
       }
@@ -143,12 +144,13 @@ LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
         const auto [lease, index] = queued.front();
         queued.pop_front();
         OpenLease& l = open.at(lease);
-        if (cache.find(runner.key_for(plan, index)) != nullptr) {
+        if (cache.find(l.target.runner->key_for(*l.target.plan, index)) !=
+            nullptr) {
           --l.remaining;
           continue;
         }
         ++l.executed;
-        launch(lease, index);
+        launch(lease, l.target, index);
       }
 
       bool changed = false;
@@ -203,8 +205,10 @@ LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
           if (offer->done) {
             draining = true;  // gets no ack: exit 0 is the receipt
           } else {
-            plan.check_points(offer->lease.points);
+            const LeasePlan target = resolve(*offer);
+            target.plan->check_points(offer->lease.points);
             OpenLease& l = open[offer->lease.id];
+            l.target = target;
             l.points = l.remaining = offer->lease.points.size();
             l.taken = Clock::now();
             for (const std::size_t p : offer->lease.points)
@@ -232,8 +236,9 @@ LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
         }
         if (host.empty())
           host = interfere::HostIdentity::detect().fingerprint();
-        runner.record(plan, f.index, f.run, host, cache);
-        --open.at(f.lease).remaining;
+        OpenLease& l = open.at(f.lease);
+        l.target.runner->record(*l.target.plan, f.index, f.run, host, cache);
+        --l.remaining;
       }
     }
   } catch (...) {
@@ -242,6 +247,17 @@ LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
   // Pool tasks hold references into this frame: let them settle.
   while (running > 0) running -= mailbox.take(opts.poll_seconds).size();
   std::rethrow_exception(error);
+}
+
+LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
+                                   const SweepRunner& runner,
+                                   ThreadPool* pool, ResultStoreFile& store,
+                                   const std::string& lease_path,
+                                   std::ostream& out,
+                                   const LeaseWorkerOptions& opts) {
+  return run_lease_worker(
+      [&](const LeaseOffer&) { return LeasePlan{&plan, &runner}; }, pool,
+      store, lease_path, out, opts);
 }
 
 void emit_plan_info(const ExperimentPlan& plan, const SweepRunner& runner,

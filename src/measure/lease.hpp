@@ -1,33 +1,38 @@
 #pragma once
-// The worker half of dynamic work-queue scheduling.
+// The worker half of dynamic work-queue scheduling — the one worker loop
+// every scheduler drives (measure::WorkerFleet spawns it for both the
+// orchestrator and the daemon).
 //
-// A lease worker is a figure driver started with `--lease <file>`
-// instead of `--shard i/n`: rather than owning a fixed slice chosen at
-// spawn, it pulls batches of plan points from its scheduler
-// (measure::SweepOrchestrator) through the lease file until the
-// scheduler says the queue is drained. Leases stream: the points of
-// every taken lease join one FIFO, at most pool->size() of them run at
-// once, and as soon as the FIFO is empty — every taken point running or
-// done — the worker writes `ready <id>` to its ack file so the next
-// offer arrives while the last points still run. Pool threads only
-// simulate (SweepRunner::run_point); the calling thread alone does the
-// cache lookups, records, checkpoints, saves and acks. A lease is
-// acknowledged once its last point is recorded and the store is saved
-// — durable results strictly before the receipt, so a crash between the
-// two merely re-runs a fully cached batch. Determinism is untouched:
-// leased points keep their plan indices (and so their seeds and store
-// keys), making the merged store bit-identical to a serial run however
-// the batches were scheduled.
+// A lease worker is a driver started with `--lease <file>`: it pulls
+// batches of plan points from its scheduler through the lease file until
+// the scheduler says the queue is drained. Each offer is resolved to the
+// plan and runner its indices refer to: a figure driver has exactly one
+// plan, while `amsweepd --worker` resolves the offer's plan file
+// (measure/daemon.hpp). Leases stream: the points of every taken lease
+// join one FIFO, at most pool->size() of them run at once, and as soon
+// as the FIFO is empty — every taken point running or done — the worker
+// writes `ready <id>` to its ack file so the next offer arrives while
+// the last points still run. Pool threads only simulate
+// (SweepRunner::run_point); the calling thread alone resolves offers and
+// does the cache lookups, records, checkpoints, saves and acks. A lease
+// is acknowledged once its last point is recorded and the store is
+// saved — durable results strictly before the receipt, so a crash
+// between the two merely re-runs a fully cached batch. Determinism is
+// untouched: leased points keep their plan indices (and so their seeds
+// and store keys), making the merged store bit-identical to a serial run
+// however the batches were scheduled.
 //
 // The probe half (`--emit-plan <file>`) writes the plan's size and
 // per-point cost estimates for the scheduler, which cannot construct
 // the plan itself — only the driver knows its grid.
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <string>
 
 #include "common/cli.hpp"
 #include "common/thread_pool.hpp"
+#include "common/work_lease.hpp"
 #include "measure/experiment_plan.hpp"
 #include "measure/result_store.hpp"
 
@@ -37,7 +42,7 @@ namespace am::measure {
 /// most one of the three modes may be set; each fixes the invocation's
 /// entire control flow.
 struct SchedulingFlags {
-  ShardRange shard;            // --shard i/n: static slice
+  ShardRange shard;            // --shard i/n: manual multi-host slice
   std::string lease_path;      // --lease FILE: dynamic lease worker
   std::string emit_plan_path;  // --emit-plan FILE: scheduler probe
 };
@@ -68,17 +73,38 @@ struct LeaseWorkerReport {
   std::size_t executed = 0;  // engine runs (points minus cache hits)
 };
 
+/// The plan and runner a lease offer's indices refer to.
+struct LeasePlan {
+  const ExperimentPlan* plan = nullptr;
+  const SweepRunner* runner = nullptr;
+};
+
+/// Resolves an offer to its LeasePlan, on the worker's calling thread,
+/// once per offer as it is taken. The pointers must stay valid until
+/// run_lease_worker returns. Throws std::invalid_argument for an offer
+/// it cannot serve.
+using LeaseResolver = std::function<LeasePlan(const LeaseOffer&)>;
+
 /// Runs the lease-worker protocol to completion against the offer file
 /// at `lease_path`, with pool->size() lanes (one, on the calling
 /// thread, when `pool` is null). `store` must be lease-bound
 /// (ResultStoreFile::for_lease on the same lease path) and is saved
-/// before every ack; progress lines stream to `out`. A `done` offer
-/// (which gets no ack — the caller's exit 0 is the receipt) drains the
-/// open leases, then the function returns. Throws std::runtime_error on
-/// idle timeout, std::invalid_argument on a lease naming out-of-range
-/// or repeated plan indices (scheduler and worker disagree about the
-/// plan — a usage error, not retryable), and whatever a point threw;
-/// points already in flight settle first.
+/// before every ack; every resolved runner records into it. Progress
+/// lines stream to `out`. A `done` offer (which gets no ack — the
+/// caller's exit 0 is the receipt) drains the open leases, then the
+/// function returns. Throws std::runtime_error on idle timeout,
+/// std::invalid_argument on an offer the resolver rejects or one naming
+/// out-of-range or repeated plan indices (scheduler and worker disagree
+/// about the plan — a usage error, not retryable), and whatever a point
+/// threw; points already in flight settle first.
+LeaseWorkerReport run_lease_worker(const LeaseResolver& resolve,
+                                   ThreadPool* pool, ResultStoreFile& store,
+                                   const std::string& lease_path,
+                                   std::ostream& out,
+                                   const LeaseWorkerOptions& opts = {});
+
+/// The single-plan form the figure drivers use: every offer resolves to
+/// `plan` and `runner`.
 LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
                                    const SweepRunner& runner,
                                    ThreadPool* pool, ResultStoreFile& store,

@@ -519,13 +519,6 @@ bool ResultStoreFile::finish(std::size_t executed, std::size_t planned,
                              std::ostream& out) {
   if (path_.empty()) return false;
   store_.save(path_);
-  // Machine-readable sidecar for supervisors (SweepOrchestrator): how much
-  // of this invocation's slice actually hit the engine. Best effort — a
-  // missing sidecar only degrades the manifest, never the results.
-  std::ofstream meta(path_ + ".meta", std::ios::trunc);
-  if (meta)
-    meta << "executed " << executed << "\nplanned " << planned
-         << "\nrecords " << store_.size() << "\n";
   // `reused` counts this invocation's cache hits only — the store may
   // also hold records of other machines/grids, which were neither.
   const std::size_t reused = planned > executed ? planned - executed : 0;

@@ -236,9 +236,7 @@ class ResultStoreFile {
   /// Persists the store and reports the run's cache economy on `out`:
   /// `planned` is the number of grid points this invocation was
   /// responsible for and `executed` how many actually ran (the difference
-  /// is the cache hits). Also drops a `<path>.meta` sidecar with the same
-  /// counts so supervisors (measure::SweepOrchestrator) can read them
-  /// without parsing human output. With a sharded range also prints the
+  /// is the cache hits). With a sharded range also prints the
   /// amresult merge handoff and returns true — the caller should skip
   /// figure emission, its table being partial by construction. No-op
   /// (false) when disabled.

@@ -88,6 +88,25 @@ TEST(Cli, DoubleRejectsMalformedValues) {
   EXPECT_GT(make({"--x=1e-320"}).get_double("x", 0.0), 0.0);
 }
 
+TEST(Cli, SecondsAcceptFiniteNonNegativeValues) {
+  EXPECT_EQ(make({"--poll-seconds", "0.02"}).get_seconds("poll-seconds", 1.0),
+            0.02);
+  EXPECT_EQ(make({"--stall-timeout=0"}).get_seconds("stall-timeout", 1.0), 0.0);
+  EXPECT_EQ(make({}).get_seconds("idle-timeout", 600.0), 600.0);
+}
+
+TEST(Cli, SecondsRejectNegativeNanAndInfinity) {
+  // strtod parses all of these; none may reach a sleep or a timeout.
+  for (const char* bad : {"-1", "-0.5", "nan", "NAN", "inf", "-inf",
+                          "infinity", "1e400"})
+    EXPECT_THROW(make({"--poll-seconds", bad}).get_seconds("poll-seconds",
+                                                          0.02),
+                 std::invalid_argument)
+        << bad;
+  EXPECT_THROW(make({"--poll-seconds"}).get_seconds("poll-seconds", 0.02),
+               std::invalid_argument);  // value-less -> "true"
+}
+
 TEST(Cli, ShardParsing) {
   auto cli = make({"--shard=2/8"});
   const auto shard = cli.get_shard("shard");
@@ -136,8 +155,8 @@ TEST(Cli, CostModelOverridesParseStrictly) {
                std::invalid_argument);
   EXPECT_THROW(make({"--batches"}).get_int("batches", 0),
                std::invalid_argument);  // value-less -> "true"
-  // --schedule/--cost-model are plain strings here; the binary rejects
-  // unknown values (covered end to end by smoke_amsweep).
+  // --cost-model is a plain string here; the binary rejects unknown
+  // values (covered end to end by smoke_amsweep).
   EXPECT_EQ(make({"--cost-model=uniform"}).get("cost-model", "measured"),
             "uniform");
   EXPECT_EQ(make({}).get("cost-model", "measured"), "measured");

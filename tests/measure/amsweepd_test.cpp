@@ -4,12 +4,14 @@
 // connection while other tenants' queued plans survive), queue-file
 // persistence and resume across daemon generations, waiter release by
 // cancel and by drain, the fair-share grant bound, and the worker half
-// (run_daemon_worker) executing real offered leases bit-identically to
-// a direct serial run. Worker *processes* under supervision are
-// exercised with /bin/sh stand-ins (usage exits, crash loops,
-// unspawnable commands); the full two-binary serving path — concurrent
-// tenants, injected SIGKILL, SIGTERM drain, restart — is the
-// smoke.amsweepd ctest entry (examples/smoke_amsweepd.cmake).
+// (the shared lease-worker loop through run_daemon_worker's plan-file
+// resolver) executing real offered leases bit-identically to a direct
+// serial run. Worker *processes* under supervision are exercised with
+// /bin/sh stand-ins (usage exits, crash loops, unspawnable commands, a
+// streaming worker killed holding two jobs' leases); the full
+// two-binary serving path — concurrent tenants, injected SIGKILL,
+// SIGTERM drain, restart — is the smoke.amsweepd ctest entry
+// (examples/smoke_amsweepd.cmake).
 #include "measure/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -422,14 +424,12 @@ TEST_F(SweepDaemonTest, WorkerExecutesOffersBitIdenticallyAndReusesCache) {
   std::ofstream(plan_file) << serialize_plan_spec(spec);
   const std::string lease = dir() + "/wrk0.lease";
 
-  DaemonWorkerOptions wopts;
-  wopts.lease_path = lease;
+  LeaseWorkerOptions wopts;
   wopts.poll_seconds = 0.002;
   wopts.idle_timeout_seconds = 60.0;
   std::ostringstream wlog;
-  DaemonWorkerReport wreport;
-  std::thread worker(
-      [&] { wreport = run_daemon_worker(wopts, wlog); });
+  LeaseWorkerReport wreport;
+  std::thread worker([&] { wreport = run_daemon_worker(lease, wlog, wopts); });
 
   const auto offer_and_await = [&](std::uint64_t id,
                                    std::vector<std::size_t> points) {
@@ -437,7 +437,6 @@ TEST_F(SweepDaemonTest, WorkerExecutesOffersBitIdenticallyAndReusesCache) {
     off.lease.id = id;
     off.lease.points = std::move(points);
     off.plan_path = plan_file;
-    off.store_path = lease_store_path(lease);
     write_lease_offer(lease, off);
     for (int i = 0; i < 6000; ++i) {
       if (const auto acks = read_lease_acks(lease_ack_path(lease)))
@@ -484,21 +483,21 @@ TEST_F(SweepDaemonTest, WorkerRejectsOffersWithoutPlanPaths) {
   LeaseOffer off;
   off.lease.id = 1;
   off.lease.points = {0};
-  write_lease_offer(lease, off);  // no plan/store paths
-  DaemonWorkerOptions wopts;
-  wopts.lease_path = lease;
+  write_lease_offer(lease, off);  // no plan path
+  LeaseWorkerOptions wopts;
   wopts.poll_seconds = 0.002;
   std::ostringstream wlog;
-  EXPECT_THROW(run_daemon_worker(wopts, wlog), std::invalid_argument);
+  EXPECT_THROW(run_daemon_worker(lease, wlog, wopts), std::invalid_argument);
 }
 
 TEST_F(SweepDaemonTest, WorkerGivesUpWhenOrphaned) {
-  DaemonWorkerOptions wopts;
-  wopts.lease_path = dir() + "/wrk0.lease";  // nobody ever offers
+  LeaseWorkerOptions wopts;
   wopts.poll_seconds = 0.002;
   wopts.idle_timeout_seconds = 0.05;
   std::ostringstream wlog;
-  EXPECT_THROW(run_daemon_worker(wopts, wlog), std::runtime_error);
+  // Nobody ever offers.
+  EXPECT_THROW(run_daemon_worker(dir() + "/wrk0.lease", wlog, wopts),
+               std::runtime_error);
 }
 
 // --- worker-process supervision (stub workers) -----------------------------
@@ -532,6 +531,107 @@ TEST_F(SweepDaemonTest, CrashingWorkerExhaustsTheRetryBudget) {
   EXPECT_NE(reply.error.find("retry budget"), std::string::npos)
       << reply.error;
   EXPECT_TRUE(harness.drain().clean_exit);
+}
+
+/// A streaming /bin/sh daemon worker, run as `sh -c SCRIPT worker
+/// <marker> --lease <file>`. While the marker exists it takes every
+/// offer, acknowledges nothing and asks for more with `ready`; on taking
+/// its second lease it dies holding both. The respawn acknowledges each
+/// lease with a reported wall of 1 s, far beyond its real lifetime.
+constexpr const char* kStreamingCrashWorkerScript = R"sh(
+marker=$1; lease=$3; last=; taken=0
+while :; do
+  if [ -f "$lease" ]; then
+    id=$(awk '$1=="lease"{print $2}' "$lease")
+    dn=$(awk '$1=="done"{print $2}' "$lease")
+    if [ -n "$id" ] && [ "$id" != "$last" ]; then
+      if [ "$dn" = "1" ]; then exit 0; fi
+      last=$id
+      if [ -f "$marker" ]; then
+        taken=$((taken + 1))
+        if [ "$taken" = 2 ]; then rm "$marker"; kill -9 $$; fi
+        printf '#am-lease-ack v1\nready\t%s\n' "$id" \
+          > "$lease.ack.tmp" && mv "$lease.ack.tmp" "$lease.ack"
+      else
+        np=$(awk '$1=="points"{print NF-1}' "$lease")
+        printf '#am-lease-ack v1\nlease\t%s\npoints\t%s\nexecuted\t1\nwall\t1.0\n' \
+          "$id" "$np" > "$lease.ack.tmp" && mv "$lease.ack.tmp" "$lease.ack"
+      fi
+    fi
+  fi
+  sleep 0.01
+done
+)sh";
+
+TEST_F(SweepDaemonTest, WorkerKilledHoldingTwoJobsLeasesRequeuesBoth) {
+  const PlanSpec spec = tiny_spec();
+  const std::string plan = serialize_plan_spec(spec);
+  // Queue both jobs through an accept-only generation, so the next one
+  // admits them in one pass before its slot spawns.
+  {
+    DaemonHarness gen1(accept_only());
+    auto client = DaemonClient::connect_unix(sock());
+    ASSERT_TRUE(client.submit("alice", plan).ok);
+    ASSERT_TRUE(client.submit("bob", plan).ok);
+    ASSERT_TRUE(gen1.drain().clean_exit);
+  }
+  // The stub's acks persist nothing: pre-seed both namespace stores with
+  // the plan's records so the jobs can finalize.
+  ResultStore direct;
+  make_runner(spec).run_points(build_plan(spec), nullptr, &direct, {0, 1});
+  for (const char* ns : {"alice", "bob"})
+    direct.save(SweepDaemon::namespace_store_path(dir(), ns));
+
+  const std::string marker = dir() + "/streaming.marker";
+  { std::ofstream(marker) << "x"; }
+  auto opts = with_stub_worker(
+      {"/bin/sh", "-c", kStreamingCrashWorkerScript, "worker", marker});
+  opts.retries = 1;
+  const auto t0 = std::chrono::steady_clock::now();
+  DaemonReport report;
+  std::string log;
+  {
+    DaemonHarness gen2(opts);
+    auto client = DaemonClient::connect_unix(sock());
+    EXPECT_EQ(client.wait(1, 30.0).state, JobState::kDone);
+    EXPECT_EQ(client.wait(2, 30.0).state, JobState::kDone);
+    report = gen2.drain();
+    log = gen2.log.str();
+  }
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_TRUE(report.clean_exit);
+  EXPECT_EQ(report.jobs_done, 2u);
+  EXPECT_FALSE(fs::exists(marker)) << log;
+
+  // `ready` drew job 2's lease while job 1's was still held; the kill
+  // requeued both to their own jobs.
+  EXPECT_NE(log.find("lease 1 -> job 1 "), std::string::npos) << log;
+  EXPECT_NE(log.find("lease 2 -> job 2 "), std::string::npos) << log;
+  EXPECT_NE(log.find("signal 9"), std::string::npos) << log;
+  EXPECT_NE(log.find("holding lease 1 "), std::string::npos) << log;
+  EXPECT_NE(log.find("holding lease 2 "), std::string::npos) << log;
+
+  // Busy time is wall time with a lease open, not a sum of reported
+  // lease walls (4 x 1 s here).
+  std::istringstream manifest(read_file(SweepDaemon::manifest_path(dir())));
+  std::string line;
+  bool saw_worker = false;
+  while (std::getline(manifest, line)) {
+    if (line.rfind("worker\t", 0) != 0) continue;
+    std::istringstream fields(line);
+    std::string tag;
+    std::size_t slot = 0, batches = 0, points = 0, respawns = 0;
+    double busy = 0.0;
+    fields >> tag >> slot >> busy >> batches >> points >> respawns;
+    EXPECT_GT(busy, 0.0) << line;
+    EXPECT_LE(busy, wall) << line;
+    EXPECT_EQ(batches, 4u) << line;
+    EXPECT_EQ(respawns, 1u) << line;
+    saw_worker = true;
+  }
+  EXPECT_TRUE(saw_worker);
 }
 
 TEST_F(SweepDaemonTest, UnspawnableWorkerCommandFailsJobNotDaemon) {

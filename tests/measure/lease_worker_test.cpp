@@ -2,7 +2,8 @@
 // thread plays the scheduler (writing offers, reading the ack file) while
 // run_lease_worker runs on another thread over a small pool. Workloads
 // that block on a gate pin a point in flight, so the tests can observe
-// the worker across lease boundaries. Also covers the ack file format.
+// the worker across lease boundaries, and a resolver serves offers of
+// two plans to one worker. Also covers the ack file format.
 #include "measure/lease.hpp"
 
 #include <gtest/gtest.h>
@@ -108,24 +109,30 @@ class LeaseWorkerTest : public ::testing::Test {
     return plan;
   }
 
-  /// Starts the worker over plan_ on its own thread; worker_.get()
-  /// returns its report or rethrows what it threw.
-  void start() {
-    worker_ = std::async(std::launch::async, [this] {
+  /// Starts the worker on its own thread, every offer resolving to
+  /// plan_ unless `resolve` says otherwise; worker_.get() returns its
+  /// report or rethrows what it threw.
+  void start(LeaseResolver resolve = {}) {
+    if (!resolve)
+      resolve = [this](const LeaseOffer&) {
+        return LeasePlan{&plan_, &runner_};
+      };
+    worker_ = std::async(std::launch::async, [this, resolve] {
       auto store = ResultStoreFile::for_lease(dir(), "drv", lease_);
       LeaseWorkerOptions opts;
       opts.poll_seconds = 0.002;
       opts.idle_timeout_seconds = 60.0;
       std::ostringstream out;
-      return run_lease_worker(plan_, runner_, &pool_, store, lease_, out,
-                              opts);
+      return run_lease_worker(resolve, &pool_, store, lease_, out, opts);
     });
   }
 
-  void offer(std::uint64_t id, std::vector<std::size_t> points) {
+  void offer(std::uint64_t id, std::vector<std::size_t> points,
+             const std::string& plan_path = "") {
     LeaseOffer off;
     off.lease.id = id;
     off.lease.points = std::move(points);
+    off.plan_path = plan_path;
     write_lease_offer(lease_, off);
   }
   void offer_done(std::uint64_t id) {
@@ -244,6 +251,47 @@ TEST_F(LeaseWorkerTest, StreamedStoreIsByteIdenticalToSerialRunPoints) {
   std::vector<std::size_t> all(plan_.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
   runner_.run_points(plan_, nullptr, &serial, all);
+  const std::string serial_path = dir() + "/serial.tsv";
+  serial.save(serial_path);
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  EXPECT_EQ(slurp(lease_store_path(lease_)), slurp(serial_path));
+}
+
+TEST_F(LeaseWorkerTest, OneWorkerRecordsOffersForTwoPlansUnderTheirOwnKeys) {
+  gate_.open();
+  // A second plan whose indices overlap plan_'s but key other records:
+  // its own workload and seed.
+  ExperimentPlan other;
+  const auto w = other.add_workload({"other", synth_factory()});
+  other.add_sweep(w, Resource::kBandwidth, 0, 2);
+  SweepRunnerOptions other_opts = options();
+  other_opts.seed = 99;
+  const SweepRunner other_runner(machine(), other_opts);
+  start([&](const LeaseOffer& off) {
+    return off.plan_path == "other.plan" ? LeasePlan{&other, &other_runner}
+                                         : LeasePlan{&plan_, &runner_};
+  });
+
+  offer(1, {0, 1, 3}, "main.plan");
+  ASSERT_TRUE(await_ready(1));
+  offer(2, {0, 1, 2}, "other.plan");
+  ASSERT_TRUE(
+      await_acks([](const LeaseAckFile& f) { return f.acks.size() == 2; }));
+  offer_done(3);
+  const auto report = worker_.get();
+  EXPECT_EQ(report.leases, 2u);
+  EXPECT_EQ(report.points, 6u);
+  EXPECT_EQ(report.executed, 6u) << "equal indices of two plans both run";
+
+  ResultStore serial;
+  runner_.run_points(plan_, nullptr, &serial, {0, 1, 3});
+  other_runner.run_points(other, nullptr, &serial, {0, 1, 2});
+  EXPECT_EQ(serial.size(), 6u);
   const std::string serial_path = dir() + "/serial.tsv";
   serial.save(serial_path);
   const auto slurp = [](const std::string& path) {

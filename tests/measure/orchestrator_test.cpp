@@ -1,9 +1,10 @@
-// SweepOrchestrator failure-path coverage with /bin/sh stand-in workers:
-// real engine-running workers are exercised end to end by the
+// SweepOrchestrator failure-path coverage with /bin/sh stand-in lease
+// workers: real engine-running workers are exercised end to end by the
 // smoke.amsweep ctest entry; here the workers are tiny scripts so the
 // supervision logic (retry on kill, retry-budget exhaustion + manifest,
-// usage fail-fast, merge) is testable in milliseconds. The pre-created
-// shard store files play the part of a worker's persisted slice.
+// usage fail-fast, stall kills, requeue bisection, merge) is testable in
+// milliseconds. Pre-created slot store files (<lease>.tsv) play the part
+// of a worker's persisted records.
 #include "measure/orchestrator.hpp"
 
 #include <gtest/gtest.h>
@@ -46,30 +47,25 @@ class OrchestratorTest : public ::testing::Test {
 
   std::string dir() const { return dir_.string(); }
 
-  /// Pre-creates shard i/n's store file holding one record, as if a worker
-  /// had already persisted its slice.
-  void seed_shard_store(std::size_t i, std::size_t n) {
+  /// Pre-creates worker slot w's store file holding one record, as if a
+  /// worker had already persisted its leases.
+  void seed_slot_store(std::size_t w) {
     ResultStore store;
-    store.put(key("workload-" + std::to_string(i), 1), result(0.1 + i),
+    store.put(key("workload-" + std::to_string(w), 1), result(0.1 + w),
               "host-fp");
-    store.save(store_path(dir(), "drv", {i, n}));
+    store.save(lease_store_path(dir() + "/drv.lease" + std::to_string(w)));
   }
 
   /// Options for sh-script workers: the script body receives the appended
-  /// shard flags as positional parameters and may ignore them.
-  OrchestratorOptions opts(const std::string& script, std::size_t shards,
-                           std::size_t retries) {
+  /// flags as positional parameters (see worker_script).
+  OrchestratorOptions opts(const std::string& script, std::size_t retries) {
     OrchestratorOptions o;
     o.worker_command = {"/bin/sh", "-c", script, "worker"};
     o.results_dir = dir();
     o.driver = "drv";
-    o.shards = shards;
     o.workers = 2;
     o.retries = retries;
     o.poll_seconds = 0.005;
-    // sh-script stand-ins have no --emit-plan contract; probing them
-    // would only add a wasted spawn (and claim test fault injections).
-    o.probe_plan = false;
     return o;
   }
 
@@ -83,29 +79,56 @@ class OrchestratorTest : public ::testing::Test {
   fs::path dir_;
 };
 
+/// A /bin/sh worker script: answers the --emit-plan probe with an
+/// n-point plan, and as a lease worker runs `lease_body`. The appended
+/// flags arrive as $1=--results-dir $2=<dir> then either
+/// $3=--emit-plan $4=<file> or $3=--lease $4=<file> $5=--worker.
+std::string worker_script(std::size_t points, const std::string& lease_body) {
+  return "case \"$3\" in --emit-plan) printf '#am-plan-info v1\\npoints\\t" +
+         std::to_string(points) +
+         "\\n' > \"$4.tmp\" && mv \"$4.tmp\" \"$4\"; exit 0;; esac\n" +
+         lease_body;
+}
+
+/// A lease body acknowledging every offered lease until the done offer,
+/// each ack reporting 1 point, 2 engine runs and 0.25 s.
+constexpr const char* kAckEveryLease = R"sh(
+lease=$4; last=
+while :; do
+  if [ -f "$lease" ]; then
+    id=$(awk '$1=="lease"{print $2}' "$lease")
+    dn=$(awk '$1=="done"{print $2}' "$lease")
+    if [ -n "$id" ] && [ "$id" != "$last" ]; then
+      if [ "$dn" = "1" ]; then exit 0; fi
+      printf '#am-lease-ack v1\nlease\t%s\npoints\t1\nexecuted\t2\nwall\t0.25\n' \
+        "$id" > "$lease.ack.tmp" && mv "$lease.ack.tmp" "$lease.ack"
+      last=$id
+    fi
+  fi
+  sleep 0.01
+done
+)sh";
+
 TEST_F(OrchestratorTest, RejectsUnusableConfigurations) {
-  OrchestratorOptions o = opts("exit 0", 1, 0);
+  OrchestratorOptions o = opts("exit 0", 0);
   o.worker_command.clear();
   EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
-  o = opts("exit 0", 1, 0);
+  o = opts("exit 0", 0);
   o.results_dir.clear();
   EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
-  o = opts("exit 0", 1, 0);
-  o.shards = 0;
-  EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
-  o = opts("exit 0", 1, 0);
+  o = opts("exit 0", 0);
   o.workers = 0;
   EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
 }
 
-TEST_F(OrchestratorTest, MergesShardStoresIntoCanonicalFile) {
-  seed_shard_store(0, 2);
-  seed_shard_store(1, 2);
-  SweepOrchestrator orch(opts("exit 0", 2, 0));
+TEST_F(OrchestratorTest, MergesWorkerStoresIntoCanonicalFile) {
+  seed_slot_store(0);
+  seed_slot_store(1);
+  SweepOrchestrator orch(opts(worker_script(2, kAckEveryLease), 0));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_TRUE(report.success) << log.str();
-  EXPECT_TRUE(report.missing_shards.empty());
+  EXPECT_TRUE(report.missing_points.empty());
   EXPECT_EQ(report.merged_records, 2u);
   ASSERT_EQ(report.attempts.size(), 2u);
 
@@ -119,13 +142,14 @@ TEST_F(OrchestratorTest, MergesShardStoresIntoCanonicalFile) {
 TEST_F(OrchestratorTest, MergePreservesExistingCanonicalRecords) {
   // The canonical store may hold records from earlier runs (other scales,
   // other grids) — documented to sit idle in the file. Completing a sweep
-  // must extend that cache, never replace it with only this grid's shards.
+  // must extend that cache, never replace it with only this grid's
+  // worker stores.
   ResultStore prior;
   prior.put(key("earlier-grid", 3), result(0.5), "host-fp");
   prior.save(store_path(dir(), "drv"));
-  seed_shard_store(0, 2);
-  seed_shard_store(1, 2);
-  SweepOrchestrator orch(opts("exit 0", 2, 0));
+  seed_slot_store(0);
+  seed_slot_store(1);
+  SweepOrchestrator orch(opts(worker_script(2, kAckEveryLease), 0));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_TRUE(report.success) << log.str();
@@ -136,18 +160,20 @@ TEST_F(OrchestratorTest, MergePreservesExistingCanonicalRecords) {
   EXPECT_TRUE(merged.has(key("workload-1", 1)));
 }
 
-TEST_F(OrchestratorTest, WorkerKilledMidShardIsRetried) {
-  seed_shard_store(0, 1);
-  // First attempt claims the marker and dies as if SIGKILLed mid-shard;
-  // the retry finds no marker and succeeds.
+TEST_F(OrchestratorTest, WorkerKilledMidLeaseIsRetried) {
+  seed_slot_store(0);
+  // The first worker claims the marker and dies as if SIGKILLed holding
+  // its lease; the respawn finds no marker and acknowledges it.
   const auto marker = dir() + "/crash.marker";
   std::ofstream(marker) << "";
-  SweepOrchestrator orch(
-      opts("if rm " + marker + " 2>/dev/null; then kill -9 $$; fi; exit 0",
-           1, 1));
+  SweepOrchestrator orch(opts(
+      worker_script(1, "if rm " + marker + " 2>/dev/null; then kill -9 $$; "
+                       "fi\n" + kAckEveryLease),
+      1));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_TRUE(report.success) << log.str();
+  EXPECT_EQ(report.merged_records, 1u);
   ASSERT_EQ(report.attempts.size(), 2u);
   EXPECT_TRUE(report.attempts[0].status.signaled);
   EXPECT_EQ(report.attempts[0].status.signal, 9);
@@ -156,68 +182,35 @@ TEST_F(OrchestratorTest, WorkerKilledMidShardIsRetried) {
   EXPECT_NE(manifest().find("signal 9"), std::string::npos);
 }
 
-TEST_F(OrchestratorTest, ExhaustedRetryBudgetFailsAndNamesTheShard) {
-  seed_shard_store(0, 2);  // shard 0 fine; shard 1's worker always dies
-  // The appended flags arrive as positional params: $1=--results-dir
-  // $2=<dir> $3=--shard $4=i/n $5=--worker.
-  SweepOrchestrator orch(opts(
-      "case \"$4\" in 0/2) exit 0 ;; *) exit 3 ;; esac", 2, 1));
-  std::ostringstream log;
-  const auto report = orch.run(log);
-  EXPECT_FALSE(report.success) << log.str();
-  ASSERT_EQ(report.missing_shards.size(), 1u);
-  EXPECT_EQ(report.missing_shards[0], 1u);
-  // 1 success for shard 0 + (1 + retries) failures for shard 1.
-  EXPECT_EQ(report.attempts.size(), 3u);
-  const auto m = manifest();
-  EXPECT_NE(m.find("status\tfailed"), std::string::npos);
-  EXPECT_NE(m.find("missing\t1"), std::string::npos);
-  // No merged store may appear for an incomplete sweep.
-  EXPECT_FALSE(fs::exists(store_path(dir(), "drv")));
-}
-
 TEST_F(OrchestratorTest, UsageExitFailsFastWithoutRetry) {
-  SweepOrchestrator orch(opts("exit 2", 2, 5));
+  SweepOrchestrator orch(opts(worker_script(2, "exit 2"), 5));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_FALSE(report.success);
   EXPECT_FALSE(report.error.empty());
-  // Fail-fast: nowhere near (1 + retries) * shards attempts.
+  // Fail-fast: nowhere near (1 + retries) * points attempts.
   EXPECT_LE(report.attempts.size(), 2u);
-  EXPECT_EQ(report.missing_shards.size(), 2u);
+  EXPECT_EQ(report.missing_points.size(), 2u);
 }
 
-TEST_F(OrchestratorTest, SuccessfulExitWithoutStoreFileIsAFailure) {
-  // Workers must persist their slice; exit 0 with no store file is a lie
-  // the orchestrator catches (and retries — here until the budget ends).
-  SweepOrchestrator orch(opts("exit 0", 1, 1));
+TEST_F(OrchestratorTest, ExitZeroHoldingALeaseIsRequeuedUntilBudgetRunsOut) {
+  // A worker must acknowledge what it takes; an exit 0 that leaves a
+  // lease unacknowledged is a failure the orchestrator catches (and
+  // requeues — here until the point's budget ends).
+  SweepOrchestrator orch(opts(worker_script(1, "exit 0"), 1));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_FALSE(report.success) << log.str();
   EXPECT_EQ(report.attempts.size(), 2u);
-  EXPECT_EQ(report.missing_shards.size(), 1u);
-}
-
-TEST_F(OrchestratorTest, ReadsExecutedCountFromMetaSidecar) {
-  seed_shard_store(0, 1);
-  const auto store = store_path(dir(), "drv", {0, 1});
-  std::ofstream(store + ".meta") << "executed 5\nplanned 9\nrecords 1\n";
-  SweepOrchestrator orch(opts("exit 0", 1, 0));
-  std::ostringstream log;
-  const auto report = orch.run(log);
-  EXPECT_TRUE(report.success) << log.str();
-  ASSERT_EQ(report.attempts.size(), 1u);
-  EXPECT_EQ(report.attempts[0].executed, 5u);
-  EXPECT_EQ(report.engine_runs, 5u);
-  EXPECT_NE(manifest().find("engine_runs\t5"), std::string::npos);
+  EXPECT_EQ(report.missing_points.size(), 1u);
+  EXPECT_FALSE(fs::exists(store_path(dir(), "drv")));
 }
 
 TEST_F(OrchestratorTest, StaleHeartbeatGetsWorkerKilled) {
-  seed_shard_store(0, 1);
-  const auto hb = store_path(dir(), "drv", {0, 1}) + ".hb";
-  // The worker fakes a heartbeat that then never advances; the
-  // orchestrator must kill it long before the 30 s sleep finishes.
-  auto o = opts("printf '1\\t1\\n' > " + hb + "; sleep 30", 1, 0);
+  // The worker fakes a heartbeat next to its lease file that then never
+  // advances; the orchestrator must kill it long before the 30 s sleep
+  // finishes.
+  auto o = opts(worker_script(1, "printf '1\\t1\\n' > \"$4.hb\"; sleep 30"), 0);
   o.stall_timeout_seconds = 0.2;
   SweepOrchestrator orch(o);
   std::ostringstream log;
@@ -235,11 +228,10 @@ TEST_F(OrchestratorTest, SequenceStuckHeartbeatIsAStallEvenWithFreshMtimes) {
   // forever — fresh mtime every 50 ms — but the beat sequence number
   // never advances. Mtime-based staleness would call it alive
   // indefinitely; sequence-progress supervision must kill it.
-  seed_shard_store(0, 1);
-  const auto hb = store_path(dir(), "drv", {0, 1}) + ".hb";
-  auto o = opts("while :; do printf '1\\t1\\n' > " + hb +
-                    "; sleep 0.05; done",
-                1, 0);
+  auto o = opts(worker_script(1,
+                              "while :; do printf '1\\t1\\n' > \"$4.hb\"; "
+                              "sleep 0.05; done"),
+                0);
   o.stall_timeout_seconds = 0.3;
   SweepOrchestrator orch(o);
   std::ostringstream log;
@@ -252,80 +244,29 @@ TEST_F(OrchestratorTest, SequenceStuckHeartbeatIsAStallEvenWithFreshMtimes) {
   EXPECT_NE(log.str().find("heartbeat stuck at beat 1"), std::string::npos);
 }
 
-TEST_F(OrchestratorTest, StaticProbeSkipsEmptyShards) {
-  // A probed plan of 1 point makes shards 1 and 2 of 3 provably empty:
-  // the orchestrator must not fork, supervise, or merge workers for
-  // them.
-  seed_shard_store(0, 3);
-  auto o = opts(
-      "case \"$3\" in --emit-plan) printf '#am-plan-info v1\\npoints\\t1\\n'"
-      " > \"$4.tmp\" && mv \"$4.tmp\" \"$4\";; esac; exit 0",
-      3, 0);
-  o.probe_plan = true;
+TEST_F(OrchestratorTest, WorkerWedgedBeforeFirstBeatIsKilled) {
+  // This worker never writes a heartbeat at all (wedged during startup,
+  // before the writer thread exists). Real --worker drivers beat
+  // immediately, so time since spawn must trip the same timeout, or the
+  // sweep would hang on the 30 s sleep.
+  auto o = opts(worker_script(1, "sleep 30"), 0);
+  o.stall_timeout_seconds = 0.2;
   SweepOrchestrator orch(o);
   std::ostringstream log;
   const auto report = orch.run(log);
-  EXPECT_TRUE(report.success) << log.str();
-  EXPECT_EQ(report.plan_points, 1u);
-  EXPECT_EQ(report.skipped_empty, 2u);
-  EXPECT_EQ(report.attempts.size(), 1u);  // only shard 0 ever spawned
-  EXPECT_EQ(report.merged_records, 1u);
-  EXPECT_NE(manifest().find("skipped_empty\t2"), std::string::npos);
+  EXPECT_FALSE(report.success) << log.str();
+  ASSERT_EQ(report.attempts.size(), 1u);
+  EXPECT_TRUE(report.attempts[0].stalled);
+  EXPECT_TRUE(report.attempts[0].status.signaled);
+  EXPECT_LT(report.attempts[0].wall_seconds, 10.0);
+  EXPECT_NE(log.str().find("no heartbeat"), std::string::npos);
 }
-
-TEST_F(OrchestratorTest, StaticProbeFailureFallsBackToSpawningAllShards) {
-  // Custom or older drivers without --emit-plan must keep working: a
-  // failed probe degrades to the un-probed static schedule.
-  seed_shard_store(0, 2);
-  seed_shard_store(1, 2);
-  auto o = opts("case \"$3\" in --emit-plan) exit 3;; esac; exit 0", 2, 0);
-  o.probe_plan = true;
-  SweepOrchestrator orch(o);
-  std::ostringstream log;
-  const auto report = orch.run(log);
-  EXPECT_TRUE(report.success) << log.str();
-  EXPECT_EQ(report.plan_points, SIZE_MAX);  // never learned
-  EXPECT_EQ(report.attempts.size(), 2u);
-  EXPECT_NE(log.str().find("probe failed"), std::string::npos);
-}
-
-/// A /bin/sh lease worker: answers the --emit-plan probe with a 3-point
-/// plan, then acknowledges every offered lease until the done offer.
-/// The appended flags arrive as $1=--results-dir $2=<dir> then either
-/// $3=--emit-plan $4=<file> or $3=--lease $4=<file> $5=--worker.
-constexpr const char* kLeaseWorkerScript = R"sh(
-case "$3" in
-  --emit-plan)
-    printf '#am-plan-info v1\npoints\t3\n' > "$4.tmp" && mv "$4.tmp" "$4"
-    exit 0 ;;
-  --lease)
-    lease=$4; last=
-    while :; do
-      if [ -f "$lease" ]; then
-        id=$(awk '$1=="lease"{print $2}' "$lease")
-        dn=$(awk '$1=="done"{print $2}' "$lease")
-        if [ -n "$id" ] && [ "$id" != "$last" ]; then
-          if [ "$dn" = "1" ]; then exit 0; fi
-          printf '#am-lease-ack v1\nlease\t%s\npoints\t1\nexecuted\t2\nwall\t0.25\n' \
-            "$id" > "$lease.ack.tmp" && mv "$lease.ack.tmp" "$lease.ack"
-          last=$id
-        fi
-      fi
-      sleep 0.01
-    done ;;
-esac
-exit 0
-)sh";
 
 TEST_F(OrchestratorTest, LeaseModeDrainsTheQueueAndRecordsLoadStats) {
-  auto o = opts(kLeaseWorkerScript, 2, 0);
-  o.schedule = Schedule::kLease;
-  o.probe_plan = true;
-  SweepOrchestrator orch(o);
+  SweepOrchestrator orch(opts(worker_script(3, kAckEveryLease), 0));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_TRUE(report.success) << log.str();
-  EXPECT_EQ(report.schedule, Schedule::kLease);
   EXPECT_EQ(report.plan_points, 3u);
   // 3 points → 3 singleton batches, every one acknowledged, each ack
   // reporting 2 engine runs.
@@ -348,10 +289,8 @@ TEST_F(OrchestratorTest, LeaseModeDrainsTheQueueAndRecordsLoadStats) {
 }
 
 TEST_F(OrchestratorTest, LeaseModeRequiresASuccessfulProbe) {
-  auto o = opts("case \"$3\" in --emit-plan) exit 3;; esac; exit 0", 2, 0);
-  o.schedule = Schedule::kLease;
-  o.probe_plan = true;
-  SweepOrchestrator orch(o);
+  SweepOrchestrator orch(
+      opts("case \"$3\" in --emit-plan) exit 3;; esac; exit 0", 0));
   std::ostringstream log;
   const auto report = orch.run(log);
   EXPECT_FALSE(report.success);
@@ -363,12 +302,7 @@ TEST_F(OrchestratorTest, LeaseModeExhaustsPerPointBudgetAndNamesPoints) {
   // Workers that die holding a lease charge each leased point one
   // failure; once a point's budget is gone the sweep fails and the
   // manifest names it.
-  auto o = opts(
-      "case \"$3\" in --emit-plan) printf '#am-plan-info v1\\npoints\\t2\\n'"
-      " > \"$4.tmp\" && mv \"$4.tmp\" \"$4\"; exit 0;; esac; exit 3",
-      2, 1);
-  o.schedule = Schedule::kLease;
-  o.probe_plan = true;
+  auto o = opts(worker_script(2, "exit 3"), 1);
   o.workers = 1;
   SweepOrchestrator orch(o);
   std::ostringstream log;
@@ -376,13 +310,46 @@ TEST_F(OrchestratorTest, LeaseModeExhaustsPerPointBudgetAndNamesPoints) {
   EXPECT_FALSE(report.success) << log.str();
   EXPECT_EQ(report.missing_points.size(), 2u);
   const auto m = manifest();
+  EXPECT_NE(m.find("status\tfailed"), std::string::npos);
   EXPECT_NE(m.find("missing_point\t0"), std::string::npos);
   EXPECT_NE(m.find("missing_point\t1"), std::string::npos);
   // No merged store may appear for an incomplete sweep.
   EXPECT_FALSE(fs::exists(store_path(dir(), "drv")));
 }
 
-/// Like kLeaseWorkerScript but with a 4-point plan, acks sized to the
+TEST_F(OrchestratorTest, ExhaustedRetryBudgetFailsAndNamesThePoint) {
+  // A 2-point plan on 2 slots: one single-point lease each. Slot 0
+  // acknowledges its lease; slot 1's worker always dies holding point 1.
+  // The requeued point goes back to the respawned slot 1 (the fill runs
+  // before slot 0 asks again) until its budget is gone.
+  const std::string body =
+      std::string("case \"$4\" in *.lease1) exit 3;; esac\n") + kAckEveryLease;
+  SweepOrchestrator orch(opts(worker_script(2, body), /*retries=*/1));
+  std::ostringstream log;
+  const auto report = orch.run(log);
+  EXPECT_FALSE(report.success) << log.str();
+  ASSERT_EQ(report.missing_points.size(), 1u) << log.str();
+  EXPECT_EQ(report.missing_points[0], 1u);
+  // 1 success on slot 0 + (1 + retries) failures on slot 1.
+  ASSERT_EQ(report.attempts.size(), 3u) << log.str();
+  std::size_t slot1_failures = 0;
+  for (const auto& a : report.attempts)
+    if (a.shard == 1) {
+      EXPECT_EQ(a.status.code, 3);
+      ++slot1_failures;
+    } else {
+      EXPECT_TRUE(a.status.success());
+    }
+  EXPECT_EQ(slot1_failures, 2u);
+  const auto m = manifest();
+  EXPECT_NE(m.find("status\tfailed"), std::string::npos);
+  EXPECT_NE(m.find("missing_point\t1"), std::string::npos);
+  EXPECT_EQ(m.find("missing_point\t0"), std::string::npos);
+  // No merged store may appear for an incomplete sweep.
+  EXPECT_FALSE(fs::exists(store_path(dir(), "drv")));
+}
+
+/// Like worker_script(4, kAckEveryLease) but with acks sized to the
 /// offered batch, and a one-shot poison: the first worker to claim
 /// (atomically rm) the marker dies with the retryable exit code while
 /// holding its lease.
@@ -418,9 +385,7 @@ TEST_F(OrchestratorTest, DeadWorkersBatchIsSplitOnRequeue) {
   // batches under fresh lease ids — instead of re-offering all 4 as one
   // block, so repeated crashes bisect toward a poison point.
   { std::ofstream(dir_ / "poison.marker") << "x"; }
-  auto o = opts(kPoisonOnceLeaseWorkerScript, 2, /*retries=*/2);
-  o.schedule = Schedule::kLease;
-  o.probe_plan = true;
+  auto o = opts(kPoisonOnceLeaseWorkerScript, /*retries=*/2);
   o.lease_batches = 1;
   SweepOrchestrator orch(o);
   std::ostringstream log;
@@ -480,9 +445,7 @@ exit 0
 
 TEST_F(OrchestratorTest, WorkerKilledHoldingTwoLeasesRequeuesBoth) {
   { std::ofstream(dir_ / "streaming.marker") << "x"; }
-  auto o = opts(kStreamingCrashLeaseWorkerScript, 1, /*retries=*/1);
-  o.schedule = Schedule::kLease;
-  o.probe_plan = true;
+  auto o = opts(kStreamingCrashLeaseWorkerScript, /*retries=*/1);
   o.workers = 1;
   o.lease_batches = 2;
   SweepOrchestrator orch(o);
@@ -512,32 +475,6 @@ TEST_F(OrchestratorTest, WorkerKilledHoldingTwoLeasesRequeuesBoth) {
   EXPECT_LE(report.worker_stats[0].busy_seconds,
             report.attempts[1].wall_seconds);
   EXPECT_EQ(report.worker_stats[0].respawns, 1u);
-}
-
-TEST_F(OrchestratorTest, LeaseModeRejectsCustomCommandsWithoutTheContract) {
-  auto o = opts("exit 0", 1, 0);
-  o.schedule = Schedule::kLease;
-  o.append_worker_flags = false;
-  EXPECT_THROW(SweepOrchestrator{o}, std::invalid_argument);
-}
-
-TEST_F(OrchestratorTest, WorkerWedgedBeforeFirstBeatIsKilled) {
-  seed_shard_store(0, 1);
-  // This worker never writes a heartbeat at all (wedged during startup,
-  // before the writer thread exists). With append_worker_flags — real
-  // --worker drivers beat immediately — time since spawn must trip the
-  // same timeout, or the sweep would hang on the 30 s sleep.
-  auto o = opts("sleep 30", 1, 0);
-  o.stall_timeout_seconds = 0.2;
-  SweepOrchestrator orch(o);
-  std::ostringstream log;
-  const auto report = orch.run(log);
-  EXPECT_FALSE(report.success) << log.str();
-  ASSERT_EQ(report.attempts.size(), 1u);
-  EXPECT_TRUE(report.attempts[0].stalled);
-  EXPECT_TRUE(report.attempts[0].status.signaled);
-  EXPECT_LT(report.attempts[0].wall_seconds, 10.0);
-  EXPECT_NE(log.str().find("no heartbeat"), std::string::npos);
 }
 
 }  // namespace
