@@ -24,11 +24,11 @@ void BM_CacheMissEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheMissEvict);
 
-// The headline filter-fast-path workload tracked by scripts/bench_engine.py:
-// an 8-byte sequential walk over an L1-resident buffer — every access is an
-// L1 hit and 7 of 8 land on the set's MRU line, the access mix the filter
-// exists for. Arg: MachineConfig::l1_filter off (0) / on (1). Every access
-// advances simulated time by exactly l1_latency, so simulated cycles/sec is
+// The headline L1-probe workload tracked by scripts/bench_engine.py: an
+// 8-byte sequential walk over an L1-resident buffer — every access is an
+// L1 hit, the access mix the inline probe exists for. Arg:
+// MachineConfig::l1_filter off (0) / on (1). Every access advances
+// simulated time by exactly l1_latency, so simulated cycles/sec is
 // items/sec x l1_latency.
 void BM_L1HitSequential(benchmark::State& state) {
   auto cfg = am::sim::MachineConfig::xeon20mb_scaled(16);
@@ -126,9 +126,9 @@ BENCHMARK(BM_DramBoundStream)->Arg(0)->Arg(1);
 // lines strided to share one L1 set (cyclic LRU -> 100% L1 misses) while
 // owning distinct L2 sets (the L2 is enlarged 8x so the strides spread),
 // each warm-placed at the deepest way behind 7 fillers — so with the L2
-// filter off every access pays the full-depth L2 walk, and with it on the
-// set's MRU slot resolves it in one compare. Arg: MachineConfig::l2_filter
-// off (0) / on (1).
+// probe off every access pays the full-depth L2 scan, and with it on the
+// L2's line->slot table resolves it in one compare. Arg:
+// MachineConfig::l2_filter off (0) / on (1).
 void BM_L2HitBand(benchmark::State& state) {
   auto cfg = am::sim::MachineConfig::xeon20mb_scaled(16);
   cfg.l2.size_bytes *= 8;  // 256 L2 sets: hot lines land in distinct sets
@@ -201,7 +201,8 @@ BENCHMARK(BM_DistributionSample)->DenseRange(0, 9);
 
 void BM_EngineStepOverhead(benchmark::State& state) {
   // Measures raw per-access engine cost with a same-line walker (the
-  // filter's best case: 100% MRU hits). Arg: l1_filter off (0) / on (1).
+  // L1 probe's best case: 100% table hits). Arg: l1_filter off (0) / on
+  // (1).
   auto cfg = am::sim::MachineConfig::xeon20mb_scaled(16);
   cfg.l1_filter = state.range(0) != 0;
   am::sim::MemorySystem ms(cfg);

@@ -85,7 +85,7 @@ def run_micro(binary):
             "filter_speedup": round(on / off, 3),
         }
     # The L2 filter band: L1-miss/L2-hit accesses with the hot line at the
-    # set's deepest way, so off = full-depth L2 walk, on = one MRU compare.
+    # set's deepest way, so off = full-depth L2 scan, on = one table probe.
     off, on = per_name["BM_L2HitBand/0"], per_name["BM_L2HitBand/1"]
     out["BM_L2HitBand"] = {
         "accesses_per_second_filter_off": round(off),
@@ -122,7 +122,7 @@ def run_micro(binary):
     }
     # The cache walk behind CSThr: L3 hits whose fills evict dirty private
     # victims. Absolute throughput only (no toggle), tracked so the flat
-    # tag arrays or the write-back slot hints rotting away show up as a
+    # tag arrays or the line->slot tables rotting away show up as a
     # trajectory break.
     out["BM_CsthrReadModifyWrite"] = {
         "accesses_per_second": round(per_name["BM_CsthrReadModifyWrite"]),

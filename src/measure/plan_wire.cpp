@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "measure/app_workloads.hpp"
+#include "measure/tsv.hpp"
 
 namespace am::measure {
 
@@ -23,20 +24,6 @@ std::string num(double v) {
 [[noreturn]] void bad(std::size_t lineno, const std::string& why) {
   throw std::invalid_argument("plan-spec line " + std::to_string(lineno) +
                               ": " + why);
-}
-
-std::vector<std::string> split_tabs(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t tab = line.find('\t', start);
-    if (tab == std::string::npos) {
-      out.push_back(line.substr(start));
-      return out;
-    }
-    out.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
 }
 
 std::uint64_t parse_u64(const std::string& s, std::size_t lineno,

@@ -18,6 +18,7 @@
 #include "common/fingerprint.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
+#include "measure/tsv.hpp"
 
 namespace am::measure {
 
@@ -100,17 +101,6 @@ bool bits_equal(const SimRunResult& a, const SimRunResult& b) {
          bits_equal(a.total_mem_bandwidth, b.total_mem_bandwidth) &&
          a.interference_threads == b.interference_threads &&
          a.timed_out == b.timed_out;
-}
-
-std::vector<std::string> split_tabs(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const auto tab = line.find('\t', start);
-    out.push_back(line.substr(start, tab - start));
-    if (tab == std::string::npos) return out;
-    start = tab + 1;
-  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "sim/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 
@@ -17,8 +18,7 @@ void CacheConfig::validate() const {
                                 name);
   if (num_sets() == 0)
     throw std::invalid_argument("CacheConfig: zero sets in " + name);
-  // Slots (filter entries, AccessOutcome::slot, MemorySystem's hints) are
-  // 32-bit.
+  // The line->slot table holds 32-bit slots.
   if (num_lines() > UINT32_MAX)
     throw std::invalid_argument("CacheConfig: more than 2^32-1 lines in " +
                                 name);
@@ -30,7 +30,6 @@ Cache::Cache(CacheConfig config) : config_(std::move(config)) {
   tags_.assign(config_.num_lines(), kNoLine);
   stamps_.resize(config_.num_lines());
   meta_.resize(config_.num_lines());
-  if (config_.filter) filter_.resize(config_.num_sets());
 }
 
 Cache::AccessOutcome Cache::access(Addr line_addr, std::uint16_t owner,
@@ -46,8 +45,7 @@ Cache::AccessOutcome Cache::access(Addr line_addr, std::uint16_t owner,
       meta.sharers |= sharer_bit;
       meta.dirty |= is_store;
       out.hit = true;
-      out.slot = static_cast<std::uint32_t>(i);
-      filter_update(line_addr, i);
+      slot_of_[line_addr & slot_mask_] = static_cast<std::uint32_t>(i);
       return out;
     }
   }
@@ -67,10 +65,13 @@ Cache::AccessOutcome Cache::access(Addr line_addr, std::uint16_t owner,
   tags_[victim] = line_addr;
   stamps_[victim] = insert_clock + 1;
   meta = Meta{sharer_bit, owner, /*dirty=*/is_store};
-  out.slot = static_cast<std::uint32_t>(victim);
-  // The victim and the fill share a set, so this also unmaps a victim that
-  // happened to be the set's filter entry.
-  filter_update(line_addr, victim);
+  if (slot_mask_ == 0) {  // the first fill (or a one-line cache)
+    slot_of_.assign(std::bit_ceil(config_.num_lines()), 0);
+    slot_mask_ = slot_of_.size() - 1;
+  }
+  // The victim's own entry, if it still names this slot, now fails the
+  // tag check.
+  slot_of_[line_addr & slot_mask_] = static_cast<std::uint32_t>(victim);
   return out;
 }
 
@@ -102,15 +103,14 @@ bool Cache::invalidate(Addr line_addr) {
   if (i == kAbsent) return false;
   tags_[i] = kNoLine;
   stamps_[i] = 0;
-  filter_drop(line_addr);
   return meta_[i].dirty;
 }
 
 void Cache::flush() {
-  // An invalid way's meta_ entry is never read; fills overwrite it.
+  // An invalid way's meta_ entry is never read; fills overwrite it. The
+  // line->slot table keeps its entries: each now fails the tag check.
   std::fill(tags_.begin(), tags_.end(), kNoLine);
   std::fill(stamps_.begin(), stamps_.end(), 0);
-  for (auto& slot : filter_) slot = FilterSlot{};
 }
 
 std::uint64_t Cache::occupancy_lines(std::uint16_t owner) const {

@@ -15,6 +15,17 @@
 // That is 24 B per line, the size of the array-of-structs layout it
 // replaced (kept as the test oracle in tests/sim/reference_cache.hpp).
 //
+// Beside them sits one line->slot table of bit_ceil(num_lines) 4-byte
+// entries, indexed by the low bits of the line address and written on
+// every hit and fill. An entry is only a guess: it is trusted when
+// `tags_[entry] == line`, and a line is resident at most once, so a
+// stale entry (the line left, moved to another way, or lost its entry to
+// a colliding line) costs only the fallback set scan. The table holds no
+// simulated state: hits, victims and dirty bits never depend on it.
+// It starts as one entry naming slot 0 and takes its full size at the
+// first fill: an engine builds an L3 for every socket of the machine,
+// and a run's agents may touch only a few of them.
+//
 // Precondition: no line address passed to any member may equal kNoLine
 // (~0). MachineConfig::validate requires line_bytes >= 2, so every line
 // address MemorySystem derives (byte address >> line shift) is below 2^63.
@@ -50,13 +61,6 @@ struct CacheConfig {
   /// see bench/abl_insertion for the policy tradeoff.
   std::uint64_t insert_age = 0;
   Replacement replacement = Replacement::kLru;
-  /// Enables the filter fast path (see Cache::try_fast_hit): a flat
-  /// one-entry-per-set MRU tag array resolving repeat hits with a single
-  /// compare, zsim-filter-cache style. Pure host-speed knob — simulated
-  /// state and every outcome stay bit-identical (see
-  /// tests/sim/filter_identity_test.cpp); excluded from
-  /// measure::machine_fingerprint so result-store keys never depend on it.
-  bool filter = false;
   /// Set-index function (see sim/set_index.hpp). kMask keeps the
   /// historical placement (low bits / exact modulo); kH3 hashes the line
   /// address and therefore changes simulated results — MachineConfig
@@ -73,8 +77,8 @@ class Cache {
  public:
   explicit Cache(CacheConfig config);
 
-  /// The tag of an invalid way (and of an empty filter slot). Line
-  /// addresses are byte addresses >> line shift, so it is unreachable.
+  /// The tag of an invalid way. Line addresses are byte addresses >> line
+  /// shift, so it is unreachable.
   static constexpr Addr kNoLine = ~Addr{0};
 
   struct AccessOutcome {
@@ -83,51 +87,40 @@ class Cache {
     bool evicted_dirty = false;
     Addr evicted_line = 0;          // line index (addr / line_bytes)
     std::uint32_t evicted_sharers = 0;
-    /// Slot (set * ways + way) where the accessed line now lives: the hit
-    /// way, or the way the fill replaced. Callers keep it as a hint for
-    /// mark_dirty (see MemorySystem).
-    std::uint32_t slot = 0;
   };
 
   /// Looks up a line; on miss, inserts it and reports the victim (if any).
   /// `owner` tags the inserting agent (occupancy accounting); `sharer_bit`
   /// is OR-ed into the line's sharer mask (used by the L3 to know which
-  /// private caches may hold copies).
+  /// private caches may hold copies). The hit probe scans the set; it does
+  /// not consult the line->slot table, only writes it.
   AccessOutcome access(Addr line_addr, std::uint16_t owner,
                        std::uint32_t sharer_bit = 0, bool is_store = false);
 
-  /// Filter fast path: when `config().filter` is set, resolves an access
-  /// that hits the set's most-recently-accessed line with one tag compare,
-  /// applying exactly the state updates a hit in access() would (LRU stamp
-  /// advance, sharer-mask OR, dirty-bit OR) so both paths are
-  /// bit-identical, and stores the line's slot in `*slot` when given.
-  /// Returns false when the filter is disabled or the MRU line does not
-  /// match; the caller must then fall through to access(), which refreshes
-  /// the filter. Hits never evict, so there is no outcome to report.
-  bool try_fast_hit(Addr line_addr, std::uint32_t sharer_bit, bool is_store,
-                    std::uint32_t* slot = nullptr) {
-    if (filter_.empty()) return false;
-    const FilterSlot entry = filter_[indexer_.index(line_addr)];
-    if (entry.tag != line_addr) return false;
-    stamps_[entry.line_index] = ++stamp_;
-    Meta& meta = meta_[entry.line_index];
+  /// Fast path in front of access(): when the line->slot table's entry
+  /// for `line_addr` names the line's way, applies exactly the state
+  /// updates a hit in access() would (LRU stamp advance, sharer-mask OR,
+  /// dirty-bit OR), so both paths are bit-identical, and returns true.
+  /// Returns false when the entry is stale; the caller must then fall
+  /// through to access(), which scans the set (and rewrites the entry on a
+  /// hit). Hits never evict, so there is no outcome to report.
+  bool try_fast_hit(Addr line_addr, std::uint32_t sharer_bit, bool is_store) {
+    const std::uint32_t i = slot_of_[line_addr & slot_mask_];
+    if (tags_[i] != line_addr) return false;
+    stamps_[i] = ++stamp_;
+    Meta& meta = meta_[i];
     meta.sharers |= sharer_bit;
     meta.dirty |= is_store;
-    if (slot != nullptr) *slot = entry.line_index;
     return true;
   }
 
-  /// True when this cache was built with the filter fast path enabled.
-  bool filter_enabled() const { return !filter_.empty(); }
-
-  /// Host-side prefetch of the set's tags (and filter slot when enabled)
-  /// for an access about to be issued. Pure software-pipelining hint for
+  /// Host-side prefetch of the line's table entry and its set's tags for
+  /// an access about to be issued. Pure software-pipelining hint for
   /// MemorySystem::access_batch — touches no simulated state, so results
   /// cannot depend on it.
   void prefetch_set(Addr line_addr) const {
-    const std::uint64_t set = indexer_.index(line_addr);
-    __builtin_prefetch(&tags_[set * config_.ways]);
-    if (!filter_.empty()) __builtin_prefetch(&filter_[set]);
+    __builtin_prefetch(&slot_of_[line_addr & slot_mask_]);
+    __builtin_prefetch(&tags_[set_base(line_addr)]);
   }
 
   /// True if the line is present (no replacement state update).
@@ -140,17 +133,11 @@ class Cache {
   }
 
   /// Sets the dirty bit of a resident line without touching replacement
-  /// state (used when a private cache writes back into the inclusive L3).
-  /// Returns false when the line is absent. `hint` is the slot to probe
-  /// first, typically an earlier AccessOutcome::slot for this line; a
-  /// stale or wrong hint only costs the set scan, because a line is
-  /// resident at most once per cache.
-  bool mark_dirty(Addr line_addr, std::uint32_t hint = 0) {
-    std::size_t i = hint;
-    if (i >= tags_.size() || tags_[i] != line_addr) {
-      i = find(line_addr);
-      if (i == kAbsent) return false;
-    }
+  /// state (used when a private cache writes back into the level below).
+  /// Returns false when the line is absent.
+  bool mark_dirty(Addr line_addr) {
+    const std::size_t i = find(line_addr);
+    if (i == kAbsent) return false;
     meta_[i].dirty = true;
     return true;
   }
@@ -177,20 +164,16 @@ class Cache {
   };
   static_assert(sizeof(Meta) == 8);
 
-  /// One filter entry per set: the set's most-recently-accessed line and
-  /// its slot. `kNoLine` marks an empty entry.
-  struct FilterSlot {
-    Addr tag = kNoLine;
-    std::uint32_t line_index = 0;
-  };
-
   static constexpr std::size_t kAbsent = ~std::size_t{0};
 
   std::size_t set_base(Addr line_addr) const {
     return static_cast<std::size_t>(indexer_.index(line_addr) * config_.ways);
   }
-  /// The slot holding `line_addr`, or kAbsent.
+  /// The slot holding `line_addr`, or kAbsent: the table's entry when it
+  /// names the line, else a scan of the set.
   std::size_t find(Addr line_addr) const {
+    const std::size_t hint = slot_of_[line_addr & slot_mask_];
+    if (tags_[hint] == line_addr) return hint;
     const std::size_t base = set_base(line_addr);
     for (std::size_t i = base; i < base + config_.ways; ++i)
       if (tags_[i] == line_addr) return i;
@@ -199,18 +182,6 @@ class Cache {
   /// The way a miss in the set at `base` fills: the first invalid way,
   /// else the replacement policy's victim.
   std::uint32_t victim_way(std::size_t base);
-  /// Points the set's filter slot at `index` (no-op when disabled).
-  void filter_update(Addr line_addr, std::size_t index) {
-    if (filter_.empty()) return;
-    filter_[indexer_.index(line_addr)] = {line_addr,
-                                          static_cast<std::uint32_t>(index)};
-  }
-  /// Clears the set's filter slot if it names `line_addr` (invalidation).
-  void filter_drop(Addr line_addr) {
-    if (filter_.empty()) return;
-    const std::uint64_t set = indexer_.index(line_addr);
-    if (filter_[set].tag == line_addr) filter_[set] = FilterSlot{};
-  }
 
   CacheConfig config_;
   Rng victim_rng_{0x51ed270b7a64e5c4ull};  // deterministic random policy
@@ -221,7 +192,11 @@ class Cache {
   std::vector<Addr> tags_;             // kNoLine = invalid way
   std::vector<std::uint64_t> stamps_;  // 0 = invalid way
   std::vector<Meta> meta_;
-  std::vector<FilterSlot> filter_;  // one per set; empty = filter disabled
+  // Line->slot table: one entry until the first fill, then
+  // bit_ceil(num_lines), validated against tags_ on every read (see the
+  // file comment).
+  std::vector<std::uint32_t> slot_of_ = {0};
+  Addr slot_mask_ = 0;  // slot_of_.size() - 1
 };
 
 }  // namespace am::sim

@@ -55,22 +55,42 @@ std::size_t Engine::add_agent(std::unique_ptr<Agent> agent, CoreId core,
   return agents_.size() - 1;
 }
 
+bool Engine::runs_before(std::uint32_t a, std::uint32_t b) const {
+  const Cycles ca = agents_[a].clock;
+  const Cycles cb = agents_[b].clock;
+  return ca < cb || (ca == cb && a < b);
+}
+
+void Engine::sift_down(std::size_t pos) {
+  const std::size_t n = ready_.size();
+  const std::uint32_t moving = ready_[pos];
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && runs_before(ready_[child + 1], ready_[child]))
+      ++child;
+    if (!runs_before(ready_[child], moving)) break;
+    ready_[pos] = ready_[child];
+    pos = child;
+  }
+  ready_[pos] = moving;
+}
+
 Cycles Engine::run(Cycles max_cycles) {
   if (agents_.empty()) throw std::logic_error("Engine::run with no agents");
   timed_out_ = false;
   if (primaries_remaining_ == 0) return 0;
 
+  // Min-heap of the unfinished agents keyed (clock, index): the top is
+  // the laggard, ties going to the lowest index. Built fresh each run, so
+  // delay_agent and add_agent between runs (and a resumed timeout) see
+  // the same order the linear scan it replaced would.
+  ready_.clear();
+  for (std::size_t i = 0; i < agents_.size(); ++i)
+    if (!agents_[i].done) ready_.push_back(static_cast<std::uint32_t>(i));
+  for (std::size_t pos = ready_.size() / 2; pos-- > 0;) sift_down(pos);
+
   Cycles last_primary_finish = 0;
-  while (primaries_remaining_ > 0) {
-    // Advance the laggard agent. Linear scan: agent counts are small
-    // (<= cores) and steps amortize over many operations.
-    std::size_t best = agents_.size();
-    for (std::size_t i = 0; i < agents_.size(); ++i) {
-      const Slot& s = agents_[i];
-      if (s.done) continue;
-      if (best == agents_.size() || s.clock < agents_[best].clock) best = i;
-    }
-    if (best == agents_.size()) break;  // everyone done (only primaries can)
+  while (primaries_remaining_ > 0 && !ready_.empty()) {
+    const std::size_t best = ready_.front();
     Slot& slot = agents_[best];
     if (slot.clock > max_cycles) {
       timed_out_ = true;
@@ -88,7 +108,12 @@ Cycles Engine::run(Cycles max_cycles) {
         --primaries_remaining_;
         last_primary_finish = std::max(last_primary_finish, slot.clock);
       }
+      ready_.front() = ready_.back();
+      ready_.pop_back();
+      if (ready_.empty()) break;
     }
+    // Only the top's clock moved, and only forward.
+    sift_down(0);
   }
   return last_primary_finish;
 }

@@ -63,7 +63,8 @@ class Engine {
 
   /// Holds an agent idle until the given cycle: other agents run first.
   /// Used to let interference threads reach steady state before the
-  /// application starts, as in the paper's measurement procedure.
+  /// application starts, as in the paper's measurement procedure. Call it
+  /// between runs, not from inside an agent's step.
   void delay_agent(std::size_t agent_idx, Cycles until) {
     Slot& slot = agents_.at(agent_idx);
     slot.clock = std::max(slot.clock, until);
@@ -86,8 +87,15 @@ class Engine {
     bool done = false;
   };
 
+  /// True when agent `a` steps before agent `b`: earlier clock, then
+  /// lower index.
+  bool runs_before(std::uint32_t a, std::uint32_t b) const;
+  /// Restores the heap order of ready_ below `pos`.
+  void sift_down(std::size_t pos);
+
   MemorySystem memory_;
   std::vector<Slot> agents_;
+  std::vector<std::uint32_t> ready_;  // run()'s heap of unfinished agents
   std::vector<std::shared_ptr<void>> owned_;
   std::uint64_t seed_;
   std::size_t primaries_remaining_ = 0;

@@ -13,7 +13,7 @@
 namespace am::sim {
 
 /// Which MemoryBackend a socket's memory is modelled by (see
-/// sim/memory_backend.hpp). Unlike the L1 filter, this changes simulated
+/// sim/memory_backend.hpp). Unlike the L1 probe, this changes simulated
 /// results, so it — and the DramConfig knobs when banked — enters
 /// measure::machine_fingerprint and therefore result-store keys.
 enum class MemBackendKind : std::uint8_t {
@@ -94,24 +94,24 @@ struct MachineConfig {
   /// private-cache lines. 0 disables the hint.
   std::uint32_t l3_hint_interval = 16;
 
-  /// Enables the L1 filter fast path (zsim-filter-cache style): each
-  /// private L1 fronts its set-associative array with a flat
-  /// one-entry-per-set MRU tag array, so the dominant repeat-hit case is
-  /// resolved with a single compare instead of the full hierarchy-walk
-  /// call chain (see docs/PERFORMANCE.md). Pure host-speed knob, default
-  /// on: simulated timing, counters and evictions are bit-identical with
-  /// it off (asserted by sim.filter_identity_test and the fig9 smoke
+  /// Enables the inline L1 probe in MemorySystem::access: the dominant
+  /// L1-hit case resolves through the L1's line->slot table (see
+  /// sim/cache.hpp) with one table read and one tag compare, instead of
+  /// the out-of-line walk whose Cache::access scans the set (see
+  /// docs/PERFORMANCE.md). Pure host-speed knob, default on: simulated
+  /// timing, counters and evictions are bit-identical with it off
+  /// (asserted by sim.filter_identity_test and the fig9 smoke
   /// byte-compare), and measure::machine_fingerprint deliberately
   /// excludes it so result-store keys are stable across the toggle.
   bool l1_filter = true;
 
-  /// Enables the L2 filter fast path: the L1-miss/L2-hit band — the
-  /// dominant band once a working set spills the L1 in capacity sweeps —
-  /// resolves through the L2's one-entry-per-set MRU filter instead of
-  /// the full L2 walk, performing exactly the walk's mutations. Like
+  /// Enables the L2 probe in MemorySystem::access_slow: the L1-miss/L2-hit
+  /// band — the dominant band once a working set spills the L1 in
+  /// capacity sweeps — resolves through the L2's line->slot table before
+  /// the L2's set scan, performing exactly the scan's hit mutations. Like
   /// l1_filter this is a pure host-speed knob: bit-identical outcomes
   /// (sim.filter_identity_test + smoke.fig9_l2_filter_identity) and
-  /// excluded from measure::machine_fingerprint.
+  /// excluded from measure::machine_fingerprint. The L3 probe has no knob.
   bool l2_filter = true;
 
   /// Set-index hash of the shared L3 (sim/set_index.hpp). kMask keeps

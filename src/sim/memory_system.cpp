@@ -10,13 +10,8 @@ MemorySystem::MemorySystem(MachineConfig config) : config_(std::move(config)) {
   config_.validate();
   line_shift_ = std::countr_zero(
       static_cast<std::uint64_t>(config_.l1.line_bytes));
-  // The machine-level toggles reach the private caches here: the L1
-  // filter short-circuits repeat hits inline in access(), the L2 filter
-  // short-circuits the L1-miss/L2-hit band in access_slow(). The shared
-  // L3 stays unfiltered (its access rate is too low to matter) but takes
-  // the machine's set-index hash — zsim hashes exactly the LLC.
-  config_.l1.filter = config_.l1_filter;
-  config_.l2.filter = config_.l2_filter;
+  // The shared L3 takes the machine's set-index hash — zsim hashes
+  // exactly the LLC.
   config_.l3.set_hash = config_.set_hash;
 
   const auto cores = config_.total_cores();
@@ -35,10 +30,6 @@ MemorySystem::MemorySystem(MachineConfig config) : config_(std::move(config)) {
         config_.link_bytes_per_cycle(), /*latency=*/0));
   counters_.resize(cores);
   hint_countdown_.assign(cores, config_.l3_hint_interval);
-  l1_lines_ = config_.l1.num_lines();
-  l2_lines_ = config_.l2.num_lines();
-  l1_to_l2_.assign(cores * l1_lines_, 0);
-  l2_to_l3_.assign(cores * l2_lines_, 0);
   batch_window_.reserve(config_.max_outstanding_misses);
 }
 
@@ -119,14 +110,12 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   // L1. Cache::access is probe-and-insert: a miss here already fills the
   // line, so only the victim needs handling. Private victims generate no
   // bus traffic, but a dirty victim's data must survive in the level below
-  // so its eventual L3 eviction writes back to memory. The fill took the
-  // victim's slot, so that slot's hint still names the victim's L2 slot
-  // until the L2 lookup below rewrites it.
+  // so its eventual L3 eviction writes back to memory. The L2 does not
+  // include the L1, so the victim may have left the L2; then its dirty bit
+  // goes to the L3 copy, which inclusion keeps resident.
   const auto l1_out =
       l1_[core]->access(line, static_cast<std::uint16_t>(core), 0, is_store);
-  std::uint32_t& l2_slot = l1_to_l2_[core * l1_lines_ + l1_out.slot];
-  if (l1_out.evicted_dirty &&
-      !l2_[core]->mark_dirty(l1_out.evicted_line, l2_slot))
+  if (l1_out.evicted_dirty && !l2_[core]->mark_dirty(l1_out.evicted_line))
     (void)l3_[socket]->mark_dirty(l1_out.evicted_line);
   if (l1_out.hit) {
     ++ctr.l1_hits;
@@ -137,13 +126,13 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
     return {now + config_.l1_latency, Level::kL1};
   }
 
-  // L2 filter band: the L1-miss/L2-hit case dominates capacity sweeps,
-  // and the L2's MRU filter resolves it with one compare while applying
+  // L2 probe: the L1-miss/L2-hit band dominates capacity sweeps, and the
+  // L2's line->slot table resolves it with one compare while applying
   // exactly the mutations the full walk's hit path would (LRU stamp,
-  // sharer OR, dirty OR — see Cache::try_fast_hit). A hit never evicts
-  // and leaves the filter slot already current, so skipping the walk is
-  // bit-identical (sim.filter_identity_test, smoke.fig9_l2_filter_identity).
-  if (l2_[core]->try_fast_hit(line, 0, is_store, &l2_slot)) {
+  // sharer OR, dirty OR — see Cache::try_fast_hit). A hit never evicts,
+  // so skipping the walk is bit-identical (sim.filter_identity_test,
+  // smoke.fig9_l2_filter_identity).
+  if (config_.l2_filter && l2_[core]->try_fast_hit(line, 0, is_store)) {
     ++ctr.l2_hits;
     ++ctr.l2_filter_hits;
     if (config_.l3_hint_interval != 0 && --hint_countdown_[core] == 0) {
@@ -157,10 +146,7 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   // L2.
   const auto l2_out =
       l2_[core]->access(line, static_cast<std::uint16_t>(core), 0, is_store);
-  l2_slot = l2_out.slot;
-  std::uint32_t& l3_slot = l2_to_l3_[core * l2_lines_ + l2_out.slot];
-  if (l2_out.evicted_dirty)
-    (void)l3_[socket]->mark_dirty(l2_out.evicted_line, l3_slot);
+  if (l2_out.evicted_dirty) (void)l3_[socket]->mark_dirty(l2_out.evicted_line);
   if (l2_out.hit) {
     ++ctr.l2_hits;
     if (config_.l3_hint_interval != 0 && --hint_countdown_[core] == 0) {
@@ -173,12 +159,18 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   // The prefetcher trains on L2 misses, like Intel's L2 streamer.
   issue_prefetches(core, line, now);
 
-  // L3 (inclusive, shared per socket).
+  // L3 (inclusive, shared per socket). The table probe comes after the
+  // prefetches, which may have evicted the line; a hit never evicts, so
+  // there is no eviction to handle on it.
   const std::uint32_t sharer_bit =
       1u << (core % config_.cores_per_socket);
-  const auto out = l3_[socket]->access(line, static_cast<std::uint16_t>(core),
-                                       sharer_bit, is_store);
-  l3_slot = out.slot;
+  Cache& l3 = *l3_[socket];
+  if (l3.try_fast_hit(line, sharer_bit, is_store)) {
+    ++ctr.l3_hits;
+    return {now + config_.l3_latency, Level::kL3};
+  }
+  const auto out =
+      l3.access(line, static_cast<std::uint16_t>(core), sharer_bit, is_store);
   handle_l3_eviction(socket, core, out, now);
   if (out.hit) {
     ++ctr.l3_hits;
@@ -204,8 +196,8 @@ Cycles MemorySystem::access_batch(CoreId core, std::span<const Addr> addrs,
   Cache& l1 = *l1_[core];
   const std::size_t n = addrs.size();
   for (std::size_t i = 0; i < n; ++i) {
-    // Software pipelining: pull the NEXT access's L1 set (tags + filter
-    // slot) into the host cache while this access retires through the
+    // Software pipelining: pull the NEXT access's L1 table entry and set
+    // tags into the host cache while this access retires through the
     // window bookkeeping below. Host-side hint only — simulated state,
     // counters and completion times are byte-identical with it removed.
     if (i + 1 < n) l1.prefetch_set(addrs[i + 1] >> line_shift_);

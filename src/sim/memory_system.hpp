@@ -30,14 +30,14 @@ class MemorySystem {
   /// One demand access issued at `now`; walks L1→L2→L3→DRAM, updates
   /// counters of `core`, trains the prefetcher, maintains L3 inclusivity.
   ///
-  /// Inline fast path: when the L1 filter resolves the access (the common
-  /// case on hit-heavy workloads, see MachineConfig::l1_filter), only the
-  /// counters/L3-hint bookkeeping below runs — state updates and results
-  /// are bit-identical to the full walk in access_slow().
+  /// Inline fast path: when the L1's line->slot table resolves the access
+  /// (the common case on hit-heavy workloads, see MachineConfig::l1_filter),
+  /// only the counters/L3-hint bookkeeping below runs — state updates and
+  /// results are bit-identical to the full walk in access_slow().
   AccessResult access(CoreId core, Addr addr, AccessKind kind, Cycles now) {
     const Addr line = addr >> line_shift_;
     const bool is_store = kind == AccessKind::kStore;
-    if (l1_[core]->try_fast_hit(line, 0, is_store)) {
+    if (config_.l1_filter && l1_[core]->try_fast_hit(line, 0, is_store)) {
       Counters& ctr = counters_[core];
       if (is_store)
         ++ctr.stores;
@@ -97,9 +97,9 @@ class MemorySystem {
 
  private:
   /// The full L1→L2→L3→DRAM walk behind access(): every path the L1
-  /// filter could not short-circuit. Fronted by a second filter band of
-  /// its own — the L1-miss/L2-hit case resolves through the L2's MRU
-  /// filter (MachineConfig::l2_filter) before the full L2 walk.
+  /// probe could not short-circuit. The L2 (when MachineConfig::l2_filter
+  /// is on) and the L3 (always) are probed through their line->slot
+  /// tables before their own set scans in Cache::access.
   AccessResult access_slow(CoreId core, Addr addr, AccessKind kind,
                            Cycles now);
   /// Removes private copies; returns true if any copy was dirty.
@@ -120,16 +120,6 @@ class MemorySystem {
   std::vector<std::unique_ptr<BandwidthChannel>> nic_;       // per node
   std::vector<Counters> counters_;                              // per core
   std::vector<std::uint32_t> hint_countdown_;                   // per core
-  // Slot hints for dirty write-backs, indexed core * lines + private slot:
-  // the slot the same line last occupied one level down. An L2->L3 hint is
-  // exact while the L2 holds the line (the L3 is inclusive: its copy cannot
-  // move, and evicting it back-invalidates the L2's). The L2 does not
-  // include the L1, so an L1->L2 hint may be stale; Cache::mark_dirty then
-  // falls back to its set scan.
-  std::vector<std::uint32_t> l1_to_l2_;
-  std::vector<std::uint32_t> l2_to_l3_;
-  std::size_t l1_lines_ = 0;  // per-core stride of l1_to_l2_
-  std::size_t l2_lines_ = 0;  // per-core stride of l2_to_l3_
   std::vector<Addr> prefetch_buf_;
   std::vector<Cycles> batch_window_;  // access_batch miss-completion window
   Addr next_alloc_ = 1 << 16;

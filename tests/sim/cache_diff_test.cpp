@@ -1,16 +1,22 @@
 // Differential test: the flat-tag sim::Cache against the array-of-structs
 // reference model it replaced (reference_cache.hpp). Both are driven with
-// the same seeded operation traces — access, touch, mark_dirty (with right,
-// stale and arbitrary slot hints), invalidate, contains and flush — over a
-// grid of geometries and policies. Every AccessOutcome field and every
-// return value must agree after each operation, and occupancy and resident
-// counts must agree along the way and at the end.
+// the same seeded operation traces — access (with and without the
+// try_fast_hit probe in front), touch, mark_dirty, invalidate, contains
+// and flush — over a grid of geometries and policies. Every AccessOutcome
+// field and every return value must agree after each operation, and
+// occupancy and resident counts must agree along the way and at the end.
+//
+// The production cache keeps a line->slot table of bit_ceil(num_lines)
+// entries indexed by the low line bits, trusted only when the named way
+// still holds the line. The traces aim at the ways an entry goes stale:
+// lines that collide modulo the table size, lines evicted and re-filled
+// into another way, invalidate and flush.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 
 #include "common/rng.hpp"
 #include "reference_cache.hpp"
@@ -29,7 +35,7 @@ std::string describe(const CacheConfig& c) {
   os << "sets=" << c.num_sets() << " ways=" << c.ways;
   os << " hash=" << (h3 ? "h3" : "mask");
   os << " replacement=" << (random ? "random" : "lru");
-  os << " insert_age=" << c.insert_age << " filter=" << c.filter;
+  os << " insert_age=" << c.insert_age;
   return os.str();
 }
 
@@ -38,8 +44,7 @@ std::string show(const Cache::AccessOutcome& o) {
   os << "{hit " << o.hit << ", evicted " << o.evicted;
   os << ", evicted_dirty " << o.evicted_dirty;
   os << ", evicted_line " << o.evicted_line;
-  os << ", evicted_sharers " << o.evicted_sharers;
-  os << ", slot " << o.slot << "}";
+  os << ", evicted_sharers " << o.evicted_sharers << "}";
   return os.str();
 }
 
@@ -48,94 +53,142 @@ std::string show(const Cache::AccessOutcome& o) {
   if (got.hit == want.hit && got.evicted == want.evicted &&
       got.evicted_dirty == want.evicted_dirty &&
       got.evicted_line == want.evicted_line &&
-      got.evicted_sharers == want.evicted_sharers && got.slot == want.slot)
+      got.evicted_sharers == want.evicted_sharers)
     return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure()
          << "got " << show(got) << ", want " << show(want);
 }
 
-::testing::AssertionResult same_counts(const Cache& fast,
-                                       const reference::ReferenceCache& ref) {
-  std::ostringstream got;
-  std::ostringstream want;
-  got << "resident " << fast.resident_lines();
-  want << "resident " << ref.resident_lines();
-  for (std::uint16_t owner = 0; owner < kOwners; ++owner) {
-    got << ", owner " << owner << ": " << fast.occupancy_lines(owner);
-    want << ", owner " << owner << ": " << ref.occupancy_lines(owner);
-  }
-  if (got.str() == want.str()) return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << "counts " << got.str() << ", want " << want.str();
-}
+// The production cache and the reference side by side. Every call goes to
+// both and reports the first disagreement.
+class Twin {
+ public:
+  explicit Twin(const CacheConfig& c) : fast_(c), ref_(c) {}
 
-// Runs one seeded trace through both models. With the filter on, accesses
-// go the way MemorySystem issues them: try_fast_hit first, access() only
-// when the filter misses.
+  /// An access. With `probe` the production cache is called the way
+  /// MemorySystem calls it: try_fast_hit first, access() only when the
+  /// probe misses.
+  ::testing::AssertionResult access(Addr line, bool probe = true,
+                                    std::uint16_t owner = 0,
+                                    std::uint32_t sharer = 0,
+                                    bool store = false) {
+    const Cache::AccessOutcome want = ref_.access(line, owner, sharer, store);
+    Cache::AccessOutcome got;
+    got.hit = probe && fast_.try_fast_hit(line, sharer, store);
+    if (!got.hit) got = fast_.access(line, owner, sharer, store);
+    return same_outcome(got, want);
+  }
+  /// try_fast_hit alone: a hit must be a reference hit. A miss is allowed
+  /// either way (a stale entry), so the reference only runs on a hit.
+  ::testing::AssertionResult probe(Addr line, bool store = false) {
+    probe_hit_ = fast_.try_fast_hit(line, 0, store);
+    if (!probe_hit_) return ::testing::AssertionSuccess();
+    if (ref_.access(line, 0, 0, store).hit)
+      return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "try_fast_hit(" << line << ") hit an absent line";
+  }
+  ::testing::AssertionResult mark_dirty(Addr line) {
+    return same("mark_dirty", line, fast_.mark_dirty(line),
+                ref_.mark_dirty(line));
+  }
+  ::testing::AssertionResult invalidate(Addr line) {
+    return same("invalidate", line, fast_.invalidate(line),
+                ref_.invalidate(line));
+  }
+  ::testing::AssertionResult contains(Addr line) const {
+    return same("contains", line, fast_.contains(line), ref_.contains(line));
+  }
+  /// Whether the last probe() hit.
+  bool probe_hit() const { return probe_hit_; }
+  void touch(Addr line) {
+    fast_.touch(line);
+    ref_.touch(line);
+  }
+  void flush() {
+    fast_.flush();
+    ref_.flush();
+  }
+  ::testing::AssertionResult same_counts() const {
+    std::ostringstream got;
+    std::ostringstream want;
+    got << "resident " << fast_.resident_lines();
+    want << "resident " << ref_.resident_lines();
+    for (std::uint16_t owner = 0; owner < kOwners; ++owner) {
+      got << ", owner " << owner << ": " << fast_.occupancy_lines(owner);
+      want << ", owner " << owner << ": " << ref_.occupancy_lines(owner);
+    }
+    if (got.str() == want.str()) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "counts " << got.str() << ", want " << want.str();
+  }
+
+ private:
+  static ::testing::AssertionResult same(const char* call, Addr line,
+                                         bool got, bool want) {
+    if (got == want) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << call << "(" << line << ") = " << got << ", want " << want;
+  }
+
+  Cache fast_;
+  reference::ReferenceCache ref_;
+  bool probe_hit_ = false;
+};
+
+// Runs one seeded trace through both models. Half the lines come from a
+// range three times the capacity, which keeps every set under eviction
+// pressure; the other half are the few lines of a hot group and their
+// aliases one to three table sizes up, which share table entries. A few
+// high address bits exercise the hashed index.
 ::testing::AssertionResult same_behaviour(const CacheConfig& c,
                                           std::uint64_t seed) {
-  Cache fast(c);
-  reference::ReferenceCache ref(c);
+  Twin twin(c);
   Rng rng(seed);
   const std::uint64_t lines = c.num_lines();
-  // Where each line was last seen: hints that are right while the line
-  // stays resident and stale after it moves or leaves.
-  std::unordered_map<Addr, std::uint32_t> last_slot;
+  const std::uint64_t table = std::bit_ceil(lines);
   for (int op = 0; op < kOps; ++op) {
-    // Three times the capacity keeps every set under eviction pressure. A
-    // few high address bits exercise the hashed index.
-    const Addr low = rng.bounded(lines * 3);
-    const Addr line = low + (rng.bounded(4) << 40);
+    Addr line = 0;
+    if (rng.bounded(2) == 0)
+      line = rng.bounded(lines * 3);
+    else
+      line = rng.bounded(8) + rng.bounded(4) * table;
+    line += rng.bounded(4) << 40;
     const auto fail = [&] {
       std::ostringstream os;
       os << describe(c) << " seed=" << seed << ": op " << op;
       os << " line " << line << ": ";
       return ::testing::AssertionFailure() << os.str();
     };
+    ::testing::AssertionResult same = ::testing::AssertionSuccess();
     const std::uint64_t kind = rng.bounded(20);
     if (kind < 12) {
       const auto owner = static_cast<std::uint16_t>(rng.bounded(kOwners));
       std::uint32_t sharer = 0;
       if (rng.bounded(3) != 0) sharer = 1u << rng.bounded(32);
       const bool store = rng.bounded(3) == 0;
-      const Cache::AccessOutcome want = ref.access(line, owner, sharer, store);
-      Cache::AccessOutcome got;
-      got.hit = fast.try_fast_hit(line, sharer, store, &got.slot);
-      if (!got.hit) got = fast.access(line, owner, sharer, store);
-      const auto same = same_outcome(got, want);
-      if (!same) return fail() << same.message();
-      last_slot[line] = want.slot;
+      const bool probe = rng.bounded(4) != 0;
+      same = twin.access(line, probe, owner, sharer, store);
     } else if (kind < 14) {
-      std::uint32_t hint = 0;  // the default hint
-      const std::uint64_t pick = rng.bounded(3);
-      const auto it = last_slot.find(line);
-      if (pick == 0 && it != last_slot.end()) hint = it->second;
-      if (pick == 1) hint = static_cast<std::uint32_t>(rng.bounded(lines));
-      const bool want = ref.mark_dirty(line);
-      if (fast.mark_dirty(line, hint) != want)
-        return fail() << "mark_dirty(hint " << hint << ") != " << want;
+      same = twin.mark_dirty(line);
+    } else if (kind < 15) {
+      same = twin.probe(line, rng.bounded(2) == 0);
     } else if (kind < 16) {
-      fast.touch(line);
-      ref.touch(line);
+      twin.touch(line);
     } else if (kind < 18) {
-      const bool want = ref.invalidate(line);
-      if (fast.invalidate(line) != want)
-        return fail() << "invalidate != " << want;
+      same = twin.invalidate(line);
     } else if (kind < 19) {
-      const bool want = ref.contains(line);
-      if (fast.contains(line) != want) return fail() << "contains != " << want;
+      same = twin.contains(line);
     } else if (rng.bounded(400) == 0) {
-      fast.flush();
-      ref.flush();
+      twin.flush();
     }
+    if (!same) return fail() << same.message();
     if (op % 1000 == 999) {
-      const auto counts = same_counts(fast, ref);
+      const auto counts = twin.same_counts();
       if (!counts) return fail() << counts.message();
     }
   }
-  const auto counts = same_counts(fast, ref);
-  if (!counts) return ::testing::AssertionFailure() << counts.message();
-  return ::testing::AssertionSuccess();
+  return twin.same_counts();
 }
 
 TEST(CacheDiff, MatchesReferenceAcrossConfigGrid) {
@@ -151,20 +204,18 @@ TEST(CacheDiff, MatchesReferenceAcrossConfigGrid) {
     for (const std::uint64_t sets : sets_grid)
       for (const SetHash hash : hash_grid)
         for (const Replacement policy : policy_grid)
-          for (const std::uint64_t age : age_grid)
-            for (const bool filter : {false, true}) {
-              CacheConfig c{sets * ways * 64, 64, ways, "diff"};
-              c.set_hash = hash;
-              c.replacement = policy;
-              c.insert_age = age;
-              c.filter = filter;
-              ASSERT_TRUE(same_behaviour(c, seed++));
-            }
-  EXPECT_EQ(seed, 1u + 4 * 2 * 2 * 2 * 3 * 2);
+          for (const std::uint64_t age : age_grid) {
+            CacheConfig c{sets * ways * 64, 64, ways, "diff"};
+            c.set_hash = hash;
+            c.replacement = policy;
+            c.insert_age = age;
+            ASSERT_TRUE(same_behaviour(c, seed++));
+          }
+  EXPECT_EQ(seed, 1u + 4 * 2 * 2 * 2 * 3);
 }
 
-// An L3-shaped cache (20 ways, 256 sets): long-lived lines and deep
-// victim scans.
+// An L3-shaped cache (20 ways, 256 sets, 5120 lines in an 8192-entry
+// table): long-lived lines and deep victim scans.
 TEST(CacheDiff, MatchesReferenceOnL3Geometry) {
   std::uint64_t seed = 100;
   for (const SetHash hash : {SetHash::kMask, SetHash::kH3}) {
@@ -173,6 +224,135 @@ TEST(CacheDiff, MatchesReferenceOnL3Geometry) {
     ASSERT_TRUE(same_behaviour(c, seed++));
   }
 }
+
+// The L1 of a machine scaled 1:64: 8 lines in one set, so every line
+// shares the set and every eighth line shares a table entry.
+TEST(CacheDiff, MatchesReferenceOnOneSetL1) {
+  std::uint64_t seed = 200;
+  for (const Replacement policy : {Replacement::kLru, Replacement::kRandom})
+    for (const std::uint64_t age : {0, 7}) {
+      CacheConfig c{8 * 64, 64, 8, "L1"};
+      c.replacement = policy;
+      c.insert_age = age;
+      ASSERT_TRUE(same_behaviour(c, seed++));
+    }
+}
+
+// One 20-way set: the L3's set depth with nothing but collisions.
+TEST(CacheDiff, MatchesReferenceOnOneTwentyWaySet) {
+  CacheConfig c{20 * 64, 64, 20, "set"};
+  ASSERT_TRUE(same_behaviour(c, 300));
+}
+
+// Directed stale entries, on the one-set L1 (table of 8) and an L3-shaped
+// set of 20 ways (table of 32). In both, line k fills way k of an empty
+// cache.
+class StaleEntry : public ::testing::TestWithParam<std::uint32_t> {
+ protected:
+  CacheConfig config() const {
+    const std::uint32_t ways = GetParam();
+    return CacheConfig{ways * 64, 64, ways, "stale"};
+  }
+  Addr table() const { return std::bit_ceil(config().num_lines()); }
+  Addr ways() const { return GetParam(); }
+};
+
+// Two resident lines a table size apart share one entry; whichever was
+// touched last owns it, and the other must still be found by the scan.
+TEST_P(StaleEntry, CollidingLinesBothStayReachable) {
+  Twin twin(config());
+  const Addr a = 1;
+  const Addr b = a + table();
+  ASSERT_TRUE(twin.access(a));
+  ASSERT_TRUE(twin.access(b));  // takes a's entry
+  ASSERT_TRUE(twin.probe(a));
+  EXPECT_FALSE(twin.probe_hit());
+  ASSERT_TRUE(twin.contains(a));
+  ASSERT_TRUE(twin.mark_dirty(a));
+  twin.touch(a);
+  ASSERT_TRUE(twin.access(a, /*probe=*/true, 0, 2, false));  // scan hit
+  ASSERT_TRUE(twin.probe(b, /*store=*/true));  // a owns the entry now
+  EXPECT_FALSE(twin.probe_hit());
+  ASSERT_TRUE(twin.access(b, /*probe=*/true, 0, 0, true));
+  ASSERT_TRUE(twin.invalidate(a));
+  ASSERT_TRUE(twin.invalidate(b));
+  ASSERT_TRUE(twin.contains(a));
+  ASSERT_TRUE(twin.contains(b));
+  ASSERT_TRUE(twin.same_counts());
+}
+
+// A line evicted from way w leaves its entry naming w, which now holds
+// the line that replaced it. Filled again, the line lands in another way.
+TEST_P(StaleEntry, EvictedLineRefilledIntoAnotherWay) {
+  Twin twin(config());
+  for (Addr line = 0; line < ways(); ++line)
+    ASSERT_TRUE(twin.access(line, true, 0, 0, /*store=*/line == 0));
+  ASSERT_TRUE(twin.access(1000 * table()));  // evicts line 0 from way 0
+  ASSERT_TRUE(twin.probe(0));
+  EXPECT_FALSE(twin.probe_hit());
+  ASSERT_TRUE(twin.contains(0));
+  ASSERT_TRUE(twin.mark_dirty(0));
+  ASSERT_TRUE(twin.invalidate(0));
+  ASSERT_TRUE(twin.access(0));  // evicts line 1 from way 1
+  ASSERT_TRUE(twin.probe(1));
+  EXPECT_FALSE(twin.probe_hit());
+  ASSERT_TRUE(twin.probe(0, /*store=*/true));
+  EXPECT_TRUE(twin.probe_hit());
+  ASSERT_TRUE(twin.mark_dirty(0));
+  ASSERT_TRUE(twin.invalidate(0));  // dirty
+  ASSERT_TRUE(twin.same_counts());
+}
+
+// invalidate leaves the entry naming an empty way, and the next fill
+// takes that way for another line.
+TEST_P(StaleEntry, InvalidatedWayRefilledByAnotherLine) {
+  Twin twin(config());
+  for (Addr line = 0; line < ways(); ++line)
+    ASSERT_TRUE(twin.access(line));
+  const Addr x = ways() / 2;
+  ASSERT_TRUE(twin.invalidate(x));
+  ASSERT_TRUE(twin.probe(x));
+  ASSERT_TRUE(twin.contains(x));
+  ASSERT_TRUE(twin.mark_dirty(x));
+  ASSERT_TRUE(twin.invalidate(x));
+  const Addr y = x + 7 * table();  // x's entry and x's old way
+  ASSERT_TRUE(twin.access(y, true, 0, 0, /*store=*/true));
+  ASSERT_TRUE(twin.probe(x));
+  EXPECT_FALSE(twin.probe_hit());
+  ASSERT_TRUE(twin.contains(x));
+  ASSERT_TRUE(twin.access(x));  // evicts the LRU line, not y
+  ASSERT_TRUE(twin.probe(y));
+  EXPECT_FALSE(twin.probe_hit());
+  ASSERT_TRUE(twin.invalidate(y));  // dirty
+  ASSERT_TRUE(twin.same_counts());
+}
+
+// flush keeps every entry; refilled in reverse, each line lands in a way
+// its old entry does not name.
+TEST_P(StaleEntry, FlushThenReverseRefill) {
+  Twin twin(config());
+  for (Addr line = 0; line < ways(); ++line)
+    ASSERT_TRUE(twin.access(line, true, 0, 0, /*store=*/true));
+  twin.flush();
+  for (Addr line = 0; line < ways(); ++line) {
+    ASSERT_TRUE(twin.probe(line));
+    EXPECT_FALSE(twin.probe_hit());
+    ASSERT_TRUE(twin.contains(line));
+    ASSERT_TRUE(twin.mark_dirty(line));
+  }
+  for (Addr line = ways(); line-- > 0;) {
+    ASSERT_TRUE(twin.probe(0));
+    ASSERT_TRUE(twin.access(line));
+  }
+  for (Addr line = 0; line < ways(); ++line) {
+    ASSERT_TRUE(twin.probe(line, /*store=*/line % 2 == 0));
+    EXPECT_TRUE(twin.probe_hit());
+    ASSERT_TRUE(twin.invalidate(line));
+  }
+  ASSERT_TRUE(twin.same_counts());
+}
+
+INSTANTIATE_TEST_SUITE_P(OneSet, StaleEntry, ::testing::Values(8u, 20u));
 
 // With insert_age far beyond the clock, every fill enters at the oldest
 // stamp and only hits lift a line: the victim must be the lowest way

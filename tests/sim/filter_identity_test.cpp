@@ -1,11 +1,12 @@
-// The filter fast paths (CacheConfig::filter / MachineConfig::l1_filter /
-// MachineConfig::l2_filter) are pure host-speed optimizations: every
-// simulated outcome — hits, evictions, LRU victims, dirty bits, counters,
-// completion times — must be bit-identical with the filters on vs off.
-// These tests drive filtered and unfiltered twins through identical random
-// traces and targeted coherence scenarios (L3 back-invalidation,
-// prefetch-triggered evictions, flushes) and compare exhaustively. The
-// filters' own diagnostics (Counters::l{1,2}_filter_hits /
+// The fast paths (Cache::try_fast_hit through the line->slot table, and
+// MachineConfig::l1_filter / l2_filter, which gate MemorySystem's L1 and
+// L2 probes) are pure host-speed optimizations: every simulated outcome —
+// hits, evictions, LRU victims, dirty bits, counters, completion times —
+// must be bit-identical with the probes on vs off. These tests drive
+// probing and scan-only twins through identical random traces and
+// targeted coherence scenarios (L3 back-invalidation, prefetch-triggered
+// evictions, flushes) and compare exhaustively. The filters' own
+// diagnostics (Counters::l{1,2}_filter_hits /
 // l{1,2}_filter_fallthroughs) are the one deliberate exception: they
 // describe the toggles, not the simulation.
 #include <gtest/gtest.h>
@@ -22,8 +23,9 @@ namespace am::sim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Cache-level identity: a filtered cache accessed the way MemorySystem does
-// (try_fast_hit, fall through to access) against an unfiltered reference.
+// Cache-level identity: a cache accessed the way MemorySystem does
+// (try_fast_hit, fall through to access) against a twin that only ever
+// calls access(), whose hit probe is a plain set scan.
 
 void expect_outcomes_equal(const Cache::AccessOutcome& a,
                            const Cache::AccessOutcome& b, int step) {
@@ -39,79 +41,79 @@ using Geometry = std::tuple<std::uint64_t, std::uint32_t, std::uint64_t, bool>;
 
 class FilterIdentityProperty : public ::testing::TestWithParam<Geometry> {
  protected:
-  CacheConfig config(bool filter) const {
+  CacheConfig config() const {
     const auto [size, ways, insert_age, random] = GetParam();
-    CacheConfig c{size, 64, ways, filter ? "filtered" : "reference"};
+    CacheConfig c{size, 64, ways, "identity"};
     c.insert_age = insert_age;
     c.replacement = random ? Replacement::kRandom : Replacement::kLru;
-    c.filter = filter;
     return c;
   }
 };
 
 TEST_P(FilterIdentityProperty, RandomTraceBitIdentical) {
-  Cache filtered(config(true));
-  Cache reference(config(false));
-  ASSERT_TRUE(filtered.filter_enabled());
-  ASSERT_FALSE(reference.filter_enabled());
+  Cache fast(config());
+  Cache reference(config());
 
   Rng rng(0xf117e7);
-  const std::uint64_t line_space = config(false).num_lines() * 3;
+  const std::uint64_t line_space = config().num_lines() * 3;
+  std::uint64_t fast_hits = 0;
   for (int step = 0; step < 40000; ++step) {
     const Addr line = rng.bounded(line_space);
     switch (rng.bounded(16)) {
       case 0: {  // invalidation (the L3 back-invalidation hook)
-        EXPECT_EQ(filtered.invalidate(line), reference.invalidate(line))
+        EXPECT_EQ(fast.invalidate(line), reference.invalidate(line))
             << "step " << step;
         break;
       }
       case 1: {
-        EXPECT_EQ(filtered.mark_dirty(line), reference.mark_dirty(line))
+        EXPECT_EQ(fast.mark_dirty(line), reference.mark_dirty(line))
             << "step " << step;
         break;
       }
       case 2: {
-        filtered.touch(line);
+        fast.touch(line);
         reference.touch(line);
         break;
       }
       case 3: {
-        EXPECT_EQ(filtered.contains(line), reference.contains(line))
+        EXPECT_EQ(fast.contains(line), reference.contains(line))
             << "step " << step;
         break;
       }
-      default: {  // access, the hot path: filtered twin goes filter-first
+      default: {  // access, the hot path: the fast twin probes first
         const auto owner = static_cast<std::uint16_t>(rng.bounded(4));
         const auto sharer_bit = 1u << rng.bounded(8);
         const bool is_store = rng.bounded(4) == 0;
         const auto ref = reference.access(line, owner, sharer_bit, is_store);
-        if (filtered.try_fast_hit(line, sharer_bit, is_store)) {
+        if (fast.try_fast_hit(line, sharer_bit, is_store)) {
           // A fast hit must correspond to a plain hit with no eviction.
+          ++fast_hits;
           EXPECT_TRUE(ref.hit) << "step " << step;
           EXPECT_FALSE(ref.evicted) << "step " << step;
         } else {
           expect_outcomes_equal(
-              filtered.access(line, owner, sharer_bit, is_store), ref, step);
+              fast.access(line, owner, sharer_bit, is_store), ref, step);
         }
         break;
       }
     }
   }
+  EXPECT_GT(fast_hits, 0u);  // the probe engaged
   // The steady states must agree exactly, owner by owner.
-  EXPECT_EQ(filtered.resident_lines(), reference.resident_lines());
+  EXPECT_EQ(fast.resident_lines(), reference.resident_lines());
   for (std::uint16_t owner = 0; owner < 4; ++owner)
-    EXPECT_EQ(filtered.occupancy_lines(owner),
+    EXPECT_EQ(fast.occupancy_lines(owner),
               reference.occupancy_lines(owner))
         << "owner " << owner;
   for (Addr line = 0; line < line_space; ++line)
-    ASSERT_EQ(filtered.contains(line), reference.contains(line))
+    ASSERT_EQ(fast.contains(line), reference.contains(line))
         << "line " << line;
 }
 
-TEST_P(FilterIdentityProperty, FlushClearsFilter) {
-  Cache cache(config(true));
-  // Warm the filter on line 0, then flush: a stale filter hit would
-  // resurrect an invalid line.
+TEST_P(FilterIdentityProperty, FlushLeavesNoFastHit) {
+  Cache cache(config());
+  // Point line 0's table entry at its way, then flush: trusting the stale
+  // entry would resurrect an invalid line.
   cache.access(0, 0);
   ASSERT_TRUE(cache.access(0, 0).hit);
   cache.flush();
@@ -288,10 +290,11 @@ TEST(FilterIdentityMemorySystem, FilterTogglesAreIndependent) {
   }
 }
 
-TEST(FilterIdentityMemorySystem, BackInvalidationDropsFilterEntry) {
+TEST(FilterIdentityMemorySystem, BackInvalidationLeavesNoFastHit) {
   // Inclusive-L3 coherence: when L3 evicts a line some L1 holds, the
-  // back-invalidation must also unmap it from that L1's filter — a stale
-  // filter hit would keep the line alive after the hierarchy dropped it.
+  // back-invalidation must also defeat that L1's table entry for it — a
+  // stale fast hit would keep the line alive after the hierarchy dropped
+  // it.
   Twins twins(64);  // smallest machine: L1 = 1 set, L3 = 20 ways x 16 sets
   const auto& cfg = twins.on.config();
   const std::uint64_t l3_lines = cfg.l3.num_lines();
@@ -316,7 +319,7 @@ TEST(FilterIdentityMemorySystem, BackInvalidationDropsFilterEntry) {
   EXPECT_EQ(twins.on.counters(0).l1_filter_hits, hits_before + 1);
 
   // Core 1 (same socket) floods the L3 until X is evicted; inclusivity
-  // back-invalidates X out of core 0's L1 — and its filter.
+  // back-invalidates X out of core 0's L1, leaving its table entry stale.
   Cycles now = 2000;
   for (std::uint64_t i = 1; i < l3_lines * 4 && twins.on.l3(0).contains(x >> 6);
        ++i)
@@ -326,7 +329,7 @@ TEST(FilterIdentityMemorySystem, BackInvalidationDropsFilterEntry) {
   EXPECT_FALSE(twins.on.l1(0).contains(x >> 6));
 
   // Core 0 touches X again: must be a fresh DRAM miss in both twins, not
-  // a stale filter hit.
+  // a stale fast hit.
   const auto hits_mid = twins.on.counters(0).l1_filter_hits;
   EXPECT_EQ(access_both(0, x, now + 1).level, Level::kMemory);
   EXPECT_EQ(twins.on.counters(0).l1_filter_hits, hits_mid);
@@ -370,7 +373,7 @@ TEST(FilterIdentityMemorySystem, PrefetchFillEvictionsKeepFilterCoherent) {
   twins.expect_equal("after prefetch churn");
 }
 
-TEST(FilterIdentityMemorySystem, FlushCachesClearsFilters) {
+TEST(FilterIdentityMemorySystem, FlushCachesLeavesNoFastHit) {
   Twins twins(64);
   const Addr base = twins.on.alloc(4096);
   ASSERT_EQ(base, twins.off.alloc(4096));

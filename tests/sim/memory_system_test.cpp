@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 namespace am::sim {
 namespace {
 
@@ -96,10 +98,10 @@ std::uint64_t evict_from_l3(MemorySystem& ms, Addr line, Cycles t) {
   return ms.counters(1).writebacks;
 }
 
-// The L2 does not include the L1, so the L1->L2 slot hint of a line the L2
-// has since evicted names a slot now holding another line. The dirty L1
-// victim must then reach the L3, and the L3 eviction must write it back.
-TEST(MemorySystem, StaleL1ToL2HintStillLandsDirtyBitInL3) {
+// The L2 does not include the L1, so a dirty L1 victim may have left the
+// L2 already. Its dirty bit must then reach the L3, and the L3 eviction
+// must write it back.
+TEST(MemorySystem, DirtyL1VictimAbsentFromL2DirtiesL3) {
   const auto cfg = small_machine();  // L1: 1 set x 8 ways, L2: 8 sets
   MemorySystem ms(cfg);
   const Addr a = ms.alloc(64, 1 << 20) / 64;
@@ -121,18 +123,60 @@ TEST(MemorySystem, StaleL1ToL2HintStillLandsDirtyBitInL3) {
   EXPECT_EQ(evict_from_l3(ms, a, t), 1u);
 }
 
-// The exact L2->L3 hint: a dirty L1 victim lands in the L2, and the dirty
-// L2 victim later marks the L3 copy through the hint.
-TEST(MemorySystem, DirtyPrivateVictimsReachL3ThroughHints) {
-  const auto cfg = small_machine();
+// Each cache's line->slot table has bit_ceil(lines) entries indexed by the
+// low line bits, so a line one table size above `a` takes over a's entry.
+// A dirty L1 victim whose L2 entry was overwritten that way must still
+// dirty the L2 copy, found by the set scan. When the L2 later evicts that
+// copy, it dirties the L3 line, so the L3 eviction writes back.
+TEST(MemorySystem, DirtyL1VictimFindsL2CopyPastOverwrittenEntry) {
+  const auto cfg = small_machine();  // L2: 8 sets x 8 ways, 64 entries
+  const Addr l2_sets = cfg.l2.num_sets();
+  const Addr l2_table = std::bit_ceil(cfg.l2.num_lines());
+  // Stores to `a`, overwrites its L2 entry, then evicts it from the L1.
+  const auto dirty_l1_victim = [&](MemorySystem& ms, Addr a) {
+    Cycles t = ms.access(0, a * 64, AccessKind::kLoad, 0).complete;
+    t = ms.access(0, a * 64, AccessKind::kStore, t).complete;  // L1 dirty
+    t = load_lines(ms, 0, a + l2_table, 1, 1, t);  // takes a's L2 entry
+    EXPECT_FALSE(ms.l2(0).try_fast_hit(a, 0, false));  // the entry is stale
+    // Evict `a` from the L1 with lines whose L2 entries are not a's.
+    t = load_lines(ms, 0, a + 1, l2_sets, cfg.l1.ways, t);  // L1 -> L2
+    EXPECT_FALSE(ms.l1(0).contains(a));
+    return t;
+  };
+  // The L3 fallback would write back as well, so look at the two copies in
+  // a twin (invalidate reports the dirty bit, and breaks inclusion).
+  MemorySystem twin(cfg);
+  const Addr b = twin.alloc(64, 1 << 20) / 64;
+  (void)dirty_l1_victim(twin, b);
+  EXPECT_TRUE(twin.l2(0).invalidate(b));   // present and dirty
+  EXPECT_FALSE(twin.l3(0).invalidate(b));  // present, still clean
+
+  MemorySystem ms(cfg);
+  const Addr a = ms.alloc(64, 1 << 20) / 64;
+  Cycles t = dirty_l1_victim(ms, a);
+  ASSERT_TRUE(ms.l2(0).contains(a));
+  // `a` is the oldest line of its L2 set: fill the rest of the set.
+  t = load_lines(ms, 0, a + l2_sets, l2_sets, cfg.l2.ways - 1, t);  // -> L3
+  ASSERT_FALSE(ms.l2(0).contains(a));
+  ASSERT_TRUE(ms.l3(0).contains(a));
+  EXPECT_EQ(evict_from_l3(ms, a, t), 1u);
+}
+
+// The same one level down: a dirty L2 victim whose L3 entry was taken by
+// a line one L3 table size up still dirties the L3 copy.
+TEST(MemorySystem, DirtyL2VictimFindsL3CopyPastOverwrittenEntry) {
+  const auto cfg = small_machine();  // L3: 256 sets x 20 ways, 8192 entries
   MemorySystem ms(cfg);
   const Addr a = ms.alloc(64, 1 << 20) / 64;
   const Addr l2_sets = cfg.l2.num_sets();
+  const Addr l3_table = std::bit_ceil(cfg.l3.num_lines());
   Cycles t = ms.access(0, a * 64, AccessKind::kLoad, 0).complete;
   t = ms.access(0, a * 64, AccessKind::kStore, t).complete;  // L1 dirty only
   t = load_lines(ms, 0, a + 1, l2_sets, cfg.l1.ways, t);  // L1 -> L2
   ASSERT_FALSE(ms.l1(0).contains(a));
   ASSERT_TRUE(ms.l2(0).contains(a));
+  t = load_lines(ms, 1, a + l3_table, 1, 1, t);  // takes a's L3 entry
+  ASSERT_FALSE(ms.l3(0).try_fast_hit(a, 0, false));  // the entry is stale
   t = load_lines(ms, 0, a + l2_sets, l2_sets, cfg.l2.ways, t);  // L2 -> L3
   ASSERT_FALSE(ms.l2(0).contains(a));
   ASSERT_TRUE(ms.l3(0).contains(a));

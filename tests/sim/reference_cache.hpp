@@ -4,13 +4,11 @@
 // dirty) per way and a full-set scan for every operation. It is kept here,
 // unchanged in behaviour, as the oracle for cache_diff_test: the flat-tag
 // production cache must report exactly the same outcomes, victims and
-// dirty bits on every operation sequence. The one addition is
-// AccessOutcome::slot, which this model fills with its own line index so
-// the test can check the production cache's slot reports too (both models
-// number slots set * ways + way).
+// dirty bits on every operation sequence.
 //
-// The reference has no filter: the filter is a host-speed shortcut and
-// must not change any outcome, so one unfiltered oracle serves both.
+// The reference has no line->slot table: the table is a host-speed
+// shortcut and must not change any outcome, so the set scan is the oracle
+// for both the production cache's probe and its own scan.
 #include <cstdint>
 #include <vector>
 
@@ -45,7 +43,6 @@ class ReferenceCache {
         line.sharers |= sharer_bit;
         line.dirty |= is_store;
         out.hit = true;
-        out.slot = static_cast<std::uint32_t>(i);
         return out;
       }
       if (!line.valid) {
@@ -72,7 +69,6 @@ class ReferenceCache {
         stamp_ > config_.insert_age ? stamp_ - config_.insert_age : 0;
     line = Line{line_addr, insert_stamp, sharer_bit, owner, /*valid=*/true,
                 /*dirty=*/is_store};
-    out.slot = static_cast<std::uint32_t>(victim);
     return out;
   }
 

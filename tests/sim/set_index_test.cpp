@@ -102,12 +102,12 @@ TEST(SetIndexer, H3ActuallyRedistributes) {
 TEST(SetIndexer, CacheUnderH3StaysCoherent) {
   // A Cache built with the H3 indexer must keep its core invariants:
   // accessed lines are resident, capacity is respected, invalidation
-  // works — including with the filter on (the filter shares the indexer).
+  // works — including through the line->slot table, which indexes by low
+  // line bits rather than by the hashed set.
   for (const std::uint64_t size : {std::uint64_t{24 * 1024},   // 48 sets
                                    std::uint64_t{32 * 1024}}) {  // 64 sets
     CacheConfig cfg{size, 64, 8, "h3"};
     cfg.set_hash = SetHash::kH3;
-    cfg.filter = true;
     Cache cache(cfg);
     Rng rng(7);
     const std::uint64_t space = cfg.num_lines() * 4;
@@ -123,7 +123,7 @@ TEST(SetIndexer, CacheUnderH3StaysCoherent) {
       if (cache.contains(line)) {
         cache.invalidate(line);
         ASSERT_FALSE(cache.contains(line));
-        // The filter must not resurrect an invalidated line.
+        // The table must not resurrect an invalidated line.
         ASSERT_FALSE(cache.try_fast_hit(line, 1, false));
       }
     EXPECT_EQ(cache.resident_lines(), 0u);
