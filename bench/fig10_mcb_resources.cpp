@@ -63,7 +63,9 @@ int fig10(const am::Cli& cli, am::bench::BenchContext& ctx) {
                             std::to_string(particles) + " p=" +
                             std::to_string(p),
                         std::min(sweep_cs, ctx.machine.cores_per_socket - p),
-                        std::min(sweep_bw, ctx.machine.cores_per_socket - p)});
+                        std::min(sweep_bw, ctx.machine.cores_per_socket - p),
+                        am::measure::mpi_interference_groups(ctx.machine,
+                                                             ranks, p)});
   if (am::bench::grid_worker_modes(ctx, measurer, requests, store,
                                    ctx.cs_config(), ctx.bw_config()))
     return 0;  // worker/probe: merge the stores, then re-run to print

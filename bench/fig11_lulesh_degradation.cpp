@@ -49,7 +49,8 @@ int fig11(const am::Cli& cli, am::bench::BenchContext& ctx) {
           "lulesh r" + std::to_string(ranks) + " s" + std::to_string(steps) +
               " map p=" + std::to_string(p) + " cube " +
               std::to_string(edge) + "^3",
-          am::measure::make_lulesh_workload(ranks, p, lulesh_cfg(edge))};
+          am::measure::make_lulesh_workload(ranks, p, lulesh_cfg(edge)),
+          am::measure::mpi_interference_groups(ctx.machine, ranks, p)};
     });
   };
   std::vector<am::bench::DegradationRow> rows;

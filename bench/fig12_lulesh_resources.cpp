@@ -61,7 +61,8 @@ int fig12(const am::Cli& cli, am::bench::BenchContext& ctx) {
            "lulesh r" + std::to_string(ranks) + " s" + std::to_string(steps) +
                " cube " + std::to_string(edge) + "^3 p=" + std::to_string(p),
            std::min(sweep_cs, ctx.machine.cores_per_socket - p),
-           std::min(sweep_bw, ctx.machine.cores_per_socket - p)});
+           std::min(sweep_bw, ctx.machine.cores_per_socket - p),
+           am::measure::mpi_interference_groups(ctx.machine, ranks, p)});
   }
   if (am::bench::grid_worker_modes(ctx, measurer, requests, store,
                                    ctx.cs_config(), ctx.bw_config()))

@@ -54,7 +54,8 @@ int fig9(const am::Cli& cli, am::bench::BenchContext& ctx) {
           "mcb r" + std::to_string(ranks) + " s" + std::to_string(steps) +
               " map p=" + std::to_string(p) + " particles=" +
               std::to_string(particles),
-          am::measure::make_mcb_workload(ranks, p, mcb_cfg(particles))};
+          am::measure::make_mcb_workload(ranks, p, mcb_cfg(particles)),
+          am::measure::mpi_interference_groups(ctx.machine, ranks, p)};
     });
   };
   std::vector<am::bench::DegradationRow> rows;

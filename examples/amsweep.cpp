@@ -73,7 +73,9 @@ int usage() {
       "               [--driver-name NAME] [--poll-seconds S]\n"
       "               [--stall-timeout S] -- <figure driver> [flags...]\n"
       "       amsweep mkplan|submit|status|cancel|wait|run-local ...\n"
-      "exit: 0 ok, 1 failed, 2 usage, 3 retry later (client)\n");
+      "--poll-seconds defaults to %g s\n"
+      "exit: 0 ok, 1 failed, 2 usage, 3 retry later (client)\n",
+      am::measure::OrchestratorOptions{}.poll_seconds);
   return 2;
 }
 
@@ -458,7 +460,7 @@ int main(int argc, char** argv) {
     if (retries < 0)
       throw std::invalid_argument("--retries must be >= 0");
     opts.retries = static_cast<std::size_t>(retries);
-    opts.poll_seconds = cli.get_seconds("poll-seconds", 0.05);
+    opts.poll_seconds = cli.get_seconds("poll-seconds", opts.poll_seconds);
     opts.stall_timeout_seconds = cli.get_seconds("stall-timeout", 0.0);
     opts.driver = cli.get(
         "driver-name", std::filesystem::path(worker[0]).stem().string());

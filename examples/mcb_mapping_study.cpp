@@ -73,7 +73,8 @@ int study(const am::Cli& cli) {
     const auto id = plan.add_workload(
         {"mcb r24 s" + std::to_string(cfg.steps) + " particles=" +
              std::to_string(particles) + " p=" + std::to_string(p),
-         am::measure::make_mcb_workload(24, p, cfg)});
+         am::measure::make_mcb_workload(24, p, cfg),
+         am::measure::mpi_interference_groups(machine, 24, p)});
     const std::uint32_t k = std::min(4u, machine.cores_per_socket - p);
     plan.add_point(id, am::measure::Resource::kCacheStorage, 0);
     plan.add_point(id, am::measure::Resource::kCacheStorage, k);

@@ -4,7 +4,8 @@
 # crash marker -> SIGKILL while holding a lease -> requeued onto the next
 # free slot), and require
 #   1. the orchestrated merged store to be bit-identical to the serial
-#      one (kill + retry included),
+#      one (kill + retry included), under the cost-ordered and the
+#      uniform (plan-order) service order alike,
 #   2. an unsharded driver re-run against the merged store to be fully
 #      cached (zero engine runs),
 #   3. a repeated amsweep over the same store to execute zero engine runs,
@@ -68,6 +69,16 @@ endif()
 # 3. Kill + requeue must not change a single byte of the merged store.
 require_same_store("${WORKDIR}/direct/fig9_mcb_degradation.tsv"
   "${WORKDIR}/orch/fig9_mcb_degradation.tsv" "orchestrated store")
+
+# 3b. Neither may the service order: the pass above served the points
+#     costliest first (the default cost model), this one in plan order.
+#     Together the two pin byte-identity across both orders.
+run_checked(uniform "${AMSWEEP}"
+  --results-dir "${WORKDIR}/uniform" --workers 2 --cost-model uniform --
+  "${FIG9}" ${fig9_args})
+require_same_store("${WORKDIR}/direct/fig9_mcb_degradation.tsv"
+  "${WORKDIR}/uniform/fig9_mcb_degradation.tsv"
+  "uniform-cost-model orchestrated store")
 
 # 4. The merged store must make an unsharded driver re-run fully cached.
 run_checked(cached "${FIG9}" ${fig9_args} --results-dir "${WORKDIR}/orch")

@@ -11,11 +11,10 @@
 //     runs; blind to per-point cost, so a sweep's wall-clock is pinned
 //     to the unluckiest slice.
 //   * WorkLease — the dynamic form: an explicit batch of plan indices a
-//     scheduler (measure::SweepOrchestrator) leases to whichever worker
-//     frees up next. Produced by ExperimentPlan::batches from a
-//     per-point cost model; a ShardRange is just the degenerate lease
-//     assignment computed once up front (see work_lease.hpp for the
-//     on-disk handoff).
+//     scheduler (measure::SweepOrchestrator, measure::SweepDaemon) leases
+//     to whichever worker frees up next. Produced by
+//     ExperimentPlan::batches from a per-point cost model, costliest
+//     batch first (see work_lease.hpp for the on-disk handoff).
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -29,9 +28,10 @@ struct ShardRange {
   bool sharded() const { return count > 1; }
 };
 
-/// One leased batch of plan points. `points` are plan indices, ascending
-/// and duplicate-free; `id` identifies the lease in the scheduler's
-/// manifest and in the worker handoff (re-issued batches get fresh ids).
+/// One leased batch of plan points. `points` are duplicate-free plan
+/// indices in service order (costliest first); `id` identifies the lease
+/// in the scheduler's manifest and in the worker handoff (re-issued
+/// batches get fresh ids).
 struct WorkLease {
   std::uint64_t id = 0;
   std::vector<std::size_t> points;

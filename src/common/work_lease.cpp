@@ -70,9 +70,7 @@ std::vector<WorkLease> make_batches(std::size_t points, std::size_t count,
       throw std::invalid_argument(
           "make_batches: cost entries must be finite and >= 0");
 
-  // Greedy LPT; every ordering is stable (ties by plan index, then by
-  // batch index), so the assignment is a pure function of its inputs —
-  // and the uniform-cost case collapses to round-robin exactly.
+  // Costliest first, ties by plan index: a pure function of its inputs.
   std::vector<std::size_t> order(points);
   for (std::size_t i = 0; i < points; ++i) order[i] = i;
   if (!costs.empty())
@@ -80,18 +78,19 @@ std::vector<WorkLease> make_batches(std::size_t points, std::size_t count,
         order.begin(), order.end(),
         [&](std::size_t a, std::size_t b) { return costs[a] > costs[b]; });
 
+  // Contiguous slices of that order, sizes differing by at most one (the
+  // leading slices take the remainder).
   std::vector<WorkLease> out(count);
-  for (std::size_t b = 0; b < count; ++b) out[b].id = b;
-  for (const std::size_t i : order) {
-    std::size_t lightest = 0;
-    for (std::size_t b = 1; b < count; ++b)
-      if (out[b].cost < out[lightest].cost) lightest = b;
-    out[lightest].points.push_back(i);
-    out[lightest].cost += costs.empty() ? 1.0 : costs[i];
+  std::size_t next = 0;
+  for (std::size_t b = 0; b < count; ++b) {
+    WorkLease& lease = out[b];
+    lease.id = b;
+    const std::size_t size = points / count + (b < points % count ? 1 : 0);
+    for (std::size_t k = 0; k < size; ++k, ++next) {
+      lease.points.push_back(order[next]);
+      lease.cost += costs.empty() ? 1.0 : costs[order[next]];
+    }
   }
-  // Ascending plan indices within a batch: results are order-independent,
-  // but readable leases and cheap coverage checks are not.
-  for (auto& lease : out) std::sort(lease.points.begin(), lease.points.end());
   return out;
 }
 

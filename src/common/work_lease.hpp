@@ -23,7 +23,7 @@
 //     Records are written after the worker has checkpointed its store.
 //   * Plan-info file — driver → scheduler, from a `--emit-plan` probe
 //     run: the plan size and a per-point relative cost estimate, which
-//     is everything a scheduler needs to build size-aware batches for a
+//     is everything a scheduler needs to build cost-ordered batches for a
 //     plan it cannot construct itself (only the driver knows the grid).
 //
 // All readers return nullopt for an absent or malformed file instead of
@@ -81,16 +81,17 @@ struct PlanInfo {
   std::vector<double> costs;
 };
 
-/// Splits `points` plan indices into `count` size-aware batches by
-/// greedy LPT: points in descending cost order (ties by index) each
-/// join the currently cheapest batch (ties by batch index). `costs` is
-/// empty (uniform) or one finite non-negative entry per point — with
-/// uniform costs the assignment degenerates to the round-robin shard
-/// slices {i : i ≡ b (mod count)} that `--shard i/n` runs. Batches are
-/// disjoint, cover [0, points) exactly, and list their indices
-/// ascending; batch ids are the batch indices (schedulers re-issue under
-/// fresh lease ids). Throws std::invalid_argument on count == 0 or a bad
-/// cost vector. count > points leaves the high batches empty.
+/// Splits `points` plan indices into `count` cost-ordered slices: the
+/// indices sorted by descending cost (ties by index) and cut into
+/// contiguous slices whose sizes differ by at most one. `costs` is empty
+/// (uniform) or one finite non-negative entry per point. Slice 0 holds
+/// the costliest points and is served first; each slice lists its
+/// points in that order, so a worker's FIFO starts its heaviest point
+/// first. Batches are disjoint and cover [0, points) exactly; batch ids
+/// are the batch indices (schedulers re-issue under fresh lease ids) and
+/// `cost` is the slice's summed cost (uniform: its size). Throws
+/// std::invalid_argument on count == 0 or a bad cost vector. count >
+/// points leaves the high batches empty.
 std::vector<WorkLease> make_batches(std::size_t points, std::size_t count,
                                     const std::vector<double>& costs = {});
 

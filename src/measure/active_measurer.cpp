@@ -83,7 +83,8 @@ ExperimentPlan ActiveMeasurer::build_grid(
   for (const auto& req : requests) {
     check_calibration(Resource::kCacheStorage, req.storage_threads);
     check_calibration(Resource::kBandwidth, req.bandwidth_threads);
-    const auto id = plan.add_workload({req.name, req.factory});
+    const auto id =
+        plan.add_workload({req.name, req.factory, req.interference_groups});
     plan.add_sweep(id, Resource::kCacheStorage, 0, req.storage_threads);
     plan.add_sweep(id, Resource::kBandwidth, 0, req.bandwidth_threads);
     ids.push_back(id);

@@ -52,6 +52,7 @@ struct GridRequest {
   std::string name;
   std::uint32_t storage_threads = 0;    // sweep 0..storage_threads CSThrs
   std::uint32_t bandwidth_threads = 0;  // sweep 0..bandwidth_threads BWThrs
+  std::uint32_t interference_groups = 1;  // WorkloadSpec's cost-model hint
 };
 
 /// Both sweeps of one GridRequest; they share a single baseline run.
@@ -130,7 +131,7 @@ class ActiveMeasurer {
 
   /// Scheduler-probe counterpart (`--emit-plan`): writes the grid plan's
   /// size and per-point cost estimates (measured run times from the
-  /// configured store when present, heuristic otherwise) to `path`.
+  /// configured store when present, the cost model otherwise) to `path`.
   void sweep_grid_emit_plan(const std::vector<GridRequest>& requests,
                             const std::string& path,
                             const interfere::CSThrConfig& cs = {},

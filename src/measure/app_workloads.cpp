@@ -46,6 +46,13 @@ SimBackend::WorkloadFactory make_lulesh_workload(std::uint32_t ranks,
   return make_mpi_workload<apps::LuleshProxyAgent>(ranks, per_socket, config);
 }
 
+std::uint32_t mpi_interference_groups(const sim::MachineConfig& machine,
+                                      std::uint32_t ranks,
+                                      std::uint32_t per_socket) {
+  return static_cast<std::uint32_t>(
+      minimpi::Mapping(machine, ranks, per_socket).used_sockets().size());
+}
+
 SimBackend::WorkloadFactory make_synthetic_workload(
     apps::SyntheticConfig config) {
   return [config](sim::Engine& engine) {

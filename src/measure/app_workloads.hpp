@@ -22,8 +22,16 @@ SimBackend::WorkloadFactory make_lulesh_workload(std::uint32_t ranks,
                                                  std::uint32_t per_socket,
                                                  apps::LuleshConfig config);
 
+/// Interference core groups an MCB or Lulesh factory with this mapping
+/// offers: one per socket hosting ranks. Computed from the mapping alone
+/// — no engine — for WorkloadSpec::interference_groups. Throws like the
+/// factory would when the machine cannot host the mapping.
+std::uint32_t mpi_interference_groups(const sim::MachineConfig& machine,
+                                      std::uint32_t ranks,
+                                      std::uint32_t per_socket);
+
 /// One synthetic probabilistic benchmark on core 0 of socket 0; the rest
-/// of the socket is offered for interference.
+/// of the socket is offered for interference (one group).
 SimBackend::WorkloadFactory make_synthetic_workload(
     apps::SyntheticConfig config);
 

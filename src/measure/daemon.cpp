@@ -501,8 +501,9 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
       finalize_job(job);
       return;
     }
-    // Size-aware batches over the pending subset; measured run times in
-    // the namespace store (or seeded caches) sharpen the split.
+    // Cost-ordered slices over the pending subset, queued costliest
+    // first; measured run times in the namespace store (or seeded
+    // caches) sharpen the order.
     std::vector<double> costs;
     try {
       const ResultStore ns = ResultStore::load_or_empty(

@@ -1,6 +1,8 @@
 #include "measure/experiment_plan.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
 #include <stdexcept>
 
 #include "common/mutex.hpp"
@@ -54,15 +56,13 @@ WorkloadId ExperimentPlan::add_workload(WorkloadSpec spec) {
 
 std::vector<std::size_t> ExperimentPlan::shard(std::size_t index,
                                                std::size_t count) const {
-  if (index >= count && count != 0)
+  if (count == 0 || index >= count)
     throw std::invalid_argument(
         "ExperimentPlan::shard: index " + std::to_string(index) +
         " out of range for " + std::to_string(count) + " shards");
-  // batches() with no cost model assigns uniform-cost points greedily,
-  // which is exactly the historical round-robin {i : i ≡ index (mod
-  // count)} — the static front-end is the degenerate case of the
-  // dynamic batcher, so both obey one determinism contract.
-  return batches(count)[index].points;
+  std::vector<std::size_t> out;
+  for (std::size_t i = index; i < points_.size(); i += count) out.push_back(i);
+  return out;
 }
 
 std::vector<WorkLease> ExperimentPlan::batches(
@@ -176,37 +176,66 @@ ResultTable SweepRunner::run(const ExperimentPlan& plan, ThreadPool* pool,
                     plan.shard(shard.index, shard.count), executed);
 }
 
+namespace {
+
+/// Simulated accesses one interference agent issues per cycle, from the
+/// shape of its step: a CSThr step loads and stores `batch_size` lines
+/// that hit the L3, a BWThr step loads and stores `buffers_per_step`
+/// lines that miss to DRAM behind its serial index computation.
+double agent_accesses_per_cycle(const sim::MachineConfig& m,
+                                const interfere::CSThrConfig& cs,
+                                const interfere::BWThrConfig& bw,
+                                Resource resource) {
+  if (resource == Resource::kCacheStorage) {
+    const double batch = cs.batch_size;
+    return 2.0 * batch /
+           std::max(1.0, static_cast<double>(m.l3_latency) + batch);
+  }
+  const double group = std::min(bw.buffers_per_step, bw.num_buffers);
+  return 2.0 * group /
+         std::max(1.0, static_cast<double>(m.mem_latency) +
+                           group * bw.index_compute_cycles);
+}
+
+}  // namespace
+
 std::vector<double> SweepRunner::estimate_costs(
     const ExperimentPlan& plan, const ResultStore* store) const {
   const auto& points = plan.points();
-  // Heuristic: every interference thread is another agent the engine
-  // simulates each cycle, so work grows roughly linearly in the thread
-  // count. Relative units only — the uniform per-plan cycle budget
-  // (opts_.max_cycles) multiplies every point equally and divides out.
-  std::vector<double> heuristic(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i)
-    heuristic[i] = 1.0 + points[i].threads;
+  const double w_cs = agent_accesses_per_cycle(machine_, opts_.cs, opts_.bw,
+                                               Resource::kCacheStorage);
+  const double w_bw = agent_accesses_per_cycle(machine_, opts_.cs, opts_.bw,
+                                               Resource::kBandwidth);
+  std::vector<double> modelled(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ExperimentPoint& pt = points[i];
+    const double agents =
+        static_cast<double>(pt.threads) *
+        plan.workloads()[pt.workload].interference_groups;
+    modelled[i] =
+        1.0 + agents * (pt.resource == Resource::kCacheStorage ? w_cs : w_bw);
+  }
 
   std::vector<double> measured(points.size(), 0.0);
-  double measured_sum = 0.0, heuristic_sum = 0.0;
+  double measured_sum = 0.0, modelled_sum = 0.0;
   if (store != nullptr)
     for (std::size_t i = 0; i < points.size(); ++i) {
       measured[i] = store->run_seconds(key_for(plan, i));
       if (measured[i] > 0.0) {
         measured_sum += measured[i];
-        heuristic_sum += heuristic[i];
+        modelled_sum += modelled[i];
       }
     }
 
-  // Mixed plans (some points measured, some not): bring the heuristic
-  // onto the measured points' scale so the two populations are
-  // comparable within one batch assignment.
-  const double scale = measured_sum > 0.0 && heuristic_sum > 0.0
-                           ? measured_sum / heuristic_sum
+  // Mixed plans (some points measured, some not): bring the model onto
+  // the measured points' scale so the two populations are comparable
+  // within one ordering.
+  const double scale = measured_sum > 0.0 && modelled_sum > 0.0
+                           ? measured_sum / modelled_sum
                            : 1.0;
   std::vector<double> costs(points.size());
   for (std::size_t i = 0; i < points.size(); ++i)
-    costs[i] = measured[i] > 0.0 ? measured[i] : heuristic[i] * scale;
+    costs[i] = measured[i] > 0.0 ? measured[i] : modelled[i] * scale;
   return costs;
 }
 
@@ -276,10 +305,37 @@ ResultTable SweepRunner::run_points(const ExperimentPlan& plan,
     }
   };
 
-  if (pool != nullptr && todo.size() > 1)
-    parallel_for(*pool, todo.size(), opts_.grain, run_one);
-  else
+  if (pool != nullptr && todo.size() > 1) {
+    // Longest first, so the heaviest points never start last. Each
+    // point's error parks in its dispatch slot; the lowest *plan* index
+    // among them is rethrown, whatever order they were dispatched in.
+    const std::vector<double> costs = estimate_costs(plan, store);
+    std::sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
+      const std::size_t ia = owned[a], ib = owned[b];
+      return costs[ia] != costs[ib] ? costs[ia] > costs[ib] : ia < ib;
+    });
+    std::vector<std::exception_ptr> errors(todo.size());
+    parallel_for(*pool, todo.size(), opts_.grain, [&](std::size_t t) {
+      try {
+        run_one(t);
+      } catch (...) {
+        errors[t] = std::current_exception();
+      }
+    });
+    std::size_t first = todo.size();
+    for (std::size_t t = 0; t < todo.size(); ++t)
+      if (errors[t] && (first == todo.size() ||
+                        owned[todo[t]] < owned[todo[first]]))
+        first = t;
+    if (first != todo.size()) std::rethrow_exception(errors[first]);
+  } else {
+    // Serially the order cannot change the wall clock: run in plan order,
+    // so the first failure — which ends the run — is the lowest.
+    std::sort(todo.begin(), todo.end(), [&](std::size_t a, std::size_t b) {
+      return owned[a] < owned[b];
+    });
     for (std::size_t t = 0; t < todo.size(); ++t) run_one(t);
+  }
 
   if (executed != nullptr) *executed = todo.size();
 

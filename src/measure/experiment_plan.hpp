@@ -44,6 +44,12 @@ using WorkloadId = std::size_t;
 struct WorkloadSpec {
   std::string name;
   SimBackend::WorkloadFactory factory;
+  /// Core groups the factory offers interference threads on (one per
+  /// socket hosting ranks — mpi_interference_groups in
+  /// measure/app_workloads.hpp); a point runs `threads` agents in each.
+  /// Read only by SweepRunner::estimate_costs, never by a run or a key,
+  /// so a wrong value costs scheduling quality, not results.
+  std::uint32_t interference_groups = 1;
 };
 
 /// One executable grid point of a plan.
@@ -78,33 +84,28 @@ class ExperimentPlan {
   std::size_t size() const { return points_.size(); }
 
   /// Plan indices owned by shard `index` of `count`: the round-robin slice
-  /// {i : i ≡ index (mod count)}, in ascending order. For any count the
-  /// shards are disjoint and cover the plan exactly; a shard keeps its
-  /// points' original plan indices, so per-point seeds — and therefore
-  /// results — are identical to an unsharded run. count > size() simply
-  /// leaves the high shards empty. Throws std::invalid_argument when
-  /// count == 0 or index >= count. Implemented as batches(count) with a
-  /// uniform cost model, whose greedy assignment degenerates to exactly
-  /// this round-robin slicing — the compatibility front-end of the
-  /// dynamic scheduler.
+  /// {i : i ≡ index (mod count)}, in ascending order — the manual
+  /// multi-host recipe (`--shard i/n`). For any count the shards are
+  /// disjoint and cover the plan exactly; a shard keeps its points'
+  /// original plan indices, so per-point seeds — and therefore results —
+  /// are identical to an unsharded run. count > size() simply leaves the
+  /// high shards empty. Throws std::invalid_argument when count == 0 or
+  /// index >= count.
   std::vector<std::size_t> shard(std::size_t index, std::size_t count) const;
 
-  /// Splits the plan into `count` size-aware batches for dynamic
-  /// scheduling (measure::SweepOrchestrator leases them to workers).
-  /// `costs`, when non-empty, gives each plan index a relative cost
-  /// (size() entries, finite and >= 0 — see SweepRunner::estimate_costs);
-  /// empty means uniform. Assignment is greedy LPT: points in descending
-  /// cost order (ties by plan index) each join the currently cheapest
-  /// batch (ties by batch index), which with uniform costs reproduces the
-  /// round-robin shard slices bit-exactly. Guarantees, for any cost
-  /// model: the batches are disjoint, cover the plan exactly once, and
-  /// keep original plan indices (ascending within a batch) — so per-point
-  /// seeds, store keys, and therefore results are identical to an
-  /// unsharded run no matter how the batches are scheduled. Batch ids are
-  /// the batch indices; a scheduler re-issues them under fresh lease ids.
-  /// Throws std::invalid_argument when count == 0 or `costs` is the
-  /// wrong length or holds a negative/non-finite entry. count > size()
-  /// leaves the high batches empty.
+  /// Splits the plan into `count` cost-ordered slices for dynamic
+  /// scheduling (common/work_lease.hpp make_batches; the orchestrator and
+  /// the daemon lease them to workers in slice order). `costs`, when
+  /// non-empty, gives each plan index a relative cost (size() entries,
+  /// finite and >= 0 — see SweepRunner::estimate_costs); empty means
+  /// uniform. Batch 0 holds the costliest points, and each batch lists
+  /// its points costliest first (ties by plan index). Batches are
+  /// disjoint, cover the plan exactly once and keep original plan
+  /// indices — so per-point seeds, store keys, and therefore results are
+  /// identical to an unsharded run no matter how the batches are
+  /// scheduled. Throws std::invalid_argument when count == 0 or `costs`
+  /// is the wrong length or holds a negative/non-finite entry. count >
+  /// size() leaves the high batches empty.
   std::vector<WorkLease> batches(std::size_t count,
                                  const std::vector<double>& costs = {}) const;
 
@@ -193,7 +194,8 @@ class SweepRunner {
   /// Executes every point of the plan, serially (pool == nullptr) or over
   /// the pool. The table is identical either way. A throwing experiment's
   /// exception propagates: serially it ends the run, over the pool every
-  /// other run settles first and the first failure in plan order wins.
+  /// other run settles first; either way the failure at the lowest plan
+  /// index is the one rethrown.
   ResultTable run(const ExperimentPlan& plan, ThreadPool* pool = nullptr) const;
 
   /// Cache-aware, shardable run. Only the points of `shard` enter the
@@ -209,8 +211,11 @@ class SweepRunner {
   /// The general form every run() overload reduces to: run exactly the
   /// plan indices in `owned` (any subset — a static shard slice or a
   /// leased batch). Each fresh run is recorded into `store` together with
-  /// its wall-clock (ResultStore run times feed estimate_costs). Throws
-  /// std::invalid_argument on an out-of-range or duplicate index.
+  /// its wall-clock (ResultStore run times feed estimate_costs). Over a
+  /// pool the points that must run are dispatched longest first
+  /// (estimate_costs, ties by plan index), so the heaviest never start
+  /// last; serially they run in plan order. Throws std::invalid_argument
+  /// on an out-of-range or duplicate index.
   ResultTable run_points(const ExperimentPlan& plan, ThreadPool* pool,
                          ResultStore* store,
                          const std::vector<std::size_t>& owned,
@@ -230,14 +235,24 @@ class SweepRunner {
               const PointRun& run, const std::string& host,
               ResultStore& store) const;
 
-  /// Per-point relative costs for ExperimentPlan::batches. A point whose
-  /// key has a recorded wall-clock in `store` (a previous sweep ran it)
-  /// costs its measured seconds; the rest fall back to a 1 + threads
-  /// heuristic (more interference agents = more simulated work per
-  /// cycle), rescaled onto the measured points' scale when any exist.
-  /// The per-run cycle budget (options().max_cycles) is uniform across a
-  /// plan, so it divides out of these relative costs. Deterministic:
-  /// depends only on the plan, this runner's keys, and the store.
+  /// Per-point relative costs: the one cold-cost model every dispatcher
+  /// orders by (run_points, ExperimentPlan::batches in the orchestrator
+  /// and the daemon). A point whose key has a recorded wall-clock in
+  /// `store` (a previous sweep ran it) costs its measured seconds. The
+  /// rest are modelled by the simulated accesses they add,
+  /// 1 + threads × interference_groups × w(kind), where w(kind) is the
+  /// accesses per simulated cycle of one interference agent, derived from
+  /// its step shape on this machine:
+  ///   CSThr: 2·batch_size accesses per l3_latency + batch_size cycles;
+  ///   BWThr: 2·buffers_per_step accesses per mem_latency +
+  ///          buffers_per_step·index_compute_cycles cycles,
+  /// and the application's own work is the unit. Host time tracks
+  /// simulated accesses, and the agents run for the application's whole
+  /// run. Modelled costs are rescaled onto the measured points' scale
+  /// when any exist. The per-run cycle budget (options().max_cycles) is
+  /// uniform across a plan, so it divides out. Deterministic: depends
+  /// only on the plan, this runner's machine, options and keys, and the
+  /// store.
   std::vector<double> estimate_costs(const ExperimentPlan& plan,
                                      const ResultStore* store) const;
 

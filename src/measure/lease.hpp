@@ -57,8 +57,9 @@ SchedulingFlags parse_scheduling_flags(const Cli& cli);
 
 struct LeaseWorkerOptions {
   /// Delay between polls of the lease file while no fresh offer exists
-  /// (a finished point wakes the worker at once).
-  double poll_seconds = 0.02;
+  /// (a finished point wakes the worker at once). It bounds how long an
+  /// offer waits to be taken, so it is short.
+  double poll_seconds = 0.005;
   /// Give up (std::runtime_error, i.e. a retryable worker failure) when
   /// no point runs and no fresh offer arrives for this long — an
   /// orphaned worker whose scheduler died must not poll forever. 0
@@ -113,7 +114,7 @@ LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
                                    const LeaseWorkerOptions& opts = {});
 
 /// Writes the scheduler probe file for `plan`: plan size plus
-/// SweepRunner::estimate_costs over `store` (nullptr = heuristic only).
+/// SweepRunner::estimate_costs over `store` (nullptr = cost model only).
 void emit_plan_info(const ExperimentPlan& plan, const SweepRunner& runner,
                     const ResultStore* store, const std::string& path);
 

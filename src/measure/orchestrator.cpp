@@ -178,14 +178,9 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
   target = std::min(std::max<std::size_t>(target, 1), n);
   const std::vector<double> costs =
       opts_.use_measured_costs ? info->costs : std::vector<double>{};
-  auto batches = make_batches(n, target, costs);
-  // Serve heaviest batches first (LPT service order) and drop empties.
-  std::stable_sort(batches.begin(), batches.end(),
-                   [](const WorkLease& a, const WorkLease& b) {
-                     return a.cost > b.cost;
-                   });
+  // Slice order is service order: costliest slice first. Drop empties.
   std::deque<WorkLease> queue;
-  for (auto& b : batches) {
+  for (auto& b : make_batches(n, target, costs)) {
     report.skipped_empty += b.empty() ? 1 : 0;
     if (!b.empty()) queue.push_back(std::move(b));
   }

@@ -2,10 +2,11 @@
 // Multi-process sweep orchestration: run one ExperimentPlan across
 // supervised lease workers and merge their stores into the canonical
 // file. The orchestrator first probes the driver (`--emit-plan`) for the
-// plan size and per-point cost estimates, builds size-aware batches
-// (common/work_lease.hpp make_batches — greedy LPT over measured run
-// times when the store has them), and serves them heaviest first from
-// one queue to the worker slots of a WorkerFleet (measure/worker_fleet),
+// plan size and per-point cost estimates (SweepRunner::estimate_costs:
+// measured run times when the store has them, the cold-cost model
+// otherwise), cuts the cost-sorted points into slices
+// (common/work_lease.hpp make_batches), and serves them costliest first
+// from one queue to the worker slots of a WorkerFleet (measure/worker_fleet),
 // which spawns each worker as `<command> --results-dir <dir> --lease
 // <file> --worker` and streams offers to it (measure/lease.hpp). The
 // manifest records every lease assignment plus per-worker load-balance
@@ -68,9 +69,11 @@ struct OrchestratorOptions {
   /// Extra attempts per plan point beyond the first (a point is charged
   /// whenever a lease holding it dies).
   std::size_t retries = 1;
-  /// Delay between polls of the worker fleet. The plan probe is polled
-  /// with a backoff from 1 ms up to this.
-  double poll_seconds = 0.05;
+  /// Delay between polls of the worker fleet when a pass made no
+  /// progress. It bounds the latency of every handoff (ack, next offer,
+  /// exit), so it is short; one pass is a few small file reads. The plan
+  /// probe is polled with a backoff from 1 ms up to this.
+  double poll_seconds = 0.005;
   /// Kill a worker whose beat sequence has not advanced for this long
   /// (0 = disabled). Workers write their first beat at startup, so a
   /// worker with no beat at all this long after spawn counts as stalled
@@ -79,8 +82,9 @@ struct OrchestratorOptions {
   /// Target number of batches (0 = auto, a few per worker slot so early
   /// finishers keep pulling work). Clamped to the plan.
   std::size_t lease_batches = 0;
-  /// Use measured per-point run times from the store's sidecar (via the
-  /// probe) for batch sizing; false = uniform costs.
+  /// Serve points in the probe's cost order (measured run times from the
+  /// store's sidecar, else the cold-cost model); false = uniform costs,
+  /// i.e. plan order.
   bool use_measured_costs = true;
 };
 

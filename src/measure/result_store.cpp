@@ -419,7 +419,7 @@ void ResultStore::save(const std::string& path) const {
   atomic_write_file(path, out.str(), "ResultStore");
 
   // Sidecar with the known run times, best effort: losing it costs the
-  // scheduler its measured costs (it falls back to the heuristic), never
+  // scheduler its measured costs (it falls back to the cost model), never
   // a result.
   std::ostringstream times;
   times << kTimesHeader << '\n';

@@ -18,6 +18,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -632,6 +633,34 @@ TEST_F(SweepDaemonTest, WorkerKilledHoldingTwoJobsLeasesRequeuesBoth) {
     saw_worker = true;
   }
   EXPECT_TRUE(saw_worker);
+}
+
+TEST_F(SweepDaemonTest, FirstOfferLeadsWithTheCostliestPendingPoint) {
+  // The daemon serves make_batches' slices in order, so a job's first
+  // offer is slice 0 and its first point the costliest pending one. The
+  // stand-in worker copies the offer it was spawned with, then crashes.
+  PlanSpec spec = tiny_spec();
+  spec.points.push_back({0, Resource::kBandwidth, 2});
+  spec.points.push_back({0, Resource::kCacheStorage, 3});
+  const auto costs = make_runner(spec).estimate_costs(build_plan(spec),
+                                                      nullptr);
+  const auto costliest = static_cast<std::size_t>(
+      std::max_element(costs.begin(), costs.end()) - costs.begin());
+  ASSERT_EQ(costliest, 3u);  // the 3-CSThr point, last in plan order
+
+  const std::string capture = dir() + "/first-offer";
+  DaemonHarness harness(with_stub_worker(
+      {"/bin/sh", "-c", "cp \"$2\" \"$0\"; exit 3", capture}));
+  auto client = DaemonClient::connect_unix(sock());
+  const auto job = client.submit("alice", serialize_plan_spec(spec));
+  ASSERT_TRUE(job.ok);
+  EXPECT_EQ(client.wait(job.job, 30.0).state, JobState::kFailed);
+  EXPECT_TRUE(harness.drain().clean_exit);
+
+  const auto offer = read_lease_offer(capture);
+  ASSERT_TRUE(offer.has_value()) << read_file(capture);
+  ASSERT_FALSE(offer->lease.points.empty());
+  EXPECT_EQ(offer->lease.points.front(), costliest);
 }
 
 TEST_F(SweepDaemonTest, UnspawnableWorkerCommandFailsJobNotDaemon) {

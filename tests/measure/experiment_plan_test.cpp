@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <iostream>
+#include <map>
 #include <random>
+#include <sstream>
 
+#include "common/mutex.hpp"
 #include "common/work_lease.hpp"
 #include "measure/active_measurer.hpp"
 #include "measure/app_workloads.hpp"
@@ -153,46 +160,70 @@ TEST(ExperimentPlan, BatchesCoverEveryPlanExactlyOnceForRandomCostModels) {
     const auto batches = make_batches(points, count, costs);
     ASSERT_EQ(batches.size(), count);
     std::vector<int> owners(points, 0);
+    // Service order, by contract: concatenated, the batches list the
+    // points costliest first, ties by plan index — within a batch and
+    // from one batch to the next.
+    const auto cost = [&](std::size_t p) {
+      return costs.empty() ? 1.0 : costs[p];
+    };
+    std::vector<std::size_t> served;
     for (const auto& lease : batches) {
-      // Ascending within a batch, by contract.
-      for (std::size_t i = 1; i < lease.points.size(); ++i)
-        EXPECT_LT(lease.points[i - 1], lease.points[i]);
       for (const std::size_t p : lease.points) {
         ASSERT_LT(p, points);
         ++owners[p];
+        served.push_back(p);
       }
+    }
+    for (std::size_t i = 1; i < served.size(); ++i) {
+      const std::size_t a = served[i - 1], b = served[i];
+      EXPECT_TRUE(cost(a) > cost(b) || (cost(a) == cost(b) && a < b))
+          << "points " << a << " then " << b;
     }
     for (const int n : owners) EXPECT_EQ(n, 1);
   }
 }
 
-TEST(ExperimentPlan, UniformBatchesReproduceRoundRobinShards) {
-  // shard(i, n) is documented as the uniform-cost degenerate case of
-  // batches(); hold both to the historical round-robin oracle so the
-  // static front-end stays bit-compatible forever.
+TEST(ExperimentPlan, ShardsStayRoundRobinAndUniformBatchesArePlanSlices) {
+  // shard(i, n) is the manual multi-host recipe: hold it to the
+  // historical round-robin oracle forever. Uniform-cost batches are the
+  // plan cut into contiguous slices, sizes differing by at most one.
   ExperimentPlan plan;
   const auto w = plan.add_workload({"w", synth_factory()});
   plan.add_sweep(w, Resource::kCacheStorage, 0, 10);  // 11 points
   for (const std::size_t n : {1u, 2u, 3u, 5u, 11u, 13u}) {
     const auto batches = plan.batches(n);
+    std::size_t next = 0;
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<std::size_t> oracle;
       for (std::size_t p = i; p < plan.size(); p += n) oracle.push_back(p);
-      EXPECT_EQ(batches[i].points, oracle);
       EXPECT_EQ(plan.shard(i, n), oracle);
+
+      const std::size_t size = plan.size() / n + (i < plan.size() % n);
+      std::vector<std::size_t> slice(size);
+      for (auto& p : slice) p = next++;
+      EXPECT_EQ(batches[i].points, slice);
+      EXPECT_EQ(batches[i].cost, static_cast<double>(size));
     }
   }
 }
 
-TEST(ExperimentPlan, BatchesBalanceSkewedCosts) {
-  // One dominating point must not drag half the plan with it: LPT gives
-  // the heavy point its own batch and spreads the rest.
-  const std::vector<double> costs{100.0, 1.0, 1.0, 1.0, 1.0, 1.0};
-  const auto batches = make_batches(6, 2, costs);
-  double lo = batches[0].cost, hi = batches[1].cost;
-  if (lo > hi) std::swap(lo, hi);
-  EXPECT_EQ(hi, 100.0);  // heavy point isolated
-  EXPECT_EQ(lo, 5.0);    // all light points together
+TEST(ExperimentPlan, BatchesAreCostOrderedSlices) {
+  // Costliest points first, in slice 0; ties keep plan order; each slice
+  // lists its points costliest first, so a worker's FIFO starts its
+  // heaviest point first.
+  const std::vector<double> costs{1.0, 100.0, 5.0, 5.0, 3.0, 50.0};
+  const auto two = make_batches(6, 2, costs);
+  EXPECT_EQ(two[0].points, (std::vector<std::size_t>{1, 5, 2}));
+  EXPECT_EQ(two[1].points, (std::vector<std::size_t>{3, 4, 0}));
+  EXPECT_EQ(two[0].cost, 155.0);
+  EXPECT_EQ(two[1].cost, 9.0);
+  // Four slices of six points: the leading two take the remainder.
+  const auto four = make_batches(6, 4, costs);
+  EXPECT_EQ(four[0].points, (std::vector<std::size_t>{1, 5}));
+  EXPECT_EQ(four[1].points, (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(four[2].points, (std::vector<std::size_t>{4}));
+  EXPECT_EQ(four[3].points, (std::vector<std::size_t>{0}));
+  for (std::size_t b = 0; b < four.size(); ++b) EXPECT_EQ(four[b].id, b);
 }
 
 TEST(ExperimentPlan, BatchesRejectBadCostModels) {
@@ -217,29 +248,191 @@ TEST(SweepRunner, RunPointsRejectsBadWorkLists) {
                std::invalid_argument);
 }
 
-TEST(SweepRunner, EstimateCostsPrefersMeasuredTimesAndFallsBackToHeuristic) {
+TEST(SweepRunner, EstimateCostsPrefersMeasuredTimesAndFallsBackToModel) {
   const auto plan = two_workload_plan();
   const SweepRunner runner(machine(), options());
 
-  // No store: pure heuristic, increasing in thread count.
-  const auto heuristic = runner.estimate_costs(plan, nullptr);
-  ASSERT_EQ(heuristic.size(), plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i)
-    EXPECT_EQ(heuristic[i], 1.0 + plan.points()[i].threads);
+  // No store: the model. A baseline costs the application's unit; each
+  // agent adds its kind's accesses per cycle, a CSThr (L3 hits) several
+  // times a BWThr (DRAM misses behind a serial index chain).
+  const auto model = runner.estimate_costs(plan, nullptr);
+  ASSERT_EQ(model.size(), plan.size());
+  const auto& pts = plan.points();
+  double w_cs = 0.0, w_bw = 0.0;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    if (pts[i].threads == 0) {
+      EXPECT_EQ(model[i], 1.0);
+      continue;
+    }
+    const double w = (model[i] - 1.0) / pts[i].threads;
+    double& seen = pts[i].resource == Resource::kCacheStorage ? w_cs : w_bw;
+    if (seen == 0.0) seen = w;
+    EXPECT_DOUBLE_EQ(w, seen);  // linear in threads, one weight per kind
+  }
+  EXPECT_GT(w_bw, 0.0);
+  EXPECT_GT(w_cs / w_bw, 2.0);
+  EXPECT_LT(w_cs / w_bw, 8.0);
+
+  // Interference groups multiply the agents a point runs.
+  ExperimentPlan grouped;
+  const auto g = grouped.add_workload({"g", synth_factory(), 4});
+  grouped.add_point(g, Resource::kCacheStorage, 2);
+  EXPECT_DOUBLE_EQ(runner.estimate_costs(grouped, nullptr)[0],
+                   1.0 + 2 * 4 * w_cs);
 
   // A store with one measured run: that point costs its wall-clock, the
-  // rest keep the (rescaled) heuristic — and the result is deterministic.
+  // rest keep the (rescaled) model — and the result is deterministic.
   ResultStore store;
   SimRunResult r;
   r.seconds = 0.5;
   store.put(runner.key_for(plan, 0), r, "host", /*run_seconds=*/7.5);
   const auto mixed = runner.estimate_costs(plan, &store);
   EXPECT_EQ(mixed[0], 7.5);
-  // Point 0 is a baseline (heuristic 1.0) measured at 7.5 s, so the
-  // heuristic population is rescaled by 7.5/1.0.
+  // Point 0 is a baseline (model 1.0) measured at 7.5 s, so the
+  // modelled population is rescaled by 7.5/1.0.
   for (std::size_t i = 1; i < plan.size(); ++i)
-    EXPECT_EQ(mixed[i], heuristic[i] * 7.5);
+    EXPECT_EQ(mixed[i], model[i] * 7.5);
   EXPECT_EQ(mixed, runner.estimate_costs(plan, &store));
+}
+
+/// Spearman rank correlation, ties taking their average rank.
+double spearman(const std::vector<double>& x, const std::vector<double>& y) {
+  const auto ranks = [](const std::vector<double>& v) {
+    std::vector<std::size_t> order(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+    std::vector<double> r(v.size());
+    for (std::size_t i = 0; i < order.size();) {
+      std::size_t j = i;
+      while (j + 1 < order.size() && v[order[j + 1]] == v[order[i]]) ++j;
+      for (std::size_t k = i; k <= j; ++k) r[order[k]] = (i + j) / 2.0;
+      i = j + 1;
+    }
+    return r;
+  };
+  const auto rx = ranks(x), ry = ranks(y);
+  const double n = static_cast<double>(x.size());
+  double mx = 0.0, my = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    mx += rx[i] / n;
+    my += ry[i] / n;
+  }
+  double cov = 0.0, vx = 0.0, vy = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    cov += (rx[i] - mx) * (ry[i] - my);
+    vx += (rx[i] - mx) * (rx[i] - mx);
+    vy += (ry[i] - my) * (ry[i] - my);
+  }
+  return cov / std::sqrt(vx * vy);
+}
+
+TEST(SweepRunner, EstimateCostsRanksTheMeasuredFig9Grid) {
+  // The committed fixture holds measured host seconds of the fig9
+  // --quick grid at scale 64 (scripts/point_seconds.py regenerates it).
+  // Rebuild that plan — factories never run — and rank its points.
+  std::ifstream in(std::string(AM_GOLDEN_DIR) +
+                   "/fig9_quick_point_seconds.tsv");
+  ASSERT_TRUE(in) << "missing fixture";
+  const MachineConfig m = MachineConfig::xeon20mb_scaled(kScale, 12);
+  const SimBackend::WorkloadFactory never = [](sim::Engine&) -> WorkloadInfo {
+    throw std::logic_error("the ranking test runs no point");
+  };
+  ExperimentPlan with_groups, kind_only;
+  std::map<std::string, WorkloadId> ids;
+  std::vector<double> seconds;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name, resource, threads, secs;
+    std::getline(fields, name, '\t');
+    std::getline(fields, resource, '\t');
+    std::getline(fields, threads, '\t');
+    std::getline(fields, secs, '\t');
+    if (!ids.contains(name)) {
+      const auto p = static_cast<std::uint32_t>(
+          std::stoul(name.substr(name.find("p=") + 2)));
+      ids[name] = with_groups.add_workload(
+          {name, never, mpi_interference_groups(m, 4, p)});
+      kind_only.add_workload({name, never});
+    }
+    const Resource r = resource == "bandwidth" ? Resource::kBandwidth
+                                               : Resource::kCacheStorage;
+    const auto k = static_cast<std::uint32_t>(std::stoul(threads));
+    with_groups.add_point(ids[name], r, k);
+    kind_only.add_point(ids[name], r, k);
+    seconds.push_back(std::stod(secs));
+  }
+  ASSERT_EQ(with_groups.size(), 23u);
+  ASSERT_EQ(seconds.size(), 23u);
+
+  SweepRunnerOptions opts;
+  opts.cs = cs_cfg();
+  opts.bw = bw_cfg();
+  const SweepRunner runner(m, opts);
+  std::vector<double> threads_only;
+  for (const auto& pt : with_groups.points())
+    threads_only.push_back(1.0 + pt.threads);
+
+  const double old_rho = spearman(threads_only, seconds);
+  const double rho = spearman(runner.estimate_costs(with_groups, nullptr),
+                              seconds);
+  const double kind_rho =
+      spearman(runner.estimate_costs(kind_only, nullptr), seconds);
+  EXPECT_GE(rho, 0.9);
+  EXPECT_GT(rho, old_rho);
+  // Without the group hint (a WorkloadSpec that leaves it at 1, as the
+  // benchmark's plan does) the kind weights alone still beat 1 + threads.
+  EXPECT_GT(kind_rho, old_rho);
+  std::cout << "spearman: model " << rho << ", kind only " << kind_rho
+            << ", 1 + threads " << old_rho << "\n";
+}
+
+TEST(SweepRunner, RunPointsRethrowsTheLowestPlanIndexFailure) {
+  // A cheap point at plan index 0 and a costly one at index 1 both throw.
+  // Over a pool the costly one is dispatched first (a one-thread pool
+  // runs them in dispatch order), yet the error that surfaces is plan
+  // index 0's, whatever the pool size.
+  Mutex mutex;
+  std::vector<std::string> started;
+  const auto failing = [&](std::string name) {
+    return [&, name](sim::Engine&) -> WorkloadInfo {
+      {
+        const MutexLock lock(mutex);
+        started.push_back(name);
+      }
+      throw std::runtime_error(name + " point failed");
+    };
+  };
+  ExperimentPlan plan;
+  const auto cheap = plan.add_workload({"cheap", failing("cheap")});
+  const auto costly = plan.add_workload({"costly", failing("costly")});
+  plan.add_point(cheap, Resource::kCacheStorage, 0);
+  plan.add_point(costly, Resource::kCacheStorage, 5);
+  const SweepRunner runner(machine(), options());
+  const auto costs = runner.estimate_costs(plan, nullptr);
+  ASSERT_GT(costs[1], costs[0]);
+
+  const auto message = [&](ThreadPool* pool) {
+    started.clear();
+    try {
+      runner.run_points(plan, pool, nullptr, {0, 1});
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message(nullptr), "cheap point failed");
+  EXPECT_EQ(started, (std::vector<std::string>{"cheap"}));  // plan order
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(message(&pool), "cheap point failed") << threads << " threads";
+    EXPECT_EQ(started.size(), 2u);  // every run settles first
+    if (threads == 1) {
+      EXPECT_EQ(started, (std::vector<std::string>{"costly", "cheap"}));
+    }
+  }
 }
 
 TEST(ResultTable, HasAndGetErrorPaths) {
