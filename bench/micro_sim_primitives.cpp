@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "model/distributions.hpp"
+#include "sim/engine.hpp"
 #include "sim/memory_system.hpp"
 
 namespace {
@@ -189,6 +190,24 @@ void BM_BatchPipelined(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_BatchPipelined);
+
+// Engine construction, tracked by scripts/bench_engine.py: build and
+// destroy a 12-node Xeon20MB (24 sockets, 192 cores) at the given scale.
+// Every run pays it once per point, and caches and prefetchers size their
+// arrays at first use, so it should not grow with the scale.
+void BM_EngineConstruct(benchmark::State& state) {
+  const auto cfg = am::sim::MachineConfig::xeon20mb_scaled(
+      static_cast<std::uint32_t>(state.range(0)), 12);
+  for (auto _ : state) {
+    am::sim::Engine engine(cfg);
+    benchmark::DoNotOptimize(&engine);
+  }
+}
+BENCHMARK(BM_EngineConstruct)
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DistributionSample(benchmark::State& state) {
   const auto dists = am::model::AccessDistribution::table2(1 << 20);

@@ -40,6 +40,10 @@ if(AM_SANITIZE)
   set(AM_SAN_FLAGS -fsanitize=address,undefined -fno-omit-frame-pointer -fno-sanitize-recover=all)
   target_compile_options(am_compile_options INTERFACE ${AM_SAN_FLAGS})
   target_link_options(am_compile_options INTERFACE ${AM_SAN_FLAGS})
+  # libstdc++'s bounds checks: operator[] past a vector's size traps. ASan
+  # alone misses an index that lands inside a larger heap block, such as a
+  # lookup into a cache's one-entry arrays before its first fill.
+  target_compile_definitions(am_compile_options INTERFACE _GLIBCXX_ASSERTIONS)
 endif()
 
 if(AM_TSAN)

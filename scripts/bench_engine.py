@@ -23,6 +23,9 @@ Tracks the simulator's hot path — `sim::MemorySystem::access` under
     BM_CsthrReadModifyWrite (random load-then-store over an L3-resident
     buffer 8x the L2, the CSThr agent's access mix) tracks the absolute
     throughput of the L3-hit and dirty-victim write-back path.
+    BM_EngineConstruct/{1,16,64} builds and destroys a 12-node engine
+    at scale 1, 16 and 64, reported as
+    micro.BM_EngineConstruct.<scale>.ms.
   * the fig9 smoke sweep end to end, fast paths off vs on (both filter
     toggles together), with a byte-compare of the emitted tables: the
     filters are host-speed knobs only, so the figure output must be
@@ -54,7 +57,11 @@ L1_LATENCY_CYCLES = 4
 
 MICRO_FILTER = ("BM_L1HitSequential|BM_EngineStepOverhead|BM_L2HitBand"
                 "|BM_DramBoundStream|BM_BatchPipelined"
-                "|BM_HierarchyWalkRandom/16/|BM_CsthrReadModifyWrite")
+                "|BM_HierarchyWalkRandom/16/|BM_CsthrReadModifyWrite"
+                "|BM_EngineConstruct")
+
+# google-benchmark time units, in milliseconds.
+MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 FIG9_ARGS = [
     "--scale", "64", "--ranks", "8", "--steps", "1", "--quick",
     "--max-cs", "1", "--max-bw", "1",
@@ -69,9 +76,10 @@ def run_micro(binary):
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr)
         raise RuntimeError(f"micro benchmarks failed ({proc.returncode})")
+    benchmarks = json.loads(proc.stdout)["benchmarks"]
     per_name = {
         b["name"]: b["items_per_second"]
-        for b in json.loads(proc.stdout)["benchmarks"]
+        for b in benchmarks
         if "items_per_second" in b
     }
     out = {}
@@ -126,6 +134,16 @@ def run_micro(binary):
     # trajectory break.
     out["BM_CsthrReadModifyWrite"] = {
         "accesses_per_second": round(per_name["BM_CsthrReadModifyWrite"]),
+    }
+    # What every point pays before its first access: building a 12-node
+    # engine. Caches and prefetchers are sized at first use, so it should
+    # stay flat across scales.
+    out["BM_EngineConstruct"] = {
+        b["name"].split("/")[1]: {
+            "ms": round(b["real_time"] * MS_PER_UNIT[b["time_unit"]], 4),
+        }
+        for b in benchmarks
+        if b["name"].startswith("BM_EngineConstruct/")
     }
     return out
 

@@ -27,18 +27,30 @@ void CacheConfig::validate() const {
 Cache::Cache(CacheConfig config) : config_(std::move(config)) {
   config_.validate();
   indexer_ = SetIndexer(config_.set_hash, config_.num_sets());
-  tags_.assign(config_.num_lines(), kNoLine);
-  stamps_.resize(config_.num_lines());
-  meta_.resize(config_.num_lines());
+}
+
+std::uint64_t Cache::table_entries(const CacheConfig& config) {
+  return std::max<std::uint64_t>(64, std::bit_ceil(4 * config.num_lines()));
+}
+
+void Cache::materialize() {
+  const std::uint64_t lines = config_.num_lines();
+  tags_.assign(lines, kNoLine);
+  stamps_.assign(lines, 0);
+  meta_.assign(lines, Meta{});
+  slot_of_.assign(table_entries(config_), 0);
+  slot_mask_ = slot_of_.size() - 1;
+  ways_ = config_.ways;
 }
 
 Cache::AccessOutcome Cache::access(Addr line_addr, std::uint16_t owner,
                                    std::uint32_t sharer_bit, bool is_store) {
   AccessOutcome out;
+  if (ways_ == 0) materialize();  // the first fill: nothing can hit
   const std::size_t base = set_base(line_addr);
   ++stamp_;
   // Hit probe: tags only, early exit.
-  for (std::size_t i = base; i < base + config_.ways; ++i) {
+  for (std::size_t i = base; i < base + ways_; ++i) {
     if (tags_[i] == line_addr) {
       stamps_[i] = stamp_;
       Meta& meta = meta_[i];
@@ -65,10 +77,6 @@ Cache::AccessOutcome Cache::access(Addr line_addr, std::uint16_t owner,
   tags_[victim] = line_addr;
   stamps_[victim] = insert_clock + 1;
   meta = Meta{sharer_bit, owner, /*dirty=*/is_store};
-  if (slot_mask_ == 0) {  // the first fill (or a one-line cache)
-    slot_of_.assign(std::bit_ceil(config_.num_lines()), 0);
-    slot_mask_ = slot_of_.size() - 1;
-  }
   // The victim's own entry, if it still names this slot, now fails the
   // tag check.
   slot_of_[line_addr & slot_mask_] = static_cast<std::uint32_t>(victim);
@@ -81,7 +89,7 @@ std::uint32_t Cache::victim_way(std::size_t base) {
   // min is the first invalid way when there is one, else the LRU line.
   // LRU ties between valid lines are real: insert_age > 0 clamps early
   // fills to the same stamp and lands later fills on earlier hit stamps.
-  const std::uint32_t ways = config_.ways;
+  const std::uint32_t ways = ways_;
   const std::uint64_t* stamps = &stamps_[base];
   std::uint32_t victim = 0;
   std::uint64_t oldest = stamps[0];
@@ -108,7 +116,8 @@ bool Cache::invalidate(Addr line_addr) {
 
 void Cache::flush() {
   // An invalid way's meta_ entry is never read; fills overwrite it. The
-  // line->slot table keeps its entries: each now fails the tag check.
+  // line->slot table keeps its entries: each now fails the tag check. A
+  // never-filled cache clears its one invalid way and stays unsized.
   std::fill(tags_.begin(), tags_.end(), kNoLine);
   std::fill(stamps_.begin(), stamps_.end(), 0);
 }

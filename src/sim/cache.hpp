@@ -15,16 +15,21 @@
 // That is 24 B per line, the size of the array-of-structs layout it
 // replaced (kept as the test oracle in tests/sim/reference_cache.hpp).
 //
-// Beside them sits one line->slot table of bit_ceil(num_lines) 4-byte
+// Beside them sits one line->slot table of table_entries(config) 4-byte
 // entries, indexed by the low bits of the line address and written on
 // every hit and fill. An entry is only a guess: it is trusted when
 // `tags_[entry] == line`, and a line is resident at most once, so a
 // stale entry (the line left, moved to another way, or lost its entry to
 // a colliding line) costs only the fallback set scan. The table holds no
-// simulated state: hits, victims and dirty bits never depend on it.
-// It starts as one entry naming slot 0 and takes its full size at the
-// first fill: an engine builds an L3 for every socket of the machine,
-// and a run's agents may touch only a few of them.
+// simulated state: hits, victims and dirty bits never depend on it. It
+// has four entries per line (at least 64), so the few hot lines of a
+// one-set L1 or of an L2 set rarely share an entry.
+//
+// All four arrays take their size at the first fill. An engine builds the
+// caches of every core and socket of the machine, and a run's agents
+// touch only a few of them. Until then the cache is one invalid way named
+// by a one-entry table, with a scan width (ways_) of 0: every lookup
+// misses without reading past index 0, and the occupancy counts are 0.
 //
 // Precondition: no line address passed to any member may equal kNoLine
 // (~0). MachineConfig::validate requires line_bytes >= 2, so every line
@@ -77,6 +82,10 @@ class Cache {
  public:
   explicit Cache(CacheConfig config);
 
+  /// Entries of the line->slot table of a cache with this geometry, once
+  /// it is filled: max(64, bit_ceil(4 * num_lines)).
+  static std::uint64_t table_entries(const CacheConfig& config);
+
   /// The tag of an invalid way. Line addresses are byte addresses >> line
   /// shift, so it is unreachable.
   static constexpr Addr kNoLine = ~Addr{0};
@@ -93,7 +102,8 @@ class Cache {
   /// `owner` tags the inserting agent (occupancy accounting); `sharer_bit`
   /// is OR-ed into the line's sharer mask (used by the L3 to know which
   /// private caches may hold copies). The hit probe scans the set; it does
-  /// not consult the line->slot table, only writes it.
+  /// not consult the line->slot table, only writes it. The first call
+  /// sizes the arrays (see the file comment).
   AccessOutcome access(Addr line_addr, std::uint16_t owner,
                        std::uint32_t sharer_bit = 0, bool is_store = false);
 
@@ -117,7 +127,8 @@ class Cache {
   /// Host-side prefetch of the line's table entry and its set's tags for
   /// an access about to be issued. Pure software-pipelining hint for
   /// MemorySystem::access_batch — touches no simulated state, so results
-  /// cannot depend on it.
+  /// cannot depend on it. Before the first fill both addresses are index
+  /// 0 of one-entry arrays.
   void prefetch_set(Addr line_addr) const {
     __builtin_prefetch(&slot_of_[line_addr & slot_mask_]);
     __builtin_prefetch(&tags_[set_base(line_addr)]);
@@ -166,8 +177,9 @@ class Cache {
 
   static constexpr std::size_t kAbsent = ~std::size_t{0};
 
+  /// The first slot of the line's set; 0 before the first fill.
   std::size_t set_base(Addr line_addr) const {
-    return static_cast<std::size_t>(indexer_.index(line_addr) * config_.ways);
+    return static_cast<std::size_t>(indexer_.index(line_addr) * ways_);
   }
   /// The slot holding `line_addr`, or kAbsent: the table's entry when it
   /// names the line, else a scan of the set.
@@ -175,10 +187,12 @@ class Cache {
     const std::size_t hint = slot_of_[line_addr & slot_mask_];
     if (tags_[hint] == line_addr) return hint;
     const std::size_t base = set_base(line_addr);
-    for (std::size_t i = base; i < base + config_.ways; ++i)
+    for (std::size_t i = base; i < base + ways_; ++i)
       if (tags_[i] == line_addr) return i;
     return kAbsent;
   }
+  /// Gives the arrays their full size (see the file comment).
+  void materialize();
   /// The way a miss in the set at `base` fills: the first invalid way,
   /// else the replacement policy's victim.
   std::uint32_t victim_way(std::size_t base);
@@ -189,12 +203,13 @@ class Cache {
   // Per-cache logical clock for LRU, + 1: a valid line's stamp is >= 1,
   // leaving 0 for invalid ways.
   std::uint64_t stamp_ = 1;
-  std::vector<Addr> tags_;             // kNoLine = invalid way
-  std::vector<std::uint64_t> stamps_;  // 0 = invalid way
-  std::vector<Meta> meta_;
-  // Line->slot table: one entry until the first fill, then
-  // bit_ceil(num_lines), validated against tags_ on every read (see the
-  // file comment).
+  // Until the first fill: one invalid way, a one-entry table naming it,
+  // and nothing to scan.
+  std::uint32_t ways_ = 0;                      // config_.ways once filled
+  std::vector<Addr> tags_ = {kNoLine};          // kNoLine = invalid way
+  std::vector<std::uint64_t> stamps_ = {0};     // 0 = invalid way
+  std::vector<Meta> meta_ = {Meta{}};
+  // Line->slot table, validated against tags_ on every read.
   std::vector<std::uint32_t> slot_of_ = {0};
   Addr slot_mask_ = 0;  // slot_of_.size() - 1
 };

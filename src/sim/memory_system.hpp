@@ -4,6 +4,12 @@
 // per-node interconnect NIC. This is the substitute for the paper's real
 // Xeon20MB platform — every workload and interference thread issues its
 // accesses through this component.
+//
+// It builds the caches and prefetchers of every core and socket of the
+// machine, but each sizes its arrays at first use (see sim/cache.hpp and
+// sim/prefetcher.hpp): a run pays host memory only for the cores and
+// sockets its agents touch. Lookups into a never-filled cache all miss,
+// so back-invalidation, occupancy and flush need no special case.
 #include <memory>
 #include <span>
 #include <vector>

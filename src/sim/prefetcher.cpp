@@ -17,15 +17,19 @@ void PrefetcherConfig::validate() const {
 StreamPrefetcher::StreamPrefetcher(PrefetcherConfig config) : config_(config) {
   if (!config_.enabled) return;
   config_.validate();
-  streams_.resize(config_.num_streams);
   // Two buckets per stream keeps chains short in both indexes.
   const std::uint64_t buckets =
       std::bit_ceil(2 * static_cast<std::uint64_t>(config_.num_streams));
   bucket_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
-  next_heads_.assign(buckets, kNone);
-  fresh_heads_.assign(buckets, kNone);
   granule_shift_ = static_cast<unsigned>(std::countr_zero(std::bit_ceil(
       2 * static_cast<std::uint64_t>(config_.max_stride_lines))));
+}
+
+void StreamPrefetcher::materialize() {
+  const std::uint64_t buckets = std::uint64_t{1} << (64 - bucket_shift_);
+  streams_.resize(config_.num_streams);
+  next_heads_.assign(buckets, kNone);
+  fresh_heads_.assign(buckets, kNone);
 }
 
 StreamPrefetcher::Slot StreamPrefetcher::bucket(Addr key) const {
@@ -87,6 +91,7 @@ StreamPrefetcher::Slot StreamPrefetcher::lowest_match(
 
 void StreamPrefetcher::on_miss(Addr line_addr, std::vector<Addr>& out) {
   if (!config_.enabled) return;
+  if (streams_.empty()) materialize();  // the first miss
 
   // Pass 1: does this miss continue an existing stream?
   const Slot cont =

@@ -25,6 +25,10 @@
 // When several streams match a miss, the lowest slot index wins — the
 // order a front-to-back scan of the table would find them — so the
 // prefetcher's decisions do not depend on hash-bucket layout.
+//
+// The stream table and both indexes are allocated at the first on_miss:
+// an engine builds a prefetcher for every core of the machine, and a core
+// that never misses in its L2 never needs one.
 #include <cstdint>
 #include <vector>
 
@@ -87,6 +91,8 @@ class StreamPrefetcher {
     Slot lru_next = kNone;    // towards the most recently used slot
   };
 
+  /// Allocates the stream table and both indexes (see the file comment).
+  void materialize();
   Slot bucket(Addr key) const;
   /// The index bucket holding `s`, or nullptr when `s` is unindexed.
   Slot* chain_of(const Stream& s);
@@ -100,7 +106,8 @@ class StreamPrefetcher {
                     Match match) const;
 
   PrefetcherConfig config_;
-  std::vector<Stream> streams_;    // slots [0, used_) are valid
+  std::vector<Stream> streams_;    // slots [0, used_) are valid; empty
+                                   // until the first on_miss
   std::vector<Slot> next_heads_;   // armed streams by predicted next line
   std::vector<Slot> fresh_heads_;  // fresh streams by last-line granule
   unsigned bucket_shift_ = 0;

@@ -6,17 +6,19 @@
 // field and every return value must agree after each operation, and
 // occupancy and resident counts must agree along the way and at the end.
 //
-// The production cache keeps a line->slot table of bit_ceil(num_lines)
-// entries indexed by the low line bits, trusted only when the named way
-// still holds the line. The traces aim at the ways an entry goes stale:
-// lines that collide modulo the table size, lines evicted and re-filled
-// into another way, invalidate and flush.
+// The production cache keeps a line->slot table of
+// Cache::table_entries(config) entries indexed by the low line bits,
+// trusted only when the named way still holds the line. The traces aim at
+// the ways an entry goes stale: lines that collide modulo the table size,
+// lines evicted and re-filled into another way, invalidate and flush.
+// Its arrays are sized at the first fill, so traces also begin with every
+// lookup on a cache that was never filled.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "reference_cache.hpp"
@@ -105,6 +107,8 @@ class Twin {
     fast_.touch(line);
     ref_.touch(line);
   }
+  /// The host prefetch hint: production cache only, no simulated effect.
+  void prefetch(Addr line) const { fast_.prefetch_set(line); }
   void flush() {
     fast_.flush();
     ref_.flush();
@@ -141,12 +145,11 @@ class Twin {
 // pressure; the other half are the few lines of a hot group and their
 // aliases one to three table sizes up, which share table entries. A few
 // high address bits exercise the hashed index.
-::testing::AssertionResult same_behaviour(const CacheConfig& c,
-                                          std::uint64_t seed) {
-  Twin twin(c);
+::testing::AssertionResult same_trace(Twin& twin, const CacheConfig& c,
+                                      std::uint64_t seed) {
   Rng rng(seed);
   const std::uint64_t lines = c.num_lines();
-  const std::uint64_t table = std::bit_ceil(lines);
+  const std::uint64_t table = Cache::table_entries(c);
   for (int op = 0; op < kOps; ++op) {
     Addr line = 0;
     if (rng.bounded(2) == 0)
@@ -191,6 +194,32 @@ class Twin {
   return twin.same_counts();
 }
 
+::testing::AssertionResult same_behaviour(const CacheConfig& c,
+                                          std::uint64_t seed) {
+  Twin twin(c);
+  return same_trace(twin, c, seed);
+}
+
+// Every lookup on a cache that was never filled, each on `line`: all miss,
+// change nothing, and leave the counts at 0. The prefetch hint must not
+// index past the unfilled arrays either.
+::testing::AssertionResult untouched_lookups_miss(Twin& twin, Addr line) {
+  if (auto r = twin.same_counts(); !r) return r;
+  twin.prefetch(line);
+  if (auto r = twin.contains(line); !r) return r;
+  twin.touch(line);
+  if (auto r = twin.mark_dirty(line); !r) return r;
+  if (auto r = twin.invalidate(line); !r) return r;
+  for (const bool store : {false, true}) {
+    if (auto r = twin.probe(line, store); !r) return r;
+    if (twin.probe_hit())
+      return ::testing::AssertionFailure()
+             << "try_fast_hit(" << line << ") hit a never-filled cache";
+  }
+  twin.flush();
+  return twin.same_counts();
+}
+
 TEST(CacheDiff, MatchesReferenceAcrossConfigGrid) {
   const std::uint32_t ways_grid[] = {1, 2, 8, 20};
   const std::uint64_t sets_grid[] = {16, 12};  // pow2 and non-pow2
@@ -214,7 +243,7 @@ TEST(CacheDiff, MatchesReferenceAcrossConfigGrid) {
   EXPECT_EQ(seed, 1u + 4 * 2 * 2 * 2 * 3);
 }
 
-// An L3-shaped cache (20 ways, 256 sets, 5120 lines in an 8192-entry
+// An L3-shaped cache (20 ways, 256 sets, 5120 lines in a 32768-entry
 // table): long-lived lines and deep victim scans.
 TEST(CacheDiff, MatchesReferenceOnL3Geometry) {
   std::uint64_t seed = 100;
@@ -226,7 +255,7 @@ TEST(CacheDiff, MatchesReferenceOnL3Geometry) {
 }
 
 // The L1 of a machine scaled 1:64: 8 lines in one set, so every line
-// shares the set and every eighth line shares a table entry.
+// shares the set and every 64th line shares a table entry.
 TEST(CacheDiff, MatchesReferenceOnOneSetL1) {
   std::uint64_t seed = 200;
   for (const Replacement policy : {Replacement::kLru, Replacement::kRandom})
@@ -244,16 +273,53 @@ TEST(CacheDiff, MatchesReferenceOnOneTwentyWaySet) {
   ASSERT_TRUE(same_behaviour(c, 300));
 }
 
-// Directed stale entries, on the one-set L1 (table of 8) and an L3-shaped
-// set of 20 ways (table of 32). In both, line k fills way k of an empty
-// cache.
+// Before its first fill a cache holds one invalid way named by a
+// one-entry table. Every lookup must miss on every geometry and for any
+// line (0, one table size up, the hashed range), and the traces that then
+// fill the cache must still match the reference. A one-line cache evicts
+// on every fill and still has the minimum 64-entry table.
+TEST(CacheDiff, UntouchedCacheMissesThenMatchesReference) {
+  std::vector<CacheConfig> grid = {
+      {64, 64, 1, "line"},
+      {8 * 64, 64, 8, "L1"},
+      {12 * 20 * 64, 64, 20, "non-pow2"},
+      {320 * 1024, 64, 20, "L3"},
+  };
+  CacheConfig random_line{64, 64, 1, "line random"};
+  random_line.replacement = Replacement::kRandom;
+  grid.push_back(random_line);
+  CacheConfig h3{320 * 1024, 64, 20, "L3 h3"};
+  h3.set_hash = SetHash::kH3;
+  grid.push_back(h3);
+  std::uint64_t seed = 500;
+  for (const CacheConfig& c : grid) {
+    const Addr table = Cache::table_entries(c);
+    Twin twin(c);
+    for (const Addr line : {Addr{0}, Addr{1}, table, table + 1,
+                            (Addr{3} << 40) + 5})
+      ASSERT_TRUE(untouched_lookups_miss(twin, line)) << describe(c);
+    ASSERT_TRUE(same_trace(twin, c, seed++)) << describe(c);
+  }
+}
+
+TEST(CacheDiff, TableEntriesRule) {
+  EXPECT_EQ(Cache::table_entries({64, 64, 1, "line"}), 64u);
+  EXPECT_EQ(Cache::table_entries({8 * 64, 64, 8, "L1"}), 64u);
+  EXPECT_EQ(Cache::table_entries({64 * 64, 64, 8, "L2"}), 256u);
+  EXPECT_EQ(Cache::table_entries({12 * 20 * 64, 64, 20, "set"}), 1024u);
+  EXPECT_EQ(Cache::table_entries({320 * 1024, 64, 20, "L3"}), 32768u);
+}
+
+// Directed stale entries, on the one-set L1 (table of 64) and an
+// L3-shaped set of 20 ways (table of 128). In both, line k fills way k of
+// an empty cache.
 class StaleEntry : public ::testing::TestWithParam<std::uint32_t> {
  protected:
   CacheConfig config() const {
     const std::uint32_t ways = GetParam();
     return CacheConfig{ways * 64, 64, ways, "stale"};
   }
-  Addr table() const { return std::bit_ceil(config().num_lines()); }
+  Addr table() const { return Cache::table_entries(config()); }
   Addr ways() const { return GetParam(); }
 };
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-
 namespace am::sim {
 namespace {
 
@@ -123,15 +121,16 @@ TEST(MemorySystem, DirtyL1VictimAbsentFromL2DirtiesL3) {
   EXPECT_EQ(evict_from_l3(ms, a, t), 1u);
 }
 
-// Each cache's line->slot table has bit_ceil(lines) entries indexed by the
-// low line bits, so a line one table size above `a` takes over a's entry.
+// Each cache's line->slot table has Cache::table_entries entries indexed
+// by the low line bits, so a line one table size above `a` takes over a's
+// entry.
 // A dirty L1 victim whose L2 entry was overwritten that way must still
 // dirty the L2 copy, found by the set scan. When the L2 later evicts that
 // copy, it dirties the L3 line, so the L3 eviction writes back.
 TEST(MemorySystem, DirtyL1VictimFindsL2CopyPastOverwrittenEntry) {
-  const auto cfg = small_machine();  // L2: 8 sets x 8 ways, 64 entries
+  const auto cfg = small_machine();  // L2: 8 sets x 8 ways, 256 entries
   const Addr l2_sets = cfg.l2.num_sets();
-  const Addr l2_table = std::bit_ceil(cfg.l2.num_lines());
+  const Addr l2_table = Cache::table_entries(cfg.l2);
   // Stores to `a`, overwrites its L2 entry, then evicts it from the L1.
   const auto dirty_l1_victim = [&](MemorySystem& ms, Addr a) {
     Cycles t = ms.access(0, a * 64, AccessKind::kLoad, 0).complete;
@@ -165,11 +164,11 @@ TEST(MemorySystem, DirtyL1VictimFindsL2CopyPastOverwrittenEntry) {
 // The same one level down: a dirty L2 victim whose L3 entry was taken by
 // a line one L3 table size up still dirties the L3 copy.
 TEST(MemorySystem, DirtyL2VictimFindsL3CopyPastOverwrittenEntry) {
-  const auto cfg = small_machine();  // L3: 256 sets x 20 ways, 8192 entries
+  const auto cfg = small_machine();  // L3: 256 sets x 20 ways, 32768 entries
   MemorySystem ms(cfg);
   const Addr a = ms.alloc(64, 1 << 20) / 64;
   const Addr l2_sets = cfg.l2.num_sets();
-  const Addr l3_table = std::bit_ceil(cfg.l3.num_lines());
+  const Addr l3_table = Cache::table_entries(cfg.l3);
   Cycles t = ms.access(0, a * 64, AccessKind::kLoad, 0).complete;
   t = ms.access(0, a * 64, AccessKind::kStore, t).complete;  // L1 dirty only
   t = load_lines(ms, 0, a + 1, l2_sets, cfg.l1.ways, t);  // L1 -> L2
@@ -193,6 +192,41 @@ TEST(MemorySystem, CleanPrivateVictimsWriteNothingBack) {
   t = load_lines(ms, 0, a + 1, l2_sets, cfg.l1.ways, t);
   t = load_lines(ms, 0, a + l2_sets, l2_sets, cfg.l2.ways, t);
   EXPECT_EQ(evict_from_l3(ms, a, t), 0u);
+}
+
+// Caches are sized at their first fill, so a socket no core has touched
+// reports no occupancy and flushes without a fill. The touched socket
+// flushes as before.
+TEST(MemorySystem, UntouchedSocketHasNothingToCountOrFlush) {
+  MemorySystem ms(small_machine());
+  const Addr a = ms.alloc(64);
+  const Cycles t = ms.access(0, a, AccessKind::kStore, 0).complete;
+  EXPECT_EQ(ms.l3_occupancy_bytes(8), 0u);  // socket 1, never touched
+  EXPECT_EQ(ms.l3_occupancy_bytes(0), 64u);
+  ms.flush_caches();
+  EXPECT_EQ(ms.l3_occupancy_bytes(0), 0u);
+  for (const CoreId core : {CoreId{0}, CoreId{8}}) {
+    EXPECT_EQ(ms.l1(core).resident_lines(), 0u);
+    EXPECT_EQ(ms.l2(core).resident_lines(), 0u);
+    EXPECT_EQ(ms.l3(ms.config().socket_of(core)).resident_lines(), 0u);
+  }
+  EXPECT_EQ(ms.access(0, a, AccessKind::kLoad, t).level, Level::kMemory);
+  EXPECT_EQ(ms.access(8, a, AccessKind::kLoad, t).level, Level::kMemory);
+}
+
+// An L3 line whose sharer mask names a core that never filled its private
+// caches: the back-invalidation on its eviction looks the line up in that
+// core's never-filled L1 and L2, finds nothing, and the line's own dirty
+// bit still writes it back.
+TEST(MemorySystem, BackInvalidationReachesNeverFilledSharer) {
+  MemorySystem ms(small_machine());
+  const Addr a = ms.alloc(64, 1 << 20) / 64;
+  const CoreId sharer = 3;
+  (void)ms.l3(0).access(a, sharer, 1u << sharer, /*is_store=*/true);
+  EXPECT_EQ(evict_from_l3(ms, a, 0), 1u);
+  EXPECT_EQ(ms.l1(sharer).resident_lines(), 0u);
+  EXPECT_EQ(ms.l2(sharer).resident_lines(), 0u);
+  EXPECT_EQ(ms.counters(sharer).loads, 0u);
 }
 
 TEST(MemorySystem, BatchOverlapsMissesUpToWindow) {
