@@ -74,13 +74,10 @@ struct BenchContext {
 
 /// Parses the common flags: --scale N (default 16, geometry-preserving),
 /// --full (paper-size machine), --nodes, --csv path, --seed,
-/// --l1-filter true|false and --l2-filter true|false (the engine's filter
-/// fast paths, default on — host-speed knobs whose outputs are
-/// bit-identical either way), --set-hash mask|h3 (the shared L3's
-/// set-index function, see sim::apply_set_hash — h3 changes placement and
-/// therefore results and store keys),
-/// --mem-backend channel|banked|ddr4|hbm (memory model below the L3, see
-/// sim::apply_mem_backend — unlike --l1-filter this changes results and
+/// --set-hash mask|h3 (the shared L3's set-index function, see
+/// sim::apply_set_hash — h3 changes placement and therefore results and
+/// store keys), --mem-backend channel|banked|ddr4|hbm (memory model below
+/// the L3, see sim::apply_mem_backend — this too changes results and
 /// store keys) with banked-DRAM overrides --dram-channels, --dram-banks,
 /// --dram-row-bytes, --dram-refresh-interval and --dram-refresh-cycles
 /// (cycles; applied after the preset, validated together),
@@ -98,8 +95,6 @@ inline BenchContext make_context(const Cli& cli,
                         cli.get_int("scale", default_scale));
   ctx.machine = sim::MachineConfig::xeon20mb_scaled(
       ctx.scale, static_cast<std::uint32_t>(cli.get_int("nodes", nodes)));
-  ctx.machine.l1_filter = cli.get_bool("l1-filter", true);
-  ctx.machine.l2_filter = cli.get_bool("l2-filter", true);
   sim::apply_set_hash(ctx.machine, cli.get("set-hash", "mask"));
   sim::apply_mem_backend(ctx.machine, cli.get("mem-backend", "channel"));
   {

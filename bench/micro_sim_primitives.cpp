@@ -27,13 +27,11 @@ BENCHMARK(BM_CacheMissEvict);
 
 // The headline L1-probe workload tracked by scripts/bench_engine.py: an
 // 8-byte sequential walk over an L1-resident buffer — every access is an
-// L1 hit, the access mix the inline probe exists for. Arg:
-// MachineConfig::l1_filter off (0) / on (1). Every access advances
-// simulated time by exactly l1_latency, so simulated cycles/sec is
-// items/sec x l1_latency.
+// L1 hit, the access mix the inline probe exists for. Every access
+// advances simulated time by exactly l1_latency, so simulated cycles/sec
+// is items/sec x l1_latency.
 void BM_L1HitSequential(benchmark::State& state) {
-  auto cfg = am::sim::MachineConfig::xeon20mb_scaled(16);
-  cfg.l1_filter = state.range(0) != 0;
+  const auto cfg = am::sim::MachineConfig::xeon20mb_scaled(16);
   am::sim::MemorySystem ms(cfg);
   const std::uint64_t bytes = cfg.l1.size_bytes;  // power of two
   const am::sim::Addr base = ms.alloc(bytes, bytes);
@@ -48,7 +46,7 @@ void BM_L1HitSequential(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_L1HitSequential)->Arg(0)->Arg(1);
+BENCHMARK(BM_L1HitSequential);
 
 void BM_HierarchyWalkRandom(benchmark::State& state) {
   auto cfg = am::sim::MachineConfig::xeon20mb_scaled(
@@ -123,17 +121,15 @@ void BM_DramBoundStream(benchmark::State& state) {
 }
 BENCHMARK(BM_DramBoundStream)->Arg(0)->Arg(1);
 
-// The L2-filter-band workload tracked by scripts/bench_engine.py: ways+1
+// The L1-miss/L2-hit band workload tracked by scripts/bench_engine.py: ways+1
 // lines strided to share one L1 set (cyclic LRU -> 100% L1 misses) while
 // owning distinct L2 sets (the L2 is enlarged 8x so the strides spread),
-// each warm-placed at the deepest way behind 7 fillers — so with the L2
-// probe off every access pays the full-depth L2 scan, and with it on the
-// L2's line->slot table resolves it in one compare. Arg:
-// MachineConfig::l2_filter off (0) / on (1).
+// each warm-placed at the deepest way behind 7 fillers, where a set scan
+// would probe every filler tag first; the L2's line->slot table resolves
+// each access in one compare.
 void BM_L2HitBand(benchmark::State& state) {
   auto cfg = am::sim::MachineConfig::xeon20mb_scaled(16);
   cfg.l2.size_bytes *= 8;  // 256 L2 sets: hot lines land in distinct sets
-  cfg.l2_filter = state.range(0) != 0;
   am::sim::MemorySystem ms(cfg);
   const std::uint64_t l1_sets = cfg.l1.num_sets();
   const std::uint64_t l2_sets = cfg.l2.num_sets();
@@ -164,7 +160,7 @@ void BM_L2HitBand(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_L2HitBand)->Arg(0)->Arg(1);
+BENCHMARK(BM_L2HitBand);
 
 // The access_batch software-pipelining workload tracked by
 // scripts/bench_engine.py: 64-access random batches over a 4x-L3 buffer,
@@ -220,11 +216,8 @@ BENCHMARK(BM_DistributionSample)->DenseRange(0, 9);
 
 void BM_EngineStepOverhead(benchmark::State& state) {
   // Measures raw per-access engine cost with a same-line walker (the
-  // L1 probe's best case: 100% table hits). Arg: l1_filter off (0) / on
-  // (1).
-  auto cfg = am::sim::MachineConfig::xeon20mb_scaled(16);
-  cfg.l1_filter = state.range(0) != 0;
-  am::sim::MemorySystem ms(cfg);
+  // L1 probe's best case: 100% table hits).
+  am::sim::MemorySystem ms(am::sim::MachineConfig::xeon20mb_scaled(16));
   const am::sim::Addr addr = ms.alloc(64);
   am::sim::Cycles now = 0;
   for (auto _ : state) {
@@ -234,6 +227,6 @@ void BM_EngineStepOverhead(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EngineStepOverhead)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineStepOverhead);
 
 }  // namespace

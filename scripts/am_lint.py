@@ -20,12 +20,13 @@ makes them mechanical:
                             round-trips. (Integer std::to_string is
                             fine; a double passed to it is the one case
                             this rule cannot see — reviews still matter.)
-  AM004 fingerprint-cover   Every MachineConfig knob either feeds
-                            machine_fingerprint (so it keys the result
-                            store) or sits on the explicit exclusion
-                            list below with a written rationale. A knob
-                            in neither place silently aliases stores; a
-                            knob in both places is a stale exclusion.
+  AM004 fingerprint-cover   Every MachineConfig knob feeds
+                            machine_fingerprint, so it keys the result
+                            store. A knob left out silently aliases
+                            stores across different configs.
+                            MachineConfig holds simulated-machine
+                            knobs only; host-speed switches do not
+                            belong in it.
   AM005 syscall-returns     In common/socket and common/subprocess,
                             syscall return values are either consumed or
                             explicitly discarded with a (void) cast and
@@ -45,30 +46,12 @@ import re
 import sys
 from pathlib import Path
 
-# --- AM004 exclusion list ---------------------------------------------------
-# Knobs deliberately NOT mixed into machine_fingerprint. Every entry
-# needs a rationale; an entry that the fingerprint nevertheless mixes is
-# reported as stale. See docs/STATIC_ANALYSIS.md for the policy.
-FINGERPRINT_EXCLUSIONS = {
-    "l1_filter": (
-        "pure performance fast path, bit-identical by construction "
-        "(sim.filter_identity_test, smoke.fig9_filter_identity); excluded "
-        "so toggling it still *hits* the same cached results"
-    ),
-    "l2_filter": (
-        "same contract as l1_filter for the L1-miss/L2-hit band: "
-        "bit-identical by construction (sim.filter_identity_test, "
-        "smoke.fig9_l2_filter_identity), so toggling it must keep hitting "
-        "the same cached results"
-    ),
-}
-
+# --- AM004 ------------------------------------------------------------------
 # mem_backend/dram and set_hash are mixed conditionally (only when they
 # deviate from their defaults — channel backend, mask hash) — that keeps
 # pre-existing fingerprints valid. AM004 only requires the tokens to
 # appear in the fingerprint body, so the conditional mix satisfies it.
-# set_hash must NOT join the exclusion list: H3 changes placement and
-# therefore simulated results (asserted by measure.result_store_test).
+# See docs/STATIC_ANALYSIS.md for the policy.
 
 
 # --- C++ text utilities -----------------------------------------------------
@@ -218,7 +201,7 @@ def machine_config_fields(machine_hpp: str):
 
 
 def check_fingerprint_coverage(machine_hpp: str, result_store_cpp: str):
-    """AM004: every MachineConfig knob keys the store or is excluded."""
+    """AM004: every MachineConfig knob keys the store."""
     fields = machine_config_fields(machine_hpp)
     if not fields:
         return [(1, "AM004", "could not parse struct MachineConfig out of "
@@ -232,18 +215,10 @@ def check_fingerprint_coverage(machine_hpp: str, result_store_cpp: str):
     end = re.search(r"^\}", body, re.M)
     body = body[:end.start()] if end else body
     mixed = set(re.findall(r"\bm\.([a-z][a-z0-9_]*)", body))
-    out = []
-    for f in fields:
-        if f in mixed and f in FINGERPRINT_EXCLUSIONS:
-            out.append((1, "AM004", f"MachineConfig.{f} is mixed into "
-                        "machine_fingerprint but also on the exclusion "
-                        "list — remove the stale exclusion"))
-        elif f not in mixed and f not in FINGERPRINT_EXCLUSIONS:
-            out.append((1, "AM004", f"MachineConfig.{f} is neither mixed "
-                        "into machine_fingerprint nor on the documented "
-                        "exclusion list — stores would alias across "
-                        "different configs"))
-    return out
+    return [(1, "AM004", f"MachineConfig.{f} is not mixed into "
+             "machine_fingerprint — stores would alias across different "
+             "configs")
+            for f in fields if f not in mixed]
 
 
 # Names that collide with methods in this codebase (Socket::close,

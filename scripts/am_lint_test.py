@@ -115,8 +115,6 @@ struct MachineConfig {
   std::string name = "X";
   std::uint32_t nodes = 1;
   double frequency_ghz = 2.6;
-  bool l1_filter = true;
-  bool l2_filter = true;
   SetHash set_hash = SetHash::kMask;
   std::uint32_t total() const { return nodes * 2; }
 };
@@ -138,44 +136,30 @@ class FingerprintCoverageTest(unittest.TestCase):
         self.assertEqual(
             am_lint.check_fingerprint_coverage(MACHINE_FIXTURE, store), [])
 
-    def test_fails_unmixed_unexcluded_knob(self):
+    def test_fails_unmixed_knob(self):
         store = fingerprint_fixture(["name", "nodes", "set_hash"])
         found = am_lint.check_fingerprint_coverage(MACHINE_FIXTURE, store)
         self.assertEqual(rules(found), ["AM004"])
         self.assertIn("frequency_ghz", found[0][2])
 
     def test_fails_unmixed_set_hash(self):
-        # The set-index hash changes placement, so unlike the filters it
-        # must key the store — dropping its mix is an AM004 violation.
+        # The set-index hash changes placement, so it must key the
+        # store — dropping its mix is an AM004 violation.
         store = fingerprint_fixture(["name", "nodes", "frequency_ghz"])
         found = am_lint.check_fingerprint_coverage(MACHINE_FIXTURE, store)
         self.assertEqual(rules(found), ["AM004"])
         self.assertIn("set_hash", found[0][2])
 
-    def test_fails_stale_exclusion(self):
-        store = fingerprint_fixture(self.FULL + ["l1_filter"])
-        found = am_lint.check_fingerprint_coverage(MACHINE_FIXTURE, store)
-        self.assertEqual(rules(found), ["AM004"])
-        self.assertIn("stale", found[0][2])
-
-    def test_fails_stale_l2_filter_exclusion(self):
-        store = fingerprint_fixture(self.FULL + ["l2_filter"])
-        found = am_lint.check_fingerprint_coverage(MACHINE_FIXTURE, store)
-        self.assertEqual(rules(found), ["AM004"])
-        self.assertIn("stale", found[0][2])
-        self.assertIn("l2_filter", found[0][2])
-
     def test_methods_are_not_fields(self):
         fields = am_lint.machine_config_fields(MACHINE_FIXTURE)
         self.assertEqual(fields, ["name", "nodes", "frequency_ghz",
-                                  "l1_filter", "l2_filter", "set_hash"])
+                                  "set_hash"])
 
     def test_parses_real_machine_hpp(self):
         fields = am_lint.machine_config_fields(
             (REPO / "src/sim/machine.hpp").read_text())
-        for expect in ("name", "l1", "dram", "mem_backend", "l1_filter",
-                       "l2_filter", "set_hash", "prefetcher",
-                       "mem_bandwidth_bytes_per_sec"):
+        for expect in ("name", "l1", "dram", "mem_backend", "set_hash",
+                       "prefetcher", "mem_bandwidth_bytes_per_sec"):
             self.assertIn(expect, fields)
         self.assertNotIn("total_sockets", fields)
 

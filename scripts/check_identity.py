@@ -1,24 +1,17 @@
 #!/usr/bin/env python3
-"""Byte-compare a bench driver's stdout across runs that must agree.
+"""Byte-compare a bench driver's stdout against a golden capture.
 
-Two modes, each failing unless every run exits 0 with identical stdout:
+Runs the driver with no extra flag and with `--mem-backend channel`,
+comparing both to FILE, a capture taken before the MemoryBackend boundary
+existed (the default must BE the channel backend). Fails unless every run
+exits 0 with stdout identical to FILE.
 
-  --flag NAME      Run the driver with `--NAME false` appended, then with
-                   `--NAME true`. For host-speed toggles (the L1/L2 filter
-                   fast paths, MachineConfig::l1_filter / l2_filter) whose
-                   emitted tables must be bit-identical either way.
-  --golden FILE    Run the driver with no extra flag and with
-                   `--mem-backend channel`, comparing both to FILE, a
-                   capture taken before the MemoryBackend boundary existed
-                   (the default must BE the channel backend).
+Registered as the blocking smoke.fig9_backend_identity ctest entry;
+state-level identity of the hierarchy walk is covered by
+tests/sim/hierarchy_diff_test and of the backends by
+tests/sim/memory_backend_test.
 
-Registered as the blocking smoke.fig9_filter_identity,
-smoke.fig9_l2_filter_identity and smoke.fig9_backend_identity ctest
-entries; state-level identity is covered by tests/sim/filter_identity_test
-and tests/sim/memory_backend_test.
-
-Usage: scripts/check_identity.py (--flag NAME | --golden FILE)
-                                 <driver> [args...]
+Usage: scripts/check_identity.py --golden FILE <driver> [args...]
 """
 
 import subprocess
@@ -50,21 +43,15 @@ def check(label, out, want, want_label):
 
 def main():
     args = sys.argv[1:]
-    if len(args) < 3 or args[0] not in ("--flag", "--golden"):
+    if len(args) < 3 or args[0] != "--golden":
         sys.exit(__doc__)
-    mode, value, driver = args[0], args[1], args[2:]
-    if mode == "--flag":
-        off = run(driver, [f"--{value}", "false"])
-        on = run(driver, [f"--{value}", "true"])
-        check(f"--{value} true", on, off, f"--{value} false")
-        print(f"{value} identity OK ({len(on)} bytes, bit-identical)")
-    else:
-        with open(value, "rb") as f:
-            golden = f.read()
-        check("default backend", run(driver, []), golden, "golden")
-        check("--mem-backend channel",
-              run(driver, ["--mem-backend", "channel"]), golden, "golden")
-        print(f"backend identity OK ({len(golden)} bytes, bit-identical)")
+    golden_path, driver = args[1], args[2:]
+    with open(golden_path, "rb") as f:
+        golden = f.read()
+    check("default backend", run(driver, []), golden, "golden")
+    check("--mem-backend channel",
+          run(driver, ["--mem-backend", "channel"]), golden, "golden")
+    print(f"backend identity OK ({len(golden)} bytes, bit-identical)")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@
 namespace am {
 
 /// SplitMix64: used to expand a single 64-bit seed into xoshiro state.
-inline std::uint64_t splitmix64(std::uint64_t& state) {
+constexpr std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
   std::uint64_t z = state;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -24,9 +24,11 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bull) { reseed(seed); }
+  constexpr explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bull) {
+    reseed(seed);
+  }
 
-  void reseed(std::uint64_t seed) {
+  constexpr void reseed(std::uint64_t seed) {
     std::uint64_t sm = seed;
     for (auto& word : state_) word = splitmix64(sm);
   }
@@ -36,7 +38,7 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() {
+  constexpr result_type operator()() {
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
     const std::uint64_t t = state_[1] << 17;
     state_[2] ^= state_[0];
@@ -62,7 +64,7 @@ class Rng {
   }
 
  private:
-  static std::uint64_t rotl(std::uint64_t x, int k) {
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
   std::uint64_t state_[4];

@@ -55,8 +55,8 @@ inline constexpr std::uint32_t kResultEpoch = 1;
 /// seed, budget) under the same code epoch. The memory-backend selection
 /// and its DramConfig knobs are part of the digest — they shape results —
 /// but are mixed only when the backend deviates from the default channel
-/// pipe, so pre-backend store files keep matching. Host-speed knobs
-/// (l1_filter) are deliberately excluded.
+/// pipe, so pre-backend store files keep matching. MachineConfig holds
+/// no host-speed knob, so every other field is mixed (am-lint AM004).
 std::string machine_fingerprint(const sim::MachineConfig& machine);
 
 /// The store-file naming policy every driver shares, so `amresult merge`

@@ -27,12 +27,10 @@ struct Counters {
   std::uint64_t stall_cycles = 0;
 
   /// Host-speed diagnostics for the inline L1 and L2 probes through the
-  /// caches' line->slot tables (MachineConfig::l1_filter / l2_filter),
-  /// not architectural events: a probe misses when the table entry is
-  /// stale, even on a resident line. They depend on the toggles (0 when
-  /// off) while every counter above is bit-identical across them.
-  /// Deliberately excluded from the ResultStore record format and record
-  /// equality for that reason.
+  /// caches' line->slot tables, not architectural events: a probe misses
+  /// when the table entry is stale, even on a resident line, so they
+  /// depend on the host-side table layout. Deliberately excluded from the
+  /// ResultStore record format and record equality for that reason.
   std::uint64_t l1_filter_hits = 0;          // L1 hits resolved by the probe
   std::uint64_t l1_filter_fallthroughs = 0;  // probe misses → L1 set scan
   std::uint64_t l2_filter_hits = 0;          // L2 hits resolved by the probe

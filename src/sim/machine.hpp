@@ -13,9 +13,9 @@
 namespace am::sim {
 
 /// Which MemoryBackend a socket's memory is modelled by (see
-/// sim/memory_backend.hpp). Unlike the L1 probe, this changes simulated
-/// results, so it — and the DramConfig knobs when banked — enters
-/// measure::machine_fingerprint and therefore result-store keys.
+/// sim/memory_backend.hpp). It changes simulated results, so it — and
+/// the DramConfig knobs when banked — enters measure::machine_fingerprint
+/// and therefore result-store keys.
 enum class MemBackendKind : std::uint8_t {
   kChannel = 0,     // serially occupied pipe (the original model; default)
   kBankedDram = 1,  // banked DRAM with row buffers + refresh
@@ -93,26 +93,6 @@ struct MachineConfig {
   /// approximating the thrash protection real inclusive L3s give hot
   /// private-cache lines. 0 disables the hint.
   std::uint32_t l3_hint_interval = 16;
-
-  /// Enables the inline L1 probe in MemorySystem::access: the dominant
-  /// L1-hit case resolves through the L1's line->slot table (see
-  /// sim/cache.hpp) with one table read and one tag compare, instead of
-  /// the out-of-line walk whose Cache::access scans the set (see
-  /// docs/PERFORMANCE.md). Pure host-speed knob, default on: simulated
-  /// timing, counters and evictions are bit-identical with it off
-  /// (asserted by sim.filter_identity_test and the fig9 smoke
-  /// byte-compare), and measure::machine_fingerprint deliberately
-  /// excludes it so result-store keys are stable across the toggle.
-  bool l1_filter = true;
-
-  /// Enables the L2 probe in MemorySystem::access_slow: the L1-miss/L2-hit
-  /// band — the dominant band once a working set spills the L1 in
-  /// capacity sweeps — resolves through the L2's line->slot table before
-  /// the L2's set scan, performing exactly the scan's hit mutations. Like
-  /// l1_filter this is a pure host-speed knob: bit-identical outcomes
-  /// (sim.filter_identity_test + smoke.fig9_l2_filter_identity) and
-  /// excluded from measure::machine_fingerprint. The L3 probe has no knob.
-  bool l2_filter = true;
 
   /// Set-index hash of the shared L3 (sim/set_index.hpp). kMask keeps
   /// historical placement bit-identically (including the strength-reduced

@@ -105,7 +105,7 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
     ++ctr.stores;
   else
     ++ctr.loads;
-  if (config_.l1_filter) ++ctr.l1_filter_fallthroughs;
+  ++ctr.l1_filter_fallthroughs;
 
   // L1. Cache::access is probe-and-insert: a miss here already fills the
   // line, so only the victim needs handling. Private victims generate no
@@ -119,10 +119,7 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
     (void)l3_[socket]->mark_dirty(l1_out.evicted_line);
   if (l1_out.hit) {
     ++ctr.l1_hits;
-    if (config_.l3_hint_interval != 0 && --hint_countdown_[core] == 0) {
-      hint_countdown_[core] = config_.l3_hint_interval;
-      l3_[socket]->touch(line);
-    }
+    hint_l3(core, socket, line);
     return {now + config_.l1_latency, Level::kL1};
   }
 
@@ -130,18 +127,14 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   // L2's line->slot table resolves it with one compare while applying
   // exactly the mutations the full walk's hit path would (LRU stamp,
   // sharer OR, dirty OR — see Cache::try_fast_hit). A hit never evicts,
-  // so skipping the walk is bit-identical (sim.filter_identity_test,
-  // smoke.fig9_l2_filter_identity).
-  if (config_.l2_filter && l2_[core]->try_fast_hit(line, 0, is_store)) {
+  // so there is no victim to hand down.
+  if (l2_[core]->try_fast_hit(line, 0, is_store)) {
     ++ctr.l2_hits;
     ++ctr.l2_filter_hits;
-    if (config_.l3_hint_interval != 0 && --hint_countdown_[core] == 0) {
-      hint_countdown_[core] = config_.l3_hint_interval;
-      l3_[socket]->touch(line);
-    }
+    hint_l3(core, socket, line);
     return {now + config_.l2_latency, Level::kL2};
   }
-  if (config_.l2_filter) ++ctr.l2_filter_fallthroughs;
+  ++ctr.l2_filter_fallthroughs;
 
   // L2.
   const auto l2_out =
@@ -149,10 +142,7 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   if (l2_out.evicted_dirty) (void)l3_[socket]->mark_dirty(l2_out.evicted_line);
   if (l2_out.hit) {
     ++ctr.l2_hits;
-    if (config_.l3_hint_interval != 0 && --hint_countdown_[core] == 0) {
-      hint_countdown_[core] = config_.l3_hint_interval;
-      l3_[socket]->touch(line);
-    }
+    hint_l3(core, socket, line);
     return {now + config_.l2_latency, Level::kL2};
   }
 

@@ -37,13 +37,15 @@ class MemorySystem {
   /// counters of `core`, trains the prefetcher, maintains L3 inclusivity.
   ///
   /// Inline fast path: when the L1's line->slot table resolves the access
-  /// (the common case on hit-heavy workloads, see MachineConfig::l1_filter),
-  /// only the counters/L3-hint bookkeeping below runs — state updates and
-  /// results are bit-identical to the full walk in access_slow().
+  /// (the common case on hit-heavy workloads), only the counters/L3-hint
+  /// bookkeeping below runs: the same updates as an L1 hit in
+  /// access_slow(), which takes every access the table cannot resolve.
+  /// Both paths are checked against an independent model of the walk
+  /// (tests/sim/hierarchy_diff_test.cpp).
   AccessResult access(CoreId core, Addr addr, AccessKind kind, Cycles now) {
     const Addr line = addr >> line_shift_;
     const bool is_store = kind == AccessKind::kStore;
-    if (config_.l1_filter && l1_[core]->try_fast_hit(line, 0, is_store)) {
+    if (l1_[core]->try_fast_hit(line, 0, is_store)) {
       Counters& ctr = counters_[core];
       if (is_store)
         ++ctr.stores;
@@ -51,10 +53,7 @@ class MemorySystem {
         ++ctr.loads;
       ++ctr.l1_hits;
       ++ctr.l1_filter_hits;
-      if (config_.l3_hint_interval != 0 && --hint_countdown_[core] == 0) {
-        hint_countdown_[core] = config_.l3_hint_interval;
-        l3_[config_.socket_of(core)]->touch(line);
-      }
+      hint_l3(core, config_.socket_of(core), line);
       return {now + config_.l1_latency, Level::kL1};
     }
     return access_slow(core, addr, kind, now);
@@ -103,9 +102,8 @@ class MemorySystem {
 
  private:
   /// The full L1→L2→L3→DRAM walk behind access(): every path the L1
-  /// probe could not short-circuit. The L2 (when MachineConfig::l2_filter
-  /// is on) and the L3 (always) are probed through their line->slot
-  /// tables before their own set scans in Cache::access.
+  /// probe could not short-circuit. The L2 and the L3 are probed through
+  /// their line->slot tables before their own set scans in Cache::access.
   AccessResult access_slow(CoreId core, Addr addr, AccessKind kind,
                            Cycles now);
   /// Removes private copies; returns true if any copy was dirty.
@@ -115,6 +113,14 @@ class MemorySystem {
   void handle_l3_eviction(std::uint32_t socket, CoreId core,
                           const Cache::AccessOutcome& out, Cycles now);
   void issue_prefetches(CoreId core, Addr miss_line, Cycles now);
+  /// Counts a private-cache (L1 or L2) hit of `core` towards its L3 hint:
+  /// every l3_hint_interval-th one refreshes the line's LRU stamp in the
+  /// socket's L3. No-op when the interval is 0.
+  void hint_l3(CoreId core, std::uint32_t socket, Addr line) {
+    if (config_.l3_hint_interval == 0 || --hint_countdown_[core] != 0) return;
+    hint_countdown_[core] = config_.l3_hint_interval;
+    l3_[socket]->touch(line);
+  }
 
   MachineConfig config_;
   std::uint32_t line_shift_;

@@ -1,9 +1,8 @@
 #include "sim/set_index.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
-
-#include "common/rng.hpp"
 
 namespace am::sim {
 namespace {
@@ -85,11 +84,6 @@ SetIndexer::SetIndexer(SetHash hash, std::uint64_t num_sets)
   const auto width =
       static_cast<std::uint32_t>(std::bit_width(num_sets - 1));
   h3_bits_ = pow2 ? width : std::min(64u, width + 8u);
-  // Fixed seed: the H3 family is part of the simulated machine's
-  // definition, so every cache, run, and process must draw the same
-  // rows (common/rng.hpp is deterministic by construction).
-  Rng rng(0x48334861736852ull);  // "H3HashR"
-  for (std::uint32_t b = 0; b < h3_bits_; ++b) h3_rows_[b] = rng();
 }
 
 }  // namespace am::sim

@@ -24,6 +24,7 @@
 #include <array>
 #include <cstdint>
 
+#include "common/rng.hpp"
 #include "sim/types.hpp"
 
 namespace am::sim {
@@ -37,6 +38,18 @@ enum class SetHash : std::uint8_t {
 
 /// Human name ("mask" / "h3").
 const char* set_hash_name(SetHash hash);
+
+/// The H3 rows: one 64-bit mask per output bit, drawn from one fixed seed
+/// because the H3 family is part of the simulated machine's definition —
+/// every cache, run and process must place lines identically. An indexer
+/// of width w uses the first w rows, a prefix of the same stream, so this
+/// one table, built at compile time, serves every width.
+inline constexpr std::array<std::uint64_t, 64> kH3Rows = [] {
+  std::array<std::uint64_t, 64> rows{};
+  Rng rng(0x48334861736852ull);  // "H3HashR"
+  for (auto& row : rows) row = rng();
+  return rows;
+}();
 
 class SetIndexer {
  public:
@@ -90,7 +103,7 @@ class SetIndexer {
   std::uint64_t h3(Addr line_addr) const {
     std::uint64_t out = 0;
     for (std::uint32_t b = 0; b < h3_bits_; ++b)
-      out |= static_cast<std::uint64_t>(parity(line_addr & h3_rows_[b])) << b;
+      out |= static_cast<std::uint64_t>(parity(line_addr & kH3Rows[b])) << b;
     return out;
   }
   static std::uint32_t parity(std::uint64_t x) {
@@ -106,10 +119,9 @@ class SetIndexer {
   std::uint32_t magic_shift_ = 0;
   bool magic_add_ = false;
 
-  // H3 rows: one fixed 64-bit mask per output bit, deterministically
-  // seeded so every run (and every process) places lines identically.
-  std::uint32_t h3_bits_ = 0;
-  std::array<std::uint64_t, 64> h3_rows_{};
+  std::uint32_t h3_bits_ = 0;  // rows of kH3Rows the hash uses
 };
+// Every sim::Cache embeds one; the H3 rows are shared, not copied.
+static_assert(sizeof(SetIndexer) == 48);
 
 }  // namespace am::sim

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -135,8 +136,11 @@ TEST(PlanWire, RandomizedSpecsRoundTrip) {
     for (std::size_t w = 0; w < n_workloads; ++w) {
       WorkloadWire ww;
       ww.kind = static_cast<WorkloadWire::Kind>(rng() % 3);
-      ww.name = "w" + std::to_string(w) + " (var " +
-                std::to_string(rng() % 100) + ")";
+      // Streamed, not concatenated: GCC 12 reports a false
+      // -Werror=restrict on std::string operator+ and += chains here.
+      std::ostringstream name;
+      name << "w" << w << " (var " << rng() % 100 << ")";
+      ww.name = name.str();
       if (ww.kind == WorkloadWire::Kind::kSynthetic) {
         ww.dist_name = rng() % 2 ? ww.name
                                  : "dist " + std::to_string(rng() % 1000);

@@ -304,7 +304,7 @@ TEST_F(ResultStoreTest, MachineFingerprintKeysMemoryBackend) {
   EXPECT_EQ(machine_fingerprint(m), base);
 }
 
-TEST_F(ResultStoreTest, MachineFingerprintKeysSetHashNotFilters) {
+TEST_F(ResultStoreTest, MachineFingerprintKeysSetHash) {
   const auto base = machine_fingerprint(machine());
   // H3 reshuffles every set mapping — different placement, different
   // results — so it must cache under a distinct store key.
@@ -315,14 +315,6 @@ TEST_F(ResultStoreTest, MachineFingerprintKeysSetHashNotFilters) {
   // default, so pre-refactor records stay reachable.
   m = machine();
   sim::apply_set_hash(m, "mask");
-  EXPECT_EQ(machine_fingerprint(m), base);
-  // The filter fast paths are bit-identical by construction: toggling
-  // them must keep hitting the same cached results.
-  m = machine();
-  m.l1_filter = !m.l1_filter;
-  EXPECT_EQ(machine_fingerprint(m), base);
-  m = machine();
-  m.l2_filter = !m.l2_filter;
   EXPECT_EQ(machine_fingerprint(m), base);
 }
 

@@ -267,6 +267,25 @@ TEST(CacheDiff, MatchesReferenceOnOneSetL1) {
     }
 }
 
+// Geometries off the grid above: the full-size L1 (64 sets) and L2 (512
+// sets), 48 (non-pow2) sets, 16 ways under SRRIP insertion and 4-way
+// random replacement.
+TEST(CacheDiff, MatchesReferenceOnOffGridGeometries) {
+  std::vector<CacheConfig> grid = {
+      {32 * 1024, 64, 8, "L1"},
+      {256 * 1024, 64, 8, "L2"},
+      {24 * 1024, 64, 8, "48 sets"},
+  };
+  CacheConfig srrip{64 * 1024, 64, 16, "srrip"};
+  srrip.insert_age = 512;
+  grid.push_back(srrip);
+  CacheConfig random{64 * 1024, 64, 4, "random"};
+  random.replacement = Replacement::kRandom;
+  grid.push_back(random);
+  std::uint64_t seed = 400;
+  for (const CacheConfig& c : grid) ASSERT_TRUE(same_behaviour(c, seed++));
+}
+
 // One 20-way set: the L3's set depth with nothing but collisions.
 TEST(CacheDiff, MatchesReferenceOnOneTwentyWaySet) {
   CacheConfig c{20 * 64, 64, 20, "set"};

@@ -74,12 +74,6 @@ TEST(MachineConfig, ApplySetHashParsesSpellings) {
   EXPECT_EQ(std::string(set_hash_name(SetHash::kH3)), "h3");
 }
 
-TEST(MachineConfig, FilterDefaultsAreOn) {
-  const auto m = MachineConfig::xeon20mb();
-  EXPECT_TRUE(m.l1_filter);
-  EXPECT_TRUE(m.l2_filter);
-}
-
 TEST(MachineConfig, ValidateCatchesBadTopology) {
   auto m = MachineConfig::xeon20mb();
   m.nodes = 0;

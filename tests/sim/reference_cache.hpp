@@ -131,6 +131,14 @@ class ReferenceCache {
     return count;
   }
 
+  /// Every resident line address, in slot order.
+  std::vector<Addr> resident() const {
+    std::vector<Addr> out;
+    for (const auto& line : lines_)
+      if (line.valid) out.push_back(line.tag);
+    return out;
+  }
+
  private:
   struct Line {
     Addr tag = 0;
