@@ -12,7 +12,11 @@ both sides. Per metric it prints each side's median and quartiles, how
 many pairs the change won (ties count for neither side), and the
 change/parent ratio of the medians. Metric names, directions and bounds
 come from the change checkout's BENCHMARK.json; --trace 1 compares the
-per-layer metrics of traced runs instead of the end-to-end ones.
+per-layer metrics of traced runs instead of the end-to-end ones. --json
+writes the same tables, every run's value and a host descriptor (CPU
+model, CPU count, kernel); absolute levels drift from host to host, so a
+committed report records where its numbers came from, and the gate stays
+the within-session ratio.
 
 The verdict column applies the gain rule of the repository's measurement
 protocol: a gain holds when the change wins at least nine tenths of the
@@ -28,6 +32,7 @@ runs no benchmark.
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -100,6 +105,21 @@ def run_once(checkout, workload, args):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def host():
+    """What the numbers were measured on."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu_model": model, "cpu_count": os.cpu_count(),
+            "kernel": f"{platform.system()} {platform.release()}"}
+
+
 def fmt(v):
     return f"{v:.4g}"
 
@@ -142,7 +162,9 @@ def compare(args):
         sys.stdout.flush()
     if args.json:
         with open(args.json, "w") as f:
-            json.dump(report, f, indent=1)
+            json.dump({"host": host(), "seed": args.seed,
+                       "seconds": args.seconds, "pairs": args.pairs,
+                       "trace": args.trace, "workloads": report}, f, indent=1)
     return 0
 
 
@@ -190,6 +212,10 @@ def self_test():
           == "gain")
     check("per-layer metrics have no bound",
           summarize([2.0] * 10, [3.0] * 10, "lower")["verdict"] == "-")
+    h = host()
+    check("the host descriptor names a CPU model, a CPU count and a kernel",
+          set(h) == {"cpu_model", "cpu_count", "kernel"}
+          and all(h.values()))
     return 0 if all(checks) else 1
 
 

@@ -9,11 +9,17 @@
 //            kNoLine, so a lookup compares tags only (a 20-way set is
 //            160 B of tags);
 //   stamps_  one 8-byte LRU stamp per way: the logical clock + 1 for a
-//            valid line, 0 for an invalid way, so one branchless min over
-//            the set finds the first invalid way or else the LRU line;
+//            valid line, 0 for an invalid way, so the lowest stamp in the
+//            set names the first invalid way or else the LRU line;
 //   meta_    one 8-byte {sharers, owner, dirty} record per way.
 // That is 24 B per line, the size of the array-of-structs layout it
 // replaced (kept as the test oracle in tests/sim/reference_cache.hpp).
+//
+// access() walks the set once, way by way: it stops at the tag match,
+// and on its way keeps the lowest stamp seen, strict `<` keeping the
+// lowest way on ties. A miss has then read every way and holds its
+// victim without a second pass. access() is defined in this header so
+// the hierarchy walk in MemorySystem inlines the fill of every level.
 //
 // Beside them sits one line->slot table of table_entries(config) 4-byte
 // entries, indexed by the low bits of the line address and written on
@@ -101,11 +107,63 @@ class Cache {
   /// Looks up a line; on miss, inserts it and reports the victim (if any).
   /// `owner` tags the inserting agent (occupancy accounting); `sharer_bit`
   /// is OR-ed into the line's sharer mask (used by the L3 to know which
-  /// private caches may hold copies). The hit probe scans the set; it does
+  /// private caches may hold copies). The lookup scans the set; it does
   /// not consult the line->slot table, only writes it. The first call
   /// sizes the arrays (see the file comment).
   AccessOutcome access(Addr line_addr, std::uint16_t owner,
-                       std::uint32_t sharer_bit = 0, bool is_store = false);
+                       std::uint32_t sharer_bit = 0, bool is_store = false) {
+    AccessOutcome out;
+    if (ways_ == 0) materialize();  // the first fill: nothing can hit
+    const std::size_t base = set_base(line_addr);
+    const Addr* tags = &tags_[base];
+    const std::uint64_t* stamps = &stamps_[base];
+    const std::uint32_t ways = ways_;
+    ++stamp_;
+    // LRU ties between valid lines are real: insert_age > 0 clamps early
+    // fills to the same stamp and lands later fills on earlier hit stamps.
+    std::uint32_t victim = 0;
+    std::uint64_t oldest = stamps[0];
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      if (tags[w] == line_addr) {
+        const std::size_t i = base + w;
+        stamps_[i] = stamp_;
+        Meta& meta = meta_[i];
+        meta.sharers |= sharer_bit;
+        meta.dirty |= is_store;
+        out.hit = true;
+        slot_of_[line_addr & slot_mask_] = static_cast<std::uint32_t>(i);
+        return out;
+      }
+      const std::uint64_t stamp = stamps[w];
+      const bool older = stamp < oldest;
+      oldest = older ? stamp : oldest;
+      victim = older ? w : victim;
+    }
+    // Only a full set draws from the stream, so the random policy's RNG
+    // sequence depends on the same events as it always has.
+    if (oldest != 0 && config_.replacement == Replacement::kRandom)
+      victim = static_cast<std::uint32_t>(victim_rng_.bounded(ways));
+    const std::size_t i = base + victim;
+    Meta& meta = meta_[i];
+    if (tags_[i] != kNoLine) {
+      out.evicted = true;
+      out.evicted_dirty = meta.dirty;
+      out.evicted_line = tags_[i];
+      out.evicted_sharers = meta.sharers;
+    }
+    // Inserted insert_age accesses in the past, clamped at clock 0; stored
+    // + 1 like every stamp.
+    const std::uint64_t clock = stamp_ - 1;
+    const std::uint64_t insert_clock =
+        clock > config_.insert_age ? clock - config_.insert_age : 0;
+    tags_[i] = line_addr;
+    stamps_[i] = insert_clock + 1;
+    meta = Meta{sharer_bit, owner, /*dirty=*/is_store};
+    // The victim's own entry, if it still names this slot, now fails the
+    // tag check.
+    slot_of_[line_addr & slot_mask_] = static_cast<std::uint32_t>(i);
+    return out;
+  }
 
   /// Fast path in front of access(): when the line->slot table's entry
   /// for `line_addr` names the line's way, applies exactly the state
@@ -193,9 +251,6 @@ class Cache {
   }
   /// Gives the arrays their full size (see the file comment).
   void materialize();
-  /// The way a miss in the set at `base` fills: the first invalid way,
-  /// else the replacement policy's victim.
-  std::uint32_t victim_way(std::size_t base);
 
   CacheConfig config_;
   Rng victim_rng_{0x51ed270b7a64e5c4ull};  // deterministic random policy

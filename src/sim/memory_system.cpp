@@ -16,20 +16,18 @@ MemorySystem::MemorySystem(MachineConfig config) : config_(std::move(config)) {
 
   const auto cores = config_.total_cores();
   const auto sockets = config_.total_sockets();
-  for (std::uint32_t c = 0; c < cores; ++c) {
-    l1_.push_back(std::make_unique<Cache>(config_.l1));
-    l2_.push_back(std::make_unique<Cache>(config_.l2));
-    prefetcher_.push_back(std::make_unique<StreamPrefetcher>(config_.prefetcher));
-  }
-  for (std::uint32_t s = 0; s < sockets; ++s) {
-    l3_.push_back(std::make_unique<Cache>(config_.l3));
-    mem_backend_.push_back(make_memory_backend(config_));
-  }
+  cores_.reserve(cores);
+  for (std::uint32_t c = 0; c < cores; ++c)
+    cores_.push_back(Core{Cache(config_.l1), Cache(config_.l2),
+                          StreamPrefetcher(config_.prefetcher), Counters{},
+                          config_.l3_hint_interval, config_.socket_of(c),
+                          1u << (c % config_.cores_per_socket)});
+  sockets_.reserve(sockets);
+  for (std::uint32_t s = 0; s < sockets; ++s)
+    sockets_.push_back(Socket{Cache(config_.l3), make_memory_backend(config_)});
   for (std::uint32_t n = 0; n < config_.nodes; ++n)
     nic_.push_back(std::make_unique<BandwidthChannel>(
         config_.link_bytes_per_cycle(), /*latency=*/0));
-  counters_.resize(cores);
-  hint_countdown_.assign(cores, config_.l3_hint_interval);
   batch_window_.reserve(config_.max_outstanding_misses);
 }
 
@@ -50,13 +48,13 @@ bool MemorySystem::back_invalidate(std::uint32_t socket, Addr line,
     const int bit = std::countr_zero(sharers);
     sharers &= sharers - 1;
     const CoreId core = base + static_cast<CoreId>(bit);
-    dirty |= l1_[core]->invalidate(line);
-    dirty |= l2_[core]->invalidate(line);
+    dirty |= cores_[core].l1.invalidate(line);
+    dirty |= cores_[core].l2.invalidate(line);
   }
   return dirty;
 }
 
-void MemorySystem::handle_l3_eviction(std::uint32_t socket, CoreId core,
+void MemorySystem::handle_l3_eviction(std::uint32_t socket, Counters& ctr,
                                       const Cache::AccessOutcome& out,
                                       Cycles now) {
   if (!out.evicted) return;
@@ -66,19 +64,20 @@ void MemorySystem::handle_l3_eviction(std::uint32_t socket, CoreId core,
     const auto wb_bytes = static_cast<std::uint64_t>(
         config_.l3.line_bytes * config_.writeback_cost_factor);
     if (wb_bytes > 0)
-      mem_backend_[socket]->transfer_async(now, out.evicted_line, wb_bytes);
-    ++counters_[core].writebacks;
+      sockets_[socket].backend->transfer_async(now, out.evicted_line, wb_bytes);
+    ++ctr.writebacks;
   }
 }
 
-void MemorySystem::issue_prefetches(CoreId core, Addr miss_line, Cycles now) {
+void MemorySystem::issue_prefetches(Core& core, CoreId core_id, Addr miss_line,
+                                    Cycles now) {
   prefetch_buf_.clear();
-  prefetcher_[core]->on_miss(miss_line, prefetch_buf_);
+  core.prefetcher.on_miss(miss_line, prefetch_buf_);
   if (prefetch_buf_.empty()) return;
-  const std::uint32_t socket = config_.socket_of(core);
-  Cache& l3 = *l3_[socket];
-  MemoryBackend& bus = *mem_backend_[socket];
-  Counters& ctr = counters_[core];
+  Socket& socket = sockets_[core.socket];
+  Cache& l3 = socket.l3;
+  MemoryBackend& bus = *socket.backend;
+  Counters& ctr = core.counters;
   for (Addr line : prefetch_buf_) {
     if (l3.contains(line)) continue;
     // Prefetches yield to demand traffic: drop them once the bus queue is
@@ -88,19 +87,19 @@ void MemorySystem::issue_prefetches(CoreId core, Addr miss_line, Cycles now) {
       continue;
     }
     bus.transfer_async(now, line, config_.l3.line_bytes);
-    const auto out = l3.access(line, static_cast<std::uint16_t>(core), 0, false);
-    handle_l3_eviction(socket, core, out, now);
+    const auto out =
+        l3.access(line, static_cast<std::uint16_t>(core_id), 0, false);
+    handle_l3_eviction(core.socket, ctr, out, now);
     ++ctr.prefetch_issued;
     ctr.bytes_from_mem += config_.l3.line_bytes;
   }
 }
 
-AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
+AccessResult MemorySystem::access_slow(CoreId core_id, Addr line, bool is_store,
                                        Cycles now) {
-  const Addr line = addr >> line_shift_;
-  const bool is_store = kind == AccessKind::kStore;
-  const std::uint32_t socket = config_.socket_of(core);
-  Counters& ctr = counters_[core];
+  Core& core = cores_[core_id];
+  Counters& ctr = core.counters;
+  const auto owner = static_cast<std::uint16_t>(core_id);
   if (is_store)
     ++ctr.stores;
   else
@@ -113,13 +112,12 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   // so its eventual L3 eviction writes back to memory. The L2 does not
   // include the L1, so the victim may have left the L2; then its dirty bit
   // goes to the L3 copy, which inclusion keeps resident.
-  const auto l1_out =
-      l1_[core]->access(line, static_cast<std::uint16_t>(core), 0, is_store);
-  if (l1_out.evicted_dirty && !l2_[core]->mark_dirty(l1_out.evicted_line))
-    (void)l3_[socket]->mark_dirty(l1_out.evicted_line);
+  const auto l1_out = core.l1.access(line, owner, 0, is_store);
+  if (l1_out.evicted_dirty && !core.l2.mark_dirty(l1_out.evicted_line))
+    (void)sockets_[core.socket].l3.mark_dirty(l1_out.evicted_line);
   if (l1_out.hit) {
     ++ctr.l1_hits;
-    hint_l3(core, socket, line);
+    hint_l3(core, line);
     return {now + config_.l1_latency, Level::kL1};
   }
 
@@ -128,40 +126,37 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
   // exactly the mutations the full walk's hit path would (LRU stamp,
   // sharer OR, dirty OR — see Cache::try_fast_hit). A hit never evicts,
   // so there is no victim to hand down.
-  if (l2_[core]->try_fast_hit(line, 0, is_store)) {
+  if (core.l2.try_fast_hit(line, 0, is_store)) {
     ++ctr.l2_hits;
     ++ctr.l2_filter_hits;
-    hint_l3(core, socket, line);
+    hint_l3(core, line);
     return {now + config_.l2_latency, Level::kL2};
   }
   ++ctr.l2_filter_fallthroughs;
 
   // L2.
-  const auto l2_out =
-      l2_[core]->access(line, static_cast<std::uint16_t>(core), 0, is_store);
-  if (l2_out.evicted_dirty) (void)l3_[socket]->mark_dirty(l2_out.evicted_line);
+  const auto l2_out = core.l2.access(line, owner, 0, is_store);
+  if (l2_out.evicted_dirty)
+    (void)sockets_[core.socket].l3.mark_dirty(l2_out.evicted_line);
   if (l2_out.hit) {
     ++ctr.l2_hits;
-    hint_l3(core, socket, line);
+    hint_l3(core, line);
     return {now + config_.l2_latency, Level::kL2};
   }
 
   // The prefetcher trains on L2 misses, like Intel's L2 streamer.
-  issue_prefetches(core, line, now);
+  issue_prefetches(core, core_id, line, now);
 
   // L3 (inclusive, shared per socket). The table probe comes after the
   // prefetches, which may have evicted the line; a hit never evicts, so
   // there is no eviction to handle on it.
-  const std::uint32_t sharer_bit =
-      1u << (core % config_.cores_per_socket);
-  Cache& l3 = *l3_[socket];
-  if (l3.try_fast_hit(line, sharer_bit, is_store)) {
+  Socket& socket = sockets_[core.socket];
+  if (socket.l3.try_fast_hit(line, core.sharer_bit, is_store)) {
     ++ctr.l3_hits;
     return {now + config_.l3_latency, Level::kL3};
   }
-  const auto out =
-      l3.access(line, static_cast<std::uint16_t>(core), sharer_bit, is_store);
-  handle_l3_eviction(socket, core, out, now);
+  const auto out = socket.l3.access(line, owner, core.sharer_bit, is_store);
+  handle_l3_eviction(core.socket, ctr, out, now);
   if (out.hit) {
     ++ctr.l3_hits;
     return {now + config_.l3_latency, Level::kL3};
@@ -169,7 +164,7 @@ AccessResult MemorySystem::access_slow(CoreId core, Addr addr, AccessKind kind,
 
   // DRAM: queue on the socket's memory bus, then fill all levels.
   const Cycles done =
-      mem_backend_[socket]->transfer(now, line, config_.l3.line_bytes);
+      socket.backend->transfer(now, line, config_.l3.line_bytes);
   ++ctr.mem_accesses;
   ctr.bytes_from_mem += config_.l3.line_bytes;
   return {done, Level::kMemory};
@@ -183,7 +178,7 @@ Cycles MemorySystem::access_batch(CoreId core, std::span<const Addr> addrs,
   std::vector<Cycles>& window = batch_window_;
   window.clear();
   Cycles last = now;
-  Cache& l1 = *l1_[core];
+  Cache& l1 = cores_[core].l1;
   const std::size_t n = addrs.size();
   for (std::size_t i = 0; i < n; ++i) {
     // Software pipelining: pull the NEXT access's L1 table entry and set
@@ -215,21 +210,23 @@ Cycles MemorySystem::link_transfer(std::uint32_t node_from,
 }
 
 std::uint64_t MemorySystem::l3_occupancy_bytes(CoreId core) const {
-  const std::uint32_t socket = config_.socket_of(core);
-  return l3_[socket]->occupancy_lines(static_cast<std::uint16_t>(core)) *
+  const Cache& l3 = sockets_[cores_[core].socket].l3;
+  return l3.occupancy_lines(static_cast<std::uint16_t>(core)) *
          config_.l3.line_bytes;
 }
 
 void MemorySystem::reset_stats() {
-  for (auto& c : counters_) c = Counters{};
-  for (auto& ch : mem_backend_) ch->reset_stats();
+  for (Core& core : cores_) core.counters = Counters{};
+  for (Socket& socket : sockets_) socket.backend->reset_stats();
   for (auto& ch : nic_) ch->reset_stats();
 }
 
 void MemorySystem::flush_caches() {
-  for (auto& c : l1_) c->flush();
-  for (auto& c : l2_) c->flush();
-  for (auto& c : l3_) c->flush();
+  for (Core& core : cores_) {
+    core.l1.flush();
+    core.l2.flush();
+  }
+  for (Socket& socket : sockets_) socket.l3.flush();
 }
 
 }  // namespace am::sim

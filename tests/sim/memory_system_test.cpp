@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace am::sim {
 namespace {
 
@@ -286,6 +288,23 @@ TEST(MemorySystem, L3OccupancyTracksOwner) {
             .complete;
   EXPECT_EQ(ms.l3_occupancy_bytes(2), 100u * 64);
   EXPECT_EQ(ms.l3_occupancy_bytes(3), 0u);
+}
+
+// Core records name their socket by index, so a moved MemorySystem keeps
+// walking the same caches, counters and backends.
+TEST(MemorySystem, MovedSystemKeepsItsHierarchy) {
+  MemorySystem ms(small_machine());
+  const Addr a = ms.alloc(64);
+  const Cycles t0 = ms.access(0, a, AccessKind::kStore, 0).complete;
+  const Cycles t8 = ms.access(8, a, AccessKind::kLoad, 0).complete;
+  MemorySystem moved(std::move(ms));
+  EXPECT_EQ(moved.access(0, a, AccessKind::kLoad, t0).level, Level::kL1);
+  EXPECT_EQ(moved.access(9, a, AccessKind::kLoad, t8).level, Level::kL3);
+  EXPECT_EQ(moved.access(1, a, AccessKind::kLoad, t0).level, Level::kL3);
+  EXPECT_EQ(moved.counters(0).stores, 1u);
+  EXPECT_EQ(moved.counters(8).mem_accesses, 1u);
+  EXPECT_EQ(moved.mem_backend(1).total_bytes(), 64u);
+  EXPECT_EQ(moved.l3_occupancy_bytes(8), 64u);
 }
 
 TEST(MemorySystem, ResetStatsKeepsCacheContents) {
