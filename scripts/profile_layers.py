@@ -2,16 +2,17 @@
 """Split a run's host time into the simulator's layers with gprof.
 
     python3 scripts/profile_layers.py --ambench WORKLOAD [--seconds 6]
-        [--seed 1] [--build build/profile-ambench] [--top 12] [--json OUT]
-    python3 scripts/profile_layers.py [--top 12] [--json OUT] -- BINARY ARGS...
+        [--seed 1] [--build build/profile-ambench]
+    python3 scripts/profile_layers.py -- BINARY ARGS...
     python3 scripts/profile_layers.py --self-test
 
---ambench configures and builds the end-to-end benchmark with `-pg`
-(Release otherwise, the flags of the `profile` CMake preset) and profiles
-one of its workloads. `-- BINARY ARGS...` profiles any binary built with
+--ambench configures and builds the end-to-end benchmark with the cache
+variables of the `profile` preset, read from CMakePresets.json (Release
+with `-pg`), and profiles one of its workloads. `-- BINARY ARGS...` profiles any binary built with
 `-pg`, e.g. a bench driver from `cmake --preset profile`.
 
-The run happens in a scratch directory with GMON_OUT_PREFIX set, so every
+A run that exits non-zero (a crash, or an ambench digest mismatch) makes
+the script fail without a split. The run happens in a scratch directory with GMON_OUT_PREFIX set, so every
 process it spawns writes its own profile, and gprof sums them. The script
 folds the flat profile's self seconds into fixed buckets, first match
 wins:
@@ -28,10 +29,11 @@ wins:
 gprof samples one thread per process and sees no shared library, so the
 sampled seconds fall short of the run's CPU seconds (getrusage over the
 children). The coverage line prints both; read the shares as shares of
-what was sampled.
+what was sampled. The report ends with the top symbols by self time.
 
 --self-test folds a canned flat profile and checks bucket assignment, the
-coverage arithmetic and that an unknown symbol lands in "other".
+coverage arithmetic, that an unknown symbol lands in "other", and that
+the --ambench flags come from the `profile` preset.
 """
 import argparse
 import json
@@ -66,9 +68,25 @@ COMPILED = [(name, re.compile(pattern)) for name, pattern in BUCKETS]
 ROW = re.compile(r"^\s*([\d.]+)\s+([\d.]+)\s+([\d.]+)\s+"
                  r"(?:(\d+)\s+([\d.]+)\s+([\d.]+)\s+)?(\S.*)$")
 
-# CMAKE_CXX_FLAGS / CMAKE_EXE_LINKER_FLAGS of the `profile` preset.
-PG_FLAGS = ["-DCMAKE_BUILD_TYPE=Release", "-DCMAKE_CXX_FLAGS=-pg",
-            "-DCMAKE_EXE_LINKER_FLAGS=-pg"]
+TOP = 12  # symbols listed under the buckets
+
+
+def preset_flags(name="profile",
+                 path=os.path.join(ROOT, "CMakePresets.json")):
+    """-D flags for the cache variables of a configure preset, inherited
+    ones first, so --ambench builds exactly what `cmake --preset` does."""
+    with open(path) as f:
+        presets = {p["name"]: p for p in json.load(f)["configurePresets"]}
+    variables = {}
+
+    def collect(preset):
+        parents = preset.get("inherits", [])
+        for parent in [parents] if isinstance(parents, str) else parents:
+            collect(presets[parent])
+        variables.update(preset.get("cacheVariables", {}))
+
+    collect(presets[name])
+    return [f"-D{key}={value}" for key, value in variables.items()]
 
 
 def bucket_of(symbol):
@@ -123,24 +141,23 @@ def short(symbol, width=60):
     return name if len(name) <= width else "..." + name[-(width - 3):]
 
 
-def report(result, top):
+def report(result):
     print(f"coverage: {result['sampled_s']:.2f} s sampled of "
           f"{result['cpu_s']:.2f} s CPU ({100 * result['coverage']:.1f}%)")
     print(f"  {'bucket':<12} {'self_s':>8} {'share':>7}")
     for name in ORDER:
         b = result["buckets"][name]
         print(f"  {name:<12} {b['self_s']:>8.2f} {100 * b['share']:>6.1f}%")
-    if top:
-        print(f"\n  top {top} symbols by self time")
-        for row in result["top"][:top]:
-            print(f"  {100 * row['share']:>6.1f}%  {row['bucket']:<10} "
-                  f"{short(row['symbol'])}")
+    print(f"\n  top {TOP} symbols by self time")
+    for row in result["top"][:TOP]:
+        print(f"  {100 * row['share']:>6.1f}%  {row['bucket']:<10} "
+              f"{short(row['symbol'])}")
 
 
 def build_ambench(build_dir):
     if not os.path.isfile(os.path.join(build_dir, "CMakeCache.txt")):
         subprocess.run(["cmake", "-S", os.path.join(ROOT, "ambench"), "-B",
-                        build_dir] + PG_FLAGS, check=True, stdout=sys.stderr)
+                        build_dir] + preset_flags(), check=True, stdout=sys.stderr)
     subprocess.run(["cmake", "--build", build_dir, "--target", "ambench",
                     "-j", str(min(4, os.cpu_count() or 1))],
                    check=True, stdout=sys.stderr)
@@ -162,6 +179,9 @@ def profile(command):
         print(f"profile_layers: ran {os.path.basename(binary)} for "
               f"{time.monotonic() - start:.1f} s (exit {proc.returncode})",
               file=sys.stderr)
+        if proc.returncode != 0:
+            sys.exit(f"profile_layers: {binary} exited {proc.returncode}; "
+                     "no split for a failed run")
         cpu_s = ((after.ru_utime - before.ru_utime)
                  + (after.ru_stime - before.ru_stime))
         gmons = sorted(os.path.join(scratch, f) for f in os.listdir(scratch)
@@ -232,6 +252,11 @@ def self_test():
           fold([], cpu_s=1.0)["sampled_s"] == 0.0)
     check("top symbols come in self-time order",
           [t["self_s"] for t in r["top"][:2]] == [0.40, 0.15])
+    flags = preset_flags()
+    check("--ambench builds with the profile preset: Release, -pg",
+          "-DCMAKE_BUILD_TYPE=Release" in flags
+          and "-DCMAKE_CXX_FLAGS=-pg" in flags
+          and "-DCMAKE_EXE_LINKER_FLAGS=-pg" in flags)
     return 0 if all(checks) else 1
 
 
@@ -247,8 +272,6 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--build",
                         default=os.path.join(ROOT, "build", "profile-ambench"))
-    parser.add_argument("--top", type=int, default=12)
-    parser.add_argument("--json")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args(argv)
     if args.self_test:
@@ -264,10 +287,7 @@ def main():
                    os.path.join(ROOT, "ambench", "expected_digests.tsv")]
     flat, cpu_s = profile(command)
     result = fold(parse_flat(flat), cpu_s)
-    report(result, args.top)
-    if args.json:
-        with open(args.json, "w") as f:
-            json.dump(result, f, indent=1)
+    report(result)
     return 0
 
 

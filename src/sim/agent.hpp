@@ -18,8 +18,8 @@ class Engine;
 /// compute operations advance the agent's local clock.
 class AgentContext {
  public:
-  AgentContext(Engine& engine, std::size_t agent_index, Rng& rng)
-      : engine_(&engine), index_(agent_index), rng_(&rng) {}
+  AgentContext(Engine& engine, std::size_t agent_index)
+      : engine_(&engine), index_(agent_index) {}
 
   /// The agent's local clock, in simulated cycles. Every operation below
   /// advances it; agents on other cores may be ahead or behind.
@@ -29,8 +29,7 @@ class AgentContext {
   /// The agent's private deterministic random stream (seeded from the
   /// engine seed and the agent index, never from other agents' draws) —
   /// the only randomness an agent may use if runs are to be reproducible.
-  /// Inline: agents draw once per generated address.
-  Rng& rng() { return *rng_; }
+  Rng& rng();
   Engine& engine() { return *engine_; }
   std::size_t agent_index() const { return index_; }
 
@@ -51,7 +50,6 @@ class AgentContext {
  private:
   Engine* engine_;
   std::size_t index_;
-  Rng* rng_;  // Engine::agent_rng(index_)
 };
 
 /// Base class for everything that executes on a simulated core. Contract:

@@ -11,6 +11,8 @@ Cycles AgentContext::now() const {
 
 CoreId AgentContext::core() const { return engine_->agent_core(index_); }
 
+Rng& AgentContext::rng() { return engine_->agent_rng(index_); }
+
 void AgentContext::compute(Cycles cycles) {
   engine_->ctx_compute(index_, cycles);
 }
@@ -96,7 +98,7 @@ Cycles Engine::run(Cycles max_cycles) {
     }
 
     const Cycles before = slot.clock;
-    AgentContext ctx(*this, best, slot.rng);
+    AgentContext ctx(*this, best);
     slot.agent->step(ctx);
     if (slot.clock == before) ++slot.clock;  // guarantee progress
 
