@@ -73,10 +73,11 @@ int abl(const am::Cli& cli, am::bench::BenchContext& ctx) {
   // Worker/probe invocations: the plan under ctx.machine, orchestrated
   // like any fig driver (the scheduler picks the backend per invocation
   // via --mem-backend).
-  if (!ctx.emit_plan_path.empty() || !ctx.lease_path.empty() ||
-      ctx.shard.sharded()) {
+  if (!ctx.sched.emit_plan_path.empty() || !ctx.sched.lease_path.empty() ||
+      ctx.sched.shard.sharded()) {
     const am::measure::SweepRunner runner(ctx.machine, opts);
-    (void)am::bench::execute_plan(ctx, plan, runner, store, &pool);
+    (void)am::measure::execute_plan(ctx.sched, plan, runner, store, &pool,
+                                    std::cout);
     return 0;
   }
 
@@ -88,8 +89,8 @@ int abl(const am::Cli& cli, am::bench::BenchContext& ctx) {
     const auto machine = backend_machine(ctx, spec);
     const am::measure::SweepRunner runner(machine, opts);
     std::size_t executed = 0;
-    const auto table = runner.run(plan, &pool, store.store(), ctx.shard,
-                                  &executed);
+    const auto table = runner.run(plan, &pool, store.store(),
+                                  ctx.sched.shard, &executed);
     store.finish(executed, table.size(), std::cout);
     for (const auto resource :
          {Resource::kCacheStorage, Resource::kBandwidth}) {

@@ -3,32 +3,24 @@
 // construction, scaled interference configurations, the synthetic-
 // benchmark experiment used by Fig. 5 and Fig. 6, and the `run_driver`
 // entry-point wrapper that makes a driver exec-able as a supervised
-// lease worker (`--lease FILE --worker`, see measure::SweepOrchestrator).
-#include <csignal>
-#include <cstdio>
-#include <filesystem>
+// lease worker (`--lease FILE --worker`, see measure::run_worker_entry).
 #include <iostream>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/heartbeat.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
-#include "common/work_lease.hpp"
 #include "apps/synthetic_benchmark.hpp"
 #include "common/units.hpp"
 #include "interfere/bwthr_agent.hpp"
 #include "interfere/csthr_agent.hpp"
-#include "measure/active_measurer.hpp"
 #include "measure/experiment_plan.hpp"
 #include "measure/lease.hpp"
-#include "measure/orchestrator.hpp"
 #include "measure/result_store.hpp"
 #include "model/ehr_model.hpp"
 #include "sim/engine.hpp"
@@ -41,11 +33,8 @@ struct BenchContext {
   std::string csv_path;     // empty = no CSV dump
   std::uint64_t seed = 1;
   std::string results_dir;  // empty = no persistent result store
-  ShardRange shard;         // --shard i/n; default = whole plan
-  std::string lease_path;   // --lease FILE: dynamic lease-worker mode
-  std::string emit_plan_path;  // --emit-plan FILE: scheduler probe mode
+  measure::SchedulingFlags sched;  // set by run_driver
   std::string driver;       // store-file naming stem (set by run_driver)
-  bool worker = false;      // --worker: supervised worker mode
 
   interfere::CSThrConfig cs_config() const {
     interfere::CSThrConfig c;
@@ -81,10 +70,8 @@ struct BenchContext {
 /// store keys) with banked-DRAM overrides --dram-channels, --dram-banks,
 /// --dram-row-bytes, --dram-refresh-interval and --dram-refresh-cycles
 /// (cycles; applied after the preset, validated together),
-/// --results-dir DIR (persistent result store), --shard i/n (manual
-/// multi-host slice), --lease FILE (lease-worker mode), --emit-plan FILE
-/// (scheduler probe). The three scheduling flags are mutually exclusive
-/// — each fixes the invocation's entire control flow.
+/// and --results-dir DIR (persistent result store). The scheduling
+/// flags are run_driver's (measure::parse_scheduling_flags).
 inline BenchContext make_context(const Cli& cli,
                                  std::uint32_t default_scale = 16,
                                  std::uint32_t nodes = 1) {
@@ -115,155 +102,39 @@ inline BenchContext make_context(const Cli& cli,
   ctx.csv_path = cli.get("csv", "");
   ctx.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   ctx.results_dir = cli.get("results-dir", "");
-  const auto sched = measure::parse_scheduling_flags(cli);
-  ctx.shard = sched.shard;
-  ctx.lease_path = sched.lease_path;
-  ctx.emit_plan_path = sched.emit_plan_path;
-  // (--shard without --results-dir is rejected by ResultStoreFile.)
-  if ((ctx.shard.sharded() || !ctx.lease_path.empty()) &&
-      !ctx.csv_path.empty())
-    throw std::invalid_argument(
-        "--csv cannot be combined with --shard/--lease: a worker emits no "
-        "tables — merge the stores, then re-run unsharded with --csv");
   return ctx;
 }
 
-/// The persistent store backing one driver invocation (see
-/// measure::ResultStoreFile); disabled when --results-dir is unset. A
-/// lease worker's store lives next to its lease file and is seeded from
-/// the canonical cache, so re-sweeps stay fully cached no matter which
-/// worker ran a point last time.
-inline measure::ResultStoreFile make_store(const BenchContext& ctx,
-                                           const std::string& driver) {
-  if (!ctx.lease_path.empty())
-    return measure::ResultStoreFile::for_lease(ctx.results_dir, driver,
-                                               ctx.lease_path);
-  return measure::ResultStoreFile(ctx.results_dir, driver, ctx.shard);
-}
-
-/// make_store using the driver name run_driver stamped into the context.
+/// The store backing one driver invocation (measure::open_store under
+/// the driver name run_driver stamped into the context); disabled when
+/// --results-dir is unset and no lease is set.
 inline measure::ResultStoreFile make_store(const BenchContext& ctx) {
-  return make_store(ctx, ctx.driver);
+  return measure::open_store(ctx.results_dir, ctx.driver, ctx.sched);
 }
 
-/// Entry-point wrapper every orchestratable driver routes its main
-/// through: parses the common flags, then runs `body(cli, ctx)`. What it
-/// adds over a bare main is the worker contract of
-/// measure::SweepOrchestrator:
-///
-///   * Machine-readable exit codes — flag/plan rejections
-///     (std::invalid_argument) exit kWorkerExitUsage so the orchestrator
-///     fails fast instead of retrying a doomed command, any other
-///     exception exits kWorkerExitRunFailed (retryable); no exception
-///     escapes to std::terminate's ambiguous SIGABRT.
-///   * `--worker` mode (requires --lease): maintains a heartbeat file
-///     next to the lease file for liveness supervision.
-///   * `--test-crash-marker PATH` fault injection: the first invocation
-///     to claim (atomically delete) the marker file dies via SIGKILL
-///     before any work, so orchestrator kill/retry paths are testable
-///     deterministically. Probe runs (`--emit-plan`) never claim the
-///     marker — the injection targets workers, and a probe stealing it
-///     would leave the kill/retry path untested.
+/// Entry point every orchestratable driver routes its main through: the
+/// shared worker entry (measure::run_worker_entry — scheduling flags,
+/// heartbeat, crash marker, exit codes) around `body(cli, ctx)`, with
+/// the common flags parsed into `ctx`.
 template <typename Body>
 int run_driver(int argc, char** argv, const std::string& driver,
                std::uint32_t default_scale, std::uint32_t nodes,
                Body&& body) {
-  try {
-    const Cli cli(argc, argv);
-    BenchContext ctx = make_context(cli, default_scale, nodes);
-    ctx.driver = driver;
-    ctx.worker = cli.get_bool("worker", false);
-    if (ctx.worker && ctx.lease_path.empty())
-      throw std::invalid_argument(
-          "--worker requires --lease: workers are lease workers");
-    const auto marker = cli.get("test-crash-marker", "");
-    if (!marker.empty() && ctx.emit_plan_path.empty() &&
-        std::filesystem::remove(marker)) {
-      std::fprintf(stderr, "%s: crash marker claimed, raising SIGKILL\n",
-                   driver.c_str());
-      std::raise(SIGKILL);
-    }
-    std::optional<HeartbeatWriter> heartbeat;
-    if (ctx.worker) heartbeat.emplace(lease_heartbeat_path(ctx.lease_path));
-    return body(cli, ctx);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << driver << ": " << e.what() << "\n";
-    return measure::kWorkerExitUsage;
-  } catch (const std::exception& e) {
-    std::cerr << driver << ": " << e.what() << "\n";
-    return measure::kWorkerExitRunFailed;
-  }
-}
-
-/// Executes a plan under whichever scheduling mode this invocation asked
-/// for — the one call a SweepRunner-style driver (fig9/fig11/
-/// mcb_mapping_study) makes instead of wiring the modes itself:
-///
-///   * `--emit-plan FILE`: write plan size + per-point cost estimates
-///     for the scheduler and stop.
-///   * `--lease FILE`: loop running leased batches until the scheduler
-///     drains its queue.
-///   * `--shard i/n`: run the slice, persist it, print the merge
-///     handoff (the manual multi-host recipe).
-///   * otherwise: the full (cache-aware) run.
-///
-/// Returns the assembled table only in the last case; nullopt means the
-/// invocation was a worker/probe whose entire output is store or plan
-/// files, and the driver should exit 0 without emitting figures.
-inline std::optional<measure::ResultTable> execute_plan(
-    const BenchContext& ctx, const measure::ExperimentPlan& plan,
-    const measure::SweepRunner& runner, measure::ResultStoreFile& store,
-    ThreadPool* pool) {
-  if (!ctx.emit_plan_path.empty()) {
-    measure::emit_plan_info(plan, runner, store.store(), ctx.emit_plan_path);
-    std::cout << "plan info: " << plan.size() << " point(s) -> "
-              << ctx.emit_plan_path << "\n";
-    return std::nullopt;
-  }
-  if (!ctx.lease_path.empty()) {
-    const auto report = measure::run_lease_worker(plan, runner, pool, store,
-                                                  ctx.lease_path, std::cout);
-    store.finish(report.executed, report.points, std::cout);
-    return std::nullopt;
-  }
-  std::size_t executed = 0;
-  auto table = runner.run(plan, pool, store.store(), ctx.shard, &executed);
-  if (store.finish(executed, table.size(), std::cout))
-    return std::nullopt;  // shard: merge, then re-run to emit
-  return table;
-}
-
-/// The grid-request counterpart of execute_plan for ActiveMeasurer-style
-/// drivers (fig10/fig12/coschedule_advisor). The measurer must already
-/// have its pool and store configured (set_store with this `store`'s
-/// ResultStore). True = the invocation was a probe/lease/shard worker
-/// and is fully handled — the driver should exit 0 without assembling
-/// sweeps.
-inline bool grid_worker_modes(const BenchContext& ctx,
-                              measure::ActiveMeasurer& measurer,
-                              const std::vector<measure::GridRequest>& requests,
-                              measure::ResultStoreFile& store,
-                              const interfere::CSThrConfig& cs,
-                              const interfere::BWThrConfig& bw) {
-  if (!ctx.emit_plan_path.empty()) {
-    measurer.sweep_grid_emit_plan(requests, ctx.emit_plan_path, cs, bw);
-    std::cout << "plan info -> " << ctx.emit_plan_path << "\n";
-    return true;
-  }
-  if (!ctx.lease_path.empty()) {
-    const auto executed =
-        measurer.sweep_grid_lease(requests, store, ctx.lease_path,
-                                  std::cout, cs, bw);
-    store.finish(executed, measurer.last_planned(), std::cout);
-    return true;
-  }
-  if (ctx.shard.sharded()) {
-    const auto executed = measurer.sweep_grid_shard(requests, ctx.shard,
-                                                    cs, bw);
-    store.finish(executed, measurer.last_planned(), std::cout);
-    return true;
-  }
-  return false;
+  return measure::run_worker_entry(
+      argc, argv, driver,
+      [&](const Cli& cli, const measure::SchedulingFlags& sched) {
+        BenchContext ctx = make_context(cli, default_scale, nodes);
+        ctx.sched = sched;
+        ctx.driver = driver;
+        // (--shard without --results-dir is rejected by ResultStoreFile.)
+        if ((sched.shard.sharded() || !sched.lease_path.empty()) &&
+            !ctx.csv_path.empty())
+          throw std::invalid_argument(
+              "--csv cannot be combined with --shard/--lease: a worker "
+              "emits no tables — merge the stores, then re-run unsharded "
+              "with --csv");
+        return body(cli, ctx);
+      });
 }
 
 inline void emit(const Table& table, const BenchContext& ctx,

@@ -28,27 +28,8 @@ int fig10(const am::Cli& cli, am::bench::BenchContext& ctx) {
   const std::uint32_t sweep_cs = quick ? 2 : 5;
   const std::uint32_t sweep_bw = quick ? 1 : 2;
 
-  // Constructed before calibration: flag-pairing errors (e.g. --shard
-  // without --results-dir) must fire before minutes of calibration work.
   auto store = am::bench::make_store(ctx);
-
-  am::measure::CalibrationOptions copts;
-  copts.max_threads = quick ? 2 : 5;
-  copts.buffer_to_l3_ratios = {2.5};
-  copts.probe_distributions = {9};
-  copts.accesses_per_probe = quick ? 20'000 : 150'000;
-  copts.seed = ctx.seed;
-  const auto cap_calib =
-      am::measure::calibrate_capacity(ctx.machine, ctx.cs_config(), copts);
-  const auto bw_calib = am::measure::calibrate_bandwidth(
-      ctx.machine, ctx.bw_config(), 2, ctx.seed);
-
   am::measure::SimBackend backend(ctx.machine, ctx.seed);
-  am::measure::ActiveMeasurer measurer(backend, cap_calib, bw_calib);
-  am::ThreadPool pool;
-  measurer.set_pool(&pool);
-  measurer.set_store(store.store(), store.checkpointer());
-
   auto cfg = am::apps::McbConfig::paper(particles, ctx.scale);
   cfg.steps = steps;
 
@@ -66,12 +47,29 @@ int fig10(const am::Cli& cli, am::bench::BenchContext& ctx) {
                         std::min(sweep_bw, ctx.machine.cores_per_socket - p),
                         am::measure::mpi_interference_groups(ctx.machine,
                                                              ranks, p)});
-  if (am::bench::grid_worker_modes(ctx, measurer, requests, store,
-                                   ctx.cs_config(), ctx.bw_config()))
-    return 0;  // worker/probe: merge the stores, then re-run to print
-  const auto sweeps =
-      measurer.sweep_grid(requests, ctx.cs_config(), ctx.bw_config());
-  store.finish(measurer.last_executed(), measurer.last_planned(), std::cout);
+  const auto grid =
+      am::measure::plan_grid(backend, requests, ctx.cs_config(),
+                             ctx.bw_config(), store.checkpointer());
+  am::ThreadPool pool;
+  const auto table = am::measure::execute_plan(ctx.sched, grid.plan,
+                                               grid.runner, store, &pool,
+                                               std::cout);
+  if (!table) return 0;  // worker/probe: output is store or plan files
+
+  // Only the assembled figure reads the calibrations: they turn thread
+  // counts into resource availability.
+  am::measure::CalibrationOptions copts;
+  copts.max_threads = quick ? 2 : 5;
+  copts.buffer_to_l3_ratios = {2.5};
+  copts.probe_distributions = {9};
+  copts.accesses_per_probe = quick ? 20'000 : 150'000;
+  copts.seed = ctx.seed;
+  const auto cap_calib =
+      am::measure::calibrate_capacity(ctx.machine, ctx.cs_config(), copts);
+  const auto bw_calib = am::measure::calibrate_bandwidth(
+      ctx.machine, ctx.bw_config(), 2, ctx.seed);
+  const am::measure::ActiveMeasurer measurer(backend, cap_calib, bw_calib);
+  const auto sweeps = measurer.assemble_grid(grid, requests, *table);
 
   const double mb = 1024.0 * 1024.0;
   am::Table t({"p/processor", "capacity lo (MB)", "capacity hi (MB)",

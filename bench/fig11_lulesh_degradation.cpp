@@ -78,8 +78,8 @@ int fig11(const am::Cli& cli, am::bench::BenchContext& ctx) {
   opts.checkpoint = store.checkpointer();  // keep finished runs on a crash
   const am::measure::SweepRunner runner(ctx.machine, opts);
   am::ThreadPool pool;
-  const auto table =
-      am::bench::execute_plan(ctx, plan, runner, store, &pool);
+  const auto table = am::measure::execute_plan(ctx.sched, plan, runner,
+                                               store, &pool, std::cout);
   if (!table) return 0;  // worker/probe: output is store or plan files
 
   am::bench::emit_degradation_tables(

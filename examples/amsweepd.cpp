@@ -24,8 +24,8 @@
 // to start while FILE exists deletes it and SIGKILLs itself, holding
 // the lease the daemon offered before spawning it — the deterministic
 // crash the smoke test recovers from. Workers run the shared streaming
-// lease-worker loop (measure/lease.hpp) on the plan file each offer
-// names.
+// lease-worker loop on the plan file each offer names, under the shared
+// worker entry (measure/lease.hpp run_worker_entry).
 //
 // SIGTERM/SIGINT request a graceful drain: in-flight leases finish,
 // every completed point is checkpointed, waiting submitters get
@@ -46,9 +46,8 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/heartbeat.hpp"
-#include "common/work_lease.hpp"
 #include "measure/daemon.hpp"
+#include "measure/lease.hpp"
 #include "measure/worker_fleet.hpp"
 
 namespace {
@@ -84,34 +83,17 @@ std::string self_path(const char* argv0) {
   return argv0;
 }
 
-int run_worker(const am::Cli& cli) {
-  try {
-    const auto lease = cli.get("lease", "");
-    if (lease.empty() || lease == "true")
-      throw std::invalid_argument("--lease FILE is required");
-    am::measure::LeaseWorkerOptions opts;
-    opts.poll_seconds = cli.get_seconds("poll-seconds", opts.poll_seconds);
-    opts.idle_timeout_seconds =
-        cli.get_seconds("idle-timeout", opts.idle_timeout_seconds);
-    // Fault injection, the figure drivers' rule: the first worker to
-    // claim (delete) the marker dies at startup. The daemon wrote this
-    // slot's first offer before spawning it, so it dies holding a lease.
-    const auto marker = cli.get("test-crash-marker", "");
-    if (!marker.empty() && std::filesystem::remove(marker)) {
-      std::fprintf(stderr, "amsweepd --worker: crash marker claimed, "
-                           "raising SIGKILL\n");
-      std::raise(SIGKILL);
-    }
-    const am::HeartbeatWriter heartbeat(am::lease_heartbeat_path(lease));
-    am::measure::run_daemon_worker(lease, std::cout, opts);
-    return am::measure::kWorkerExitOk;
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "amsweepd --worker: %s\n", e.what());
-    return am::measure::kWorkerExitUsage;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "amsweepd --worker: %s\n", e.what());
-    return am::measure::kWorkerExitRunFailed;
-  }
+/// `--worker` mode: the shared streaming lease-worker loop on the plan
+/// file each offer names, under the shared worker entry (which also
+/// claims the crash marker: the daemon wrote this slot's first offer
+/// before spawning it, so a claiming worker dies holding a lease).
+int worker(const am::Cli& cli, const am::measure::SchedulingFlags& flags) {
+  am::measure::LeaseWorkerOptions opts;
+  opts.poll_seconds = cli.get_seconds("poll-seconds", opts.poll_seconds);
+  opts.idle_timeout_seconds =
+      cli.get_seconds("idle-timeout", opts.idle_timeout_seconds);
+  am::measure::run_daemon_worker(flags.lease_path, std::cout, opts);
+  return am::measure::kWorkerExitOk;
 }
 
 }  // namespace
@@ -119,7 +101,9 @@ int run_worker(const am::Cli& cli) {
 int main(int argc, char** argv) {
   try {
     const am::Cli cli(argc, argv);
-    if (cli.get_bool("worker", false)) return run_worker(cli);
+    if (cli.get_bool("worker", false))
+      return am::measure::run_worker_entry(argc, argv, "amsweepd --worker",
+                                           worker);
 
     am::measure::SweepDaemonOptions opts;
     opts.socket_path = cli.get("socket", "");

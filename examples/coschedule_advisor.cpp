@@ -5,28 +5,26 @@
 //
 // Build & run:  ./build/examples/coschedule_advisor [--scale N] [--accesses N]
 //               [--results-dir DIR] [--shard i/n | --lease FILE |
-//               --emit-plan FILE] [--worker]
+//               --emit-plan FILE] [--worker] [--test-crash-marker FILE]
 //
 // The scheduling flags make the advisor orchestratable by amsweep (see
-// mcb_mapping_study for the contract); worker exits follow
-// measure::SweepOrchestrator (2 = usage, 3 = run failure).
+// mcb_mapping_study); the contract — flags, heartbeat, crash marker and
+// exit codes (2 = usage, 3 = run failure) — is the shared worker entry,
+// measure::run_worker_entry. Workers and probes only build and run the
+// profiling grid; the calibrations are computed for the advice alone.
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/heartbeat.hpp"
-#include "common/work_lease.hpp"
+#include "common/thread_pool.hpp"
 #include "measure/active_measurer.hpp"
 #include "measure/app_workloads.hpp"
 #include "measure/calibration.hpp"
 #include "measure/coschedule.hpp"
 #include "measure/lease.hpp"
-#include "measure/orchestrator.hpp"
 #include "model/distributions.hpp"
 
 namespace {
@@ -41,47 +39,20 @@ am::apps::SyntheticConfig make_app(const am::sim::MachineConfig& m,
       elements * 2, accesses};
 }
 
-int advise(const am::Cli& cli) {
+int advise(const am::Cli& cli, const am::measure::SchedulingFlags& flags) {
   const auto kScale = static_cast<std::uint32_t>(cli.get_int("scale", 16));
   const auto accesses =
       static_cast<std::uint64_t>(cli.get_int("accesses", 150'000));
-  // One scheduling mode at most (shared contract with the bench
-  // drivers); the --shard/--results-dir pairing is validated by
-  // ResultStoreFile, which is disabled when no results dir is given.
-  const auto [shard, lease, emit_plan] =
-      am::measure::parse_scheduling_flags(cli);
-  auto store =
-      lease.empty()
-          ? am::measure::ResultStoreFile(cli.get("results-dir", ""),
-                                         "coschedule_advisor", shard)
-          : am::measure::ResultStoreFile::for_lease(
-                cli.get("results-dir", ""), "coschedule_advisor", lease);
-  std::optional<am::HeartbeatWriter> heartbeat;
-  if (cli.get_bool("worker", false)) {
-    if (lease.empty())
-      throw std::invalid_argument("--worker requires --lease");
-    heartbeat.emplace(am::lease_heartbeat_path(lease));
-  }
+  // The --shard/--results-dir pairing is validated by ResultStoreFile,
+  // which is disabled when no results dir is given.
+  auto store = am::measure::open_store(cli.get("results-dir", ""),
+                                       "coschedule_advisor", flags);
   auto machine = am::sim::MachineConfig::xeon20mb_scaled(kScale);
   am::sim::apply_mem_backend(machine, cli.get("mem-backend", "channel"));
   am::interfere::CSThrConfig cs;
   cs.buffer_bytes = 4ull * 1024 * 1024 / kScale;
   am::interfere::BWThrConfig bw;
   bw.buffer_bytes = 520ull * 1024 / kScale;
-
-  am::measure::CalibrationOptions copts;
-  copts.buffer_to_l3_ratios = {2.5};
-  copts.probe_distributions = {9};
-  copts.accesses_per_probe = accesses * 2 / 3;  // 100k at the 150k default
-  const auto cap_calib = am::measure::calibrate_capacity(machine, cs, copts);
-  const auto bw_calib = am::measure::calibrate_bandwidth(machine, bw, 2);
-
-  am::measure::SimBackend backend(machine);
-  am::measure::ActiveMeasurer measurer(backend, cap_calib, bw_calib);
-  am::ThreadPool pool;
-  measurer.set_pool(&pool);
-
-  measurer.set_store(store.store(), store.checkpointer());
 
   // Profile two applications in isolation: one light (25% of L3), one
   // heavy (60% of L3). Both profiles go into one experiment grid, so each
@@ -96,24 +67,25 @@ int advise(const am::Cli& cli) {
        5, 2},
       {am::measure::make_synthetic_workload(heavy_cfg), "heavy l3=0.60" + atag,
        5, 2}};
-  if (!emit_plan.empty()) {
-    measurer.sweep_grid_emit_plan(requests, emit_plan, cs, bw);
-    std::cout << "plan info -> " << emit_plan << "\n";
-    return 0;
-  }
-  if (!lease.empty()) {
-    const auto executed =
-        measurer.sweep_grid_lease(requests, store, lease, std::cout, cs, bw);
-    store.finish(executed, measurer.last_planned(), std::cout);
-    return 0;
-  }
-  if (shard.sharded()) {
-    const auto executed = measurer.sweep_grid_shard(requests, shard, cs, bw);
-    store.finish(executed, measurer.last_planned(), std::cout);
-    return 0;  // merge the shard stores with amresult, then re-run
-  }
-  const auto sweeps = measurer.sweep_grid(requests, cs, bw);
-  store.finish(measurer.last_executed(), measurer.last_planned(), std::cout);
+  am::measure::SimBackend backend(machine);
+  const auto grid = am::measure::plan_grid(backend, requests, cs, bw,
+                                           store.checkpointer());
+  am::ThreadPool pool;
+  const auto table = am::measure::execute_plan(flags, grid.plan, grid.runner,
+                                               store, &pool, std::cout);
+  if (!table) return 0;  // worker/probe/shard: output is store or plan files
+
+  // Only the assembled profiles read the calibrations: they turn thread
+  // counts into resource availability.
+  am::measure::CalibrationOptions copts;
+  copts.buffer_to_l3_ratios = {2.5};
+  copts.probe_distributions = {9};
+  copts.accesses_per_probe = accesses * 2 / 3;  // 100k at the 150k default
+  const auto cap_calib = am::measure::calibrate_capacity(machine, cs, copts);
+  const auto bw_calib = am::measure::calibrate_bandwidth(machine, bw, 2);
+  const am::measure::ActiveMeasurer measurer(backend, cap_calib, bw_calib);
+  const auto sweeps = measurer.assemble_grid(grid, requests, *table);
+
   auto profile = [](const char* name, const am::measure::GridSweeps& s) {
     auto p = am::measure::AppProfile::from_sweeps(name, s.storage,
                                                   s.bandwidth, 1);
@@ -167,15 +139,6 @@ int advise(const am::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Machine-readable exits for supervisors (measure::SweepOrchestrator).
-  try {
-    const am::Cli cli(argc, argv);
-    return advise(cli);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "coschedule_advisor: %s\n", e.what());
-    return am::measure::kWorkerExitUsage;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "coschedule_advisor: %s\n", e.what());
-    return am::measure::kWorkerExitRunFailed;
-  }
+  return am::measure::run_worker_entry(argc, argv, "coschedule_advisor",
+                                       advise);
 }

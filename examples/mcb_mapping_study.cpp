@@ -7,49 +7,33 @@
 // Build & run:  ./build/examples/mcb_mapping_study [--scale N]
 //               [--particles N] [--steps N]
 //               [--results-dir DIR] [--shard i/n | --lease FILE |
-//               --emit-plan FILE] [--worker]
+//               --emit-plan FILE] [--worker] [--test-crash-marker FILE]
 //
 // The scheduling flags make the study orchestratable by amsweep: --lease
 // (with --worker) joins its work queue, --emit-plan answers its plan
-// probe, and --shard runs a slice for the manual multi-host recipe
-// (merge the slices with amresult). Worker exit codes follow the
-// measure::SweepOrchestrator contract (2 = usage, 3 = run failure).
+// probe, --shard runs a slice for the manual multi-host recipe (merge
+// the slices with amresult), and --test-crash-marker FILE injects one
+// worker kill. The contract — flags, heartbeat, marker and
+// exit codes (2 = usage, 3 = run failure) — is the shared worker entry,
+// measure::run_worker_entry.
 #include <cstdio>
 #include <iostream>
-#include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/heartbeat.hpp"
 #include "common/thread_pool.hpp"
-#include "common/work_lease.hpp"
 #include "measure/app_workloads.hpp"
 #include "measure/experiment_plan.hpp"
 #include "measure/lease.hpp"
-#include "measure/orchestrator.hpp"
 
 namespace {
 
-int study(const am::Cli& cli) {
+int study(const am::Cli& cli, const am::measure::SchedulingFlags& flags) {
   const auto kScale = static_cast<std::uint32_t>(cli.get_int("scale", 16));
-  // One scheduling mode at most (shared contract with the bench
-  // drivers); the --shard/--results-dir pairing is validated by
-  // ResultStoreFile, which is disabled when no results dir is given.
-  const auto [shard, lease, emit_plan] =
-      am::measure::parse_scheduling_flags(cli);
-  auto store =
-      lease.empty()
-          ? am::measure::ResultStoreFile(cli.get("results-dir", ""),
-                                         "mcb_mapping_study", shard)
-          : am::measure::ResultStoreFile::for_lease(
-                cli.get("results-dir", ""), "mcb_mapping_study", lease);
-  std::optional<am::HeartbeatWriter> heartbeat;
-  if (cli.get_bool("worker", false)) {
-    if (lease.empty())
-      throw std::invalid_argument("--worker requires --lease");
-    heartbeat.emplace(am::lease_heartbeat_path(lease));
-  }
+  // The --shard/--results-dir pairing is validated by ResultStoreFile,
+  // which is disabled when no results dir is given.
+  auto store = am::measure::open_store(cli.get("results-dir", ""),
+                                       "mcb_mapping_study", flags);
   auto machine =
       am::sim::MachineConfig::xeon20mb_scaled(kScale, /*nodes=*/12);
   // The backend is part of the machine fingerprint (when not the default
@@ -87,24 +71,9 @@ int study(const am::Cli& cli) {
   opts.checkpoint = store.checkpointer();  // keep finished runs on a crash
   const am::measure::SweepRunner runner(machine, opts);
   am::ThreadPool pool;
-
-  if (!emit_plan.empty()) {
-    am::measure::emit_plan_info(plan, runner, store.store(), emit_plan);
-    std::cout << "plan info: " << plan.size() << " point(s) -> " << emit_plan
-              << "\n";
-    return 0;
-  }
-  if (!lease.empty()) {
-    const auto report = am::measure::run_lease_worker(plan, runner, &pool,
-                                                      store, lease,
-                                                      std::cout);
-    store.finish(report.executed, report.points, std::cout);
-    return 0;
-  }
-  std::size_t executed = 0;
-  const auto table = runner.run(plan, &pool, store.store(), shard, &executed);
-  if (store.finish(executed, table.size(), std::cout))
-    return 0;  // shard: merge with amresult, then re-run to print
+  const auto table = am::measure::execute_plan(flags, plan, runner, store,
+                                               &pool, std::cout);
+  if (!table) return 0;  // worker/probe/shard: output is store or plan files
 
   std::printf("MCB, 24 ranks, %u particles on %s\n\n", particles,
               machine.name.c_str());
@@ -113,12 +82,12 @@ int study(const am::Cli& cli) {
   for (std::size_t i = 0; i < mappings.size(); ++i) {
     const std::uint32_t p = mappings[i];
     const auto& [id, k] = cells[i];
-    const auto& base = table.baseline(id);
+    const auto& base = table->baseline(id);
     const auto& interfered =
-        table.at(id, am::measure::Resource::kCacheStorage, k);
+        table->at(id, am::measure::Resource::kCacheStorage, k);
     std::printf("%-14u %-12u %-16.3f %-10.3f (+%.1f%%)\n", p, 24 / (2 * p),
                 base.seconds * 1e3, interfered.seconds * 1e3,
-                (table.slowdown(id, am::measure::Resource::kCacheStorage, k) -
+                (table->slowdown(id, am::measure::Resource::kCacheStorage, k) -
                  1.0) *
                     100.0);
   }
@@ -134,17 +103,5 @@ int study(const am::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Machine-readable exits for supervisors (measure::SweepOrchestrator):
-  // flag rejections are usage errors no retry can fix; anything else out
-  // of the sweep is a retryable run failure.
-  try {
-    const am::Cli cli(argc, argv);
-    return study(cli);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "mcb_mapping_study: %s\n", e.what());
-    return am::measure::kWorkerExitUsage;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mcb_mapping_study: %s\n", e.what());
-    return am::measure::kWorkerExitRunFailed;
-  }
+  return am::measure::run_worker_entry(argc, argv, "mcb_mapping_study", study);
 }

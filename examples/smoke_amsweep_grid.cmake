@@ -1,0 +1,89 @@
+# End-to-end exercise of an ActiveMeasurer grid driver under every
+# scheduling mode (ctest smoke entry): run a scaled-down fig10 grid
+# serially, then
+#   1. through amsweep with 2 lease-worker processes and one injected
+#      worker kill (claimed crash marker -> SIGKILL -> requeue),
+#   2. as two manual shards (`--shard 0/2`, `--shard 1/2`) merged by
+#      `amresult merge`,
+# and require both stores to be byte-identical to the serial run's, and
+# a re-run against the orchestrated store to be fully cached and to print
+# the serial run's tables line for line.
+# Driven by -D vars:
+#   AMSWEEP  — path to the amsweep binary
+#   AMRESULT — path to the amresult binary
+#   FIG10    — path to the fig10_mcb_resources binary
+#   WORKDIR  — scratch directory (wiped on entry)
+file(REMOVE_RECURSE "${WORKDIR}")
+file(MAKE_DIRECTORY "${WORKDIR}")
+
+set(fig10_args --scale 64 --ranks 8 --steps 1 --particles 2000 --quick)
+set(store fig10_mcb_resources)
+
+function(run_checked out_var)
+  execute_process(COMMAND ${ARGN}
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE code)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "command failed (${code}): ${ARGN}\n${out}\n${err}")
+  endif()
+  set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
+function(require_same_store a b what)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${a}" "${b}"
+    RESULT_VARIABLE diff)
+  if(NOT diff EQUAL 0)
+    message(FATAL_ERROR "${what} differs from the direct serial run's store")
+  endif()
+endfunction()
+
+# The ground truth: the grid run serially into its own store.
+run_checked(direct "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/direct")
+
+# 1. Orchestrated, with exactly one worker dying mid-lease. The plan
+#    probe never claims the marker.
+file(WRITE "${WORKDIR}/crash.marker" "")
+run_checked(orchestrated "${AMSWEEP}"
+  --results-dir "${WORKDIR}/orch" --workers 2 --retries 1
+  --stall-timeout 120 --
+  "${FIG10}" ${fig10_args} --test-crash-marker "${WORKDIR}/crash.marker")
+if(EXISTS "${WORKDIR}/crash.marker")
+  message(FATAL_ERROR "no worker claimed the crash marker:\n${orchestrated}")
+endif()
+if(NOT orchestrated MATCHES "signal 9")
+  message(FATAL_ERROR
+    "expected a SIGKILLed worker attempt in the log:\n${orchestrated}")
+endif()
+require_same_store("${WORKDIR}/direct/${store}.tsv"
+  "${WORKDIR}/orch/${store}.tsv" "orchestrated store")
+
+# 2. Two manual shards merged by amresult.
+run_checked(shard0 "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/shard"
+  --shard 0/2)
+run_checked(shard1 "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/shard"
+  --shard 1/2)
+foreach(out shard0 shard1)
+  if(${out} MATCHES "== Fig")
+    message(FATAL_ERROR "a shard printed a figure:\n${${out}}")
+  endif()
+endforeach()
+run_checked(merged "${AMRESULT}" merge --out "${WORKDIR}/shard/${store}.tsv"
+  "${WORKDIR}/shard/${store}.shard0of2.tsv"
+  "${WORKDIR}/shard/${store}.shard1of2.tsv")
+require_same_store("${WORKDIR}/direct/${store}.tsv"
+  "${WORKDIR}/shard/${store}.tsv" "shard-merged store")
+
+# 3. The orchestrated store makes a re-run fully cached, and the cached
+#    tables match the serial run's (modulo the store bookkeeping line).
+run_checked(cached "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/orch")
+if(NOT cached MATCHES "\\(0 executed")
+  message(FATAL_ERROR
+    "expected a fully cached re-run against the merged store, got:\n"
+    "${cached}")
+endif()
+string(REGEX REPLACE "results: [^\n]*\n" "" cached_table "${cached}")
+string(REGEX REPLACE "results: [^\n]*\n" "" direct_table "${direct}")
+if(NOT cached_table STREQUAL direct_table)
+  message(FATAL_ERROR
+    "cached tables differ from the direct run.\ncached:\n${cached_table}\n"
+    "direct:\n${direct_table}")
+endif()

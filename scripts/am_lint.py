@@ -32,6 +32,12 @@ makes them mechanical:
                             explicitly discarded with a (void) cast and
                             a reason — a bare call in statement position
                             is an undecided error path.
+  AM006 worker-contract     The worker exit codes kWorkerExitUsage and
+                            kWorkerExitRunFailed are returned only by
+                            the shared worker entry
+                            (measure::run_worker_entry); a driver that
+                            returns them itself is a copy of the
+                            contract.
 
 Each rule is a pure function over (path, text) — no filesystem access —
 so scripts/am_lint_test.py can feed fixture snippets straight in.
@@ -60,7 +66,8 @@ def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
     """Blanks out comments (and, unless keep_strings, string/char
     literals) while preserving line structure, so regexes don't trip on
     prose or quoted examples. Handles //, /* */, "..." with escapes,
-    '...', and basic raw strings R"delim(...)delim"."""
+    '...' (but not a digit separator, as in 20'000), and basic raw
+    strings R"delim(...)delim"."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -89,6 +96,9 @@ def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
             out.append(chunk if keep_strings
                        else re.sub(r"[^\n]", " ", chunk))
             i = end
+        elif c == "'" and _in_number(text, i):
+            out.append(c)  # digit separator (20'000), not a char literal
+            i += 1
         elif c == '"' or c == "'":
             j = i + 1
             while j < n and text[j] != c:
@@ -102,6 +112,14 @@ def strip_comments_and_strings(text: str, keep_strings: bool = False) -> str:
             out.append(c)
             i += 1
     return "".join(out)
+
+
+def _in_number(text: str, i: int) -> bool:
+    """Whether the quote at text[i] sits inside a numeric literal."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_.'"):
+        j -= 1
+    return j < i and text[j].isdigit()
 
 
 def _line_of(text: str, offset: int) -> int:
@@ -257,6 +275,40 @@ def check_syscall_returns(path: str, text: str):
     return out
 
 
+_WORKER_EXIT_RETURN = re.compile(
+    r"\breturn\s+(?:[\w:]*::)?(kWorkerExit(?:Usage|RunFailed))\b")
+# The definition only: a call passing a lambda also ends in `) {`.
+_WORKER_ENTRY = re.compile(
+    r"\bint\s+(?:\w+::)*run_worker_entry\s*\([^;{]*\)\s*\{")
+
+
+def _brace_spans(code: str, opener: re.Pattern):
+    """(start, end) offsets of each body whose `{` ends an `opener`
+    match, braces balanced."""
+    spans = []
+    for m in opener.finditer(code):
+        depth, i = 0, m.end() - 1
+        while i < len(code):
+            depth += {"{": 1, "}": -1}.get(code[i], 0)
+            if depth == 0:
+                break
+            i += 1
+        spans.append((m.end(), i))
+    return spans
+
+
+def check_worker_contract(path: str, text: str):
+    """AM006: a worker exit code returned outside run_worker_entry."""
+    code = strip_comments_and_strings(text)
+    entry = _brace_spans(code, _WORKER_ENTRY)
+    return [(_line_of(code, m.start()), "AM006",
+             f"`return {m.group(1)}` outside the shared worker entry — "
+             "route main through measure::run_worker_entry instead of "
+             "copying the worker contract")
+            for m in _WORKER_EXIT_RETURN.finditer(code)
+            if not any(a <= m.start() < b for a, b in entry)]
+
+
 # --- repo driver ------------------------------------------------------------
 
 CPP_GLOB = ("*.cpp", "*.hpp", "*.cc", "*.h")
@@ -279,7 +331,9 @@ def lint_repo(root: Path):
 
     for sub in ("src", "examples", "bench"):
         for f in _cpp_files(root, sub):
-            add(f, check_raw_rename(f.as_posix(), f.read_text()))
+            text = f.read_text()
+            add(f, check_raw_rename(f.as_posix(), text))
+            add(f, check_worker_contract(f.as_posix(), text))
     for sub in ("src/sim", "src/model"):
         for f in _cpp_files(root, sub):
             add(f, check_determinism(f.as_posix(), f.read_text()))

@@ -35,6 +35,14 @@ class StripperTest(unittest.TestCase):
         self.assertIn('"%f"', code)
         self.assertNotIn("%g", code)
 
+    def test_digit_separator_is_not_a_char_literal(self):
+        text = "int n = get(20'000);\nrename(p, q);\nchar c = 'x';\n"
+        code = am_lint.strip_comments_and_strings(text)
+        self.assertIn("20'000", code)
+        self.assertNotIn("x", code)
+        self.assertEqual(rules(am_lint.check_raw_rename("f.cpp", text)),
+                         ["AM001"])
+
     def test_block_comment_preserves_line_numbers(self):
         text = "a\n/* x\ny */\nrename(p, q);\n"
         code = am_lint.strip_comments_and_strings(text)
@@ -193,6 +201,63 @@ class SyscallReturnTest(unittest.TestCase):
                "}\n")
         self.assertEqual(rules(am_lint.check_syscall_returns("x.cpp", bad)),
                          ["AM005"])
+
+
+class WorkerContractTest(unittest.TestCase):
+    ENTRY = ("int run_worker_entry(int argc, char** argv, const std::string& n,\n"
+             "                     const WorkerBody& body) {\n"
+             "  try {\n"
+             "    if (bad) { return 1; }\n"
+             "    return body(cli, flags);\n"
+             "  } catch (const std::invalid_argument& e) {\n"
+             "    return kWorkerExitUsage;\n"
+             "  } catch (const std::exception& e) {\n"
+             "    return kWorkerExitRunFailed;\n"
+             "  }\n"
+             "}\n")
+
+    def test_passes_the_shared_entry(self):
+        self.assertEqual(
+            am_lint.check_worker_contract("src/measure/lease.cpp",
+                                          self.ENTRY), [])
+
+    def test_passes_comparisons_and_comments(self):
+        ok = ("// a copy would `return kWorkerExitUsage;`\n"
+              "if (status.code == kWorkerExitUsage) abort = true;\n"
+              "return am::measure::kWorkerExitOk;\n")
+        self.assertEqual(
+            am_lint.check_worker_contract("examples/x.cpp", ok), [])
+
+    def test_fails_a_copied_contract(self):
+        bad = ("int main(int argc, char** argv) {\n"
+               "  try {\n"
+               "    return run(argc, argv);\n"
+               "  } catch (const std::invalid_argument& e) {\n"
+               "    return am::measure::kWorkerExitUsage;\n"
+               "  } catch (const std::exception& e) {\n"
+               "    return measure::kWorkerExitRunFailed;\n"
+               "  }\n"
+               "}\n")
+        found = am_lint.check_worker_contract("examples/x.cpp", bad)
+        self.assertEqual([(line, rule) for line, rule, _ in found],
+                         [(5, "AM006"), (7, "AM006")])
+
+    def test_fails_a_return_in_a_body_passed_to_the_entry(self):
+        bad = ("int main(int argc, char** argv) {\n"
+               "  return run_worker_entry(argc, argv, \"x\",\n"
+               "                          [](const Cli& c, const F& f) {\n"
+               "    return kWorkerExitUsage;\n"
+               "  });\n"
+               "}\n")
+        found = am_lint.check_worker_contract("bench/x.cpp", bad)
+        self.assertEqual([(line, rule) for line, rule, _ in found],
+                         [(4, "AM006")])
+
+    def test_fails_a_return_after_the_entry(self):
+        bad = self.ENTRY + "int other() { return kWorkerExitUsage; }\n"
+        found = am_lint.check_worker_contract("src/measure/lease.cpp", bad)
+        self.assertEqual([(line, rule) for line, rule, _ in found],
+                         [(12, "AM006")])
 
 
 class WholeRepoTest(unittest.TestCase):

@@ -1,15 +1,15 @@
 #include "common/work_lease.hpp"
 
 #include <algorithm>
-#include <cerrno>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/atomic_file.hpp"
+#include "common/strict_number.hpp"
 
 namespace am {
 
@@ -25,21 +25,6 @@ std::string num(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%a", v);
   return buf;
-}
-
-bool parse_double(const std::string& s, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return errno != ERANGE;
 }
 
 /// Reads the whole file and checks the header; nullopt when absent or
@@ -239,7 +224,10 @@ std::optional<PlanInfo> read_plan_info(const std::string& path) {
       std::string i_s, c_s;
       std::uint64_t i = 0;
       double c = 0.0;
-      if (!(in >> i_s >> c_s) || !parse_u64(i_s, i) || !parse_double(c_s, c))
+      // make_batches rejects a negative or non-finite cost: refuse it
+      // here, where a bad probe file is a reported probe error.
+      if (!(in >> i_s >> c_s) || !parse_u64(i_s, i) ||
+          !parse_double(c_s, c) || !std::isfinite(c) || c < 0.0)
         return std::nullopt;
       costs.emplace_back(static_cast<std::size_t>(i), c);
     }

@@ -108,7 +108,9 @@ void write_plan_info(const std::string& path, const PlanInfo& info);
 
 /// Readers: the parsed file, or nullopt when absent or malformed. An
 /// ack file is malformed when a record field precedes every `lease`
-/// line, `ready` repeats, or it holds neither a record nor `ready`.
+/// line, `ready` repeats, or it holds neither a record nor `ready`; a
+/// plan-info file when a cost is negative or not finite (make_batches
+/// could not order it).
 std::optional<LeaseOffer> read_lease_offer(const std::string& path);
 std::optional<LeaseAckFile> read_lease_acks(const std::string& path);
 std::optional<PlanInfo> read_plan_info(const std::string& path);

@@ -1,8 +1,7 @@
 #include "measure/active_measurer.hpp"
 
 #include <stdexcept>
-
-#include "measure/lease.hpp"
+#include <utility>
 
 namespace am::measure {
 
@@ -76,89 +75,54 @@ SweepResult ActiveMeasurer::sweep(const SimBackend::WorkloadFactory& factory,
   return assemble(runner.run(plan, pool_), id, resource, max_threads);
 }
 
-ExperimentPlan ActiveMeasurer::build_grid(
-    const std::vector<GridRequest>& requests,
-    std::vector<WorkloadId>& ids) const {
+GridPlan plan_grid(const SimBackend& backend,
+                   const std::vector<GridRequest>& requests,
+                   const interfere::CSThrConfig& cs,
+                   const interfere::BWThrConfig& bw,
+                   std::function<void(const ResultStore&)> checkpoint) {
   ExperimentPlan plan;
+  std::vector<WorkloadId> ids;
   for (const auto& req : requests) {
-    check_calibration(Resource::kCacheStorage, req.storage_threads);
-    check_calibration(Resource::kBandwidth, req.bandwidth_threads);
     const auto id =
         plan.add_workload({req.name, req.factory, req.interference_groups});
     plan.add_sweep(id, Resource::kCacheStorage, 0, req.storage_threads);
     plan.add_sweep(id, Resource::kBandwidth, 0, req.bandwidth_threads);
     ids.push_back(id);
   }
-  return plan;
-}
-
-SweepRunner ActiveMeasurer::grid_runner(
-    const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) const {
   SweepRunnerOptions opts;
-  opts.seed = backend_->seed();
+  opts.seed = backend.seed();
   opts.mix_seed_per_point = false;  // sweeps stay comparable level-to-level
   opts.cs = cs;
   opts.bw = bw;
-  opts.checkpoint = checkpoint_;
-  return SweepRunner(backend_->machine(), opts);
+  opts.checkpoint = std::move(checkpoint);
+  return {std::move(plan), SweepRunner(backend.machine(), std::move(opts)),
+          std::move(ids)};
 }
 
 std::vector<GridSweeps> ActiveMeasurer::sweep_grid(
     const std::vector<GridRequest>& requests,
     const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) {
-  std::vector<WorkloadId> ids;
-  const ExperimentPlan plan = build_grid(requests, ids);
-  last_planned_ = plan.size();
-  const ResultTable table = grid_runner(cs, bw).run(plan, pool_, store_,
-                                                    ShardRange{},
-                                                    &last_executed_);
+  const GridPlan grid = plan_grid(*backend_, requests, cs, bw, checkpoint_);
+  last_planned_ = grid.plan.size();
+  const ResultTable table = grid.runner.run(grid.plan, pool_, store_,
+                                            ShardRange{}, &last_executed_);
+  return assemble_grid(grid, requests, table);
+}
 
+std::vector<GridSweeps> ActiveMeasurer::assemble_grid(
+    const GridPlan& grid, const std::vector<GridRequest>& requests,
+    const ResultTable& table) const {
+  for (const auto& req : requests) {
+    check_calibration(Resource::kCacheStorage, req.storage_threads);
+    check_calibration(Resource::kBandwidth, req.bandwidth_threads);
+  }
   std::vector<GridSweeps> out;
   for (std::size_t i = 0; i < requests.size(); ++i)
-    out.push_back({assemble(table, ids[i], Resource::kCacheStorage,
+    out.push_back({assemble(table, grid.ids.at(i), Resource::kCacheStorage,
                             requests[i].storage_threads),
-                   assemble(table, ids[i], Resource::kBandwidth,
+                   assemble(table, grid.ids.at(i), Resource::kBandwidth,
                             requests[i].bandwidth_threads)});
   return out;
-}
-
-std::size_t ActiveMeasurer::sweep_grid_shard(
-    const std::vector<GridRequest>& requests, ShardRange shard,
-    const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) {
-  if (store_ == nullptr)
-    throw std::logic_error(
-        "sweep_grid_shard: a result store must be set — a shard's only "
-        "output is the records it persists");
-  std::vector<WorkloadId> ids;
-  const ExperimentPlan plan = build_grid(requests, ids);
-  last_planned_ = plan.shard(shard.index, shard.count).size();
-  grid_runner(cs, bw).run(plan, pool_, store_, shard, &last_executed_);
-  return last_executed_;
-}
-
-std::size_t ActiveMeasurer::sweep_grid_lease(
-    const std::vector<GridRequest>& requests, ResultStoreFile& store,
-    const std::string& lease_path, std::ostream& out,
-    const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) {
-  if (store_ == nullptr || store.store() != store_)
-    throw std::logic_error(
-        "sweep_grid_lease: set_store must point at the lease-bound store "
-        "file — leased results only exist as its records");
-  std::vector<WorkloadId> ids;
-  const ExperimentPlan plan = build_grid(requests, ids);
-  const auto report = run_lease_worker(plan, grid_runner(cs, bw), pool_,
-                                       store, lease_path, out);
-  last_planned_ = report.points;
-  last_executed_ = report.executed;
-  return last_executed_;
-}
-
-void ActiveMeasurer::sweep_grid_emit_plan(
-    const std::vector<GridRequest>& requests, const std::string& path,
-    const interfere::CSThrConfig& cs, const interfere::BWThrConfig& bw) {
-  std::vector<WorkloadId> ids;
-  const ExperimentPlan plan = build_grid(requests, ids);
-  emit_plan_info(plan, grid_runner(cs, bw), store_, path);
 }
 
 ResourceBounds ActiveMeasurer::bounds(const SweepResult& sweep,

@@ -6,7 +6,6 @@
 // amount of resource each application process actively uses (§IV).
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -61,6 +60,28 @@ struct GridSweeps {
   SweepResult bandwidth;
 };
 
+/// A grid's ExperimentPlan and the SweepRunner that executes it. Built
+/// without calibration, it is all a probe, a lease worker or a shard
+/// needs (measure::execute_plan); ActiveMeasurer::assemble_grid turns
+/// the executed table into sweeps.
+struct GridPlan {
+  ExperimentPlan plan;
+  SweepRunner runner;
+  std::vector<WorkloadId> ids;  // ids[i]: requests[i]'s workload
+};
+
+/// Builds the plan of several workloads' storage and bandwidth sweeps:
+/// one shared baseline per workload (instead of one per sweep), so the
+/// whole grid runs as one plan. Every level runs under the backend's
+/// seed, so sweeps stay comparable level to level. `checkpoint` (e.g.
+/// ResultStoreFile::checkpointer) is the runner's
+/// SweepRunnerOptions::checkpoint.
+GridPlan plan_grid(const SimBackend& backend,
+                   const std::vector<GridRequest>& requests,
+                   const interfere::CSThrConfig& cs = {},
+                   const interfere::BWThrConfig& bw = {},
+                   std::function<void(const ResultStore&)> checkpoint = {});
+
 class ActiveMeasurer {
  public:
   /// The calibrations translate thread counts into resource availability.
@@ -84,10 +105,9 @@ class ActiveMeasurer {
     checkpoint_ = std::move(checkpoint);
   }
 
-  /// Engine runs actually executed by the most recent sweep_grid /
-  /// sweep_grid_shard call (cache hits excluded), and the number of grid
-  /// points that call was responsible for (its shard of the plan). The
-  /// difference is the cache hits.
+  /// Engine runs actually executed by the most recent sweep_grid call
+  /// (cache hits excluded), and the number of grid points it planned.
+  /// The difference is the cache hits.
   std::size_t last_executed() const { return last_executed_; }
   std::size_t last_planned() const { return last_planned_; }
 
@@ -99,43 +119,20 @@ class ActiveMeasurer {
                     const interfere::CSThrConfig& cs = {},
                     const interfere::BWThrConfig& bw = {});
 
-  /// Executes several workloads' storage and bandwidth sweeps as one
-  /// ExperimentPlan: one shared baseline per workload (instead of one per
-  /// sweep) and one pool barrier for the whole grid.
+  /// Runs a whole grid in-process: plan_grid, one cache-aware run over
+  /// the configured pool and store, then assemble_grid.
   std::vector<GridSweeps> sweep_grid(const std::vector<GridRequest>& requests,
                                      const interfere::CSThrConfig& cs = {},
                                      const interfere::BWThrConfig& bw = {});
 
-  /// Runs only `shard` of the grid's plan into the configured store (which
-  /// must be set) and returns the number of engine runs executed. No
-  /// sweeps are assembled — a sharded table is partial by construction;
-  /// merge the shard stores (amresult) and re-run sweep_grid against the
-  /// merged store to assemble the full grid with zero engine runs.
-  std::size_t sweep_grid_shard(const std::vector<GridRequest>& requests,
-                               ShardRange shard,
-                               const interfere::CSThrConfig& cs = {},
-                               const interfere::BWThrConfig& bw = {});
-
-  /// Lease-worker counterpart of sweep_grid_shard: loop pulling leased
-  /// point batches of the grid's plan through `store` (which must be the
-  /// lease-bound ResultStoreFile whose ResultStore was passed to
-  /// set_store) until the scheduler drains the queue; progress lines go
-  /// to `out`. Returns total engine runs executed. See
-  /// measure::run_lease_worker for the protocol.
-  std::size_t sweep_grid_lease(const std::vector<GridRequest>& requests,
-                               ResultStoreFile& store,
-                               const std::string& lease_path,
-                               std::ostream& out,
-                               const interfere::CSThrConfig& cs = {},
-                               const interfere::BWThrConfig& bw = {});
-
-  /// Scheduler-probe counterpart (`--emit-plan`): writes the grid plan's
-  /// size and per-point cost estimates (measured run times from the
-  /// configured store when present, the cost model otherwise) to `path`.
-  void sweep_grid_emit_plan(const std::vector<GridRequest>& requests,
-                            const std::string& path,
-                            const interfere::CSThrConfig& cs = {},
-                            const interfere::BWThrConfig& bw = {});
+  /// Assembles each request's two sweeps from `table`, the executed
+  /// plan of `grid` (plan_grid over the same requests), translating
+  /// thread counts into resource availability through the calibrations.
+  /// Throws std::invalid_argument when a calibration is shorter than a
+  /// request's sweep.
+  std::vector<GridSweeps> assemble_grid(
+      const GridPlan& grid, const std::vector<GridRequest>& requests,
+      const ResultTable& table) const;
 
   /// Derives per-process bounds from a sweep, given how many application
   /// processes share each socket. `tolerance` is the degradation threshold
@@ -152,10 +149,6 @@ class ActiveMeasurer {
   double availability(Resource resource, std::uint32_t k) const;
   SweepResult assemble(const ResultTable& table, WorkloadId workload,
                        Resource resource, std::uint32_t max_threads) const;
-  ExperimentPlan build_grid(const std::vector<GridRequest>& requests,
-                            std::vector<WorkloadId>& ids) const;
-  SweepRunner grid_runner(const interfere::CSThrConfig& cs,
-                          const interfere::BWThrConfig& bw) const;
 
   SimBackend* backend_;
   CapacityCalibration capacity_;

@@ -6,7 +6,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -16,6 +15,7 @@
 #include <thread>
 
 #include "common/atomic_file.hpp"
+#include "common/strict_number.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
 #include "measure/worker_fleet.hpp"
@@ -25,14 +25,6 @@ namespace am::measure {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool parse_u64_str(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  errno = 0;
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return errno != ERANGE;
-}
 
 /// key → rest-of-line split at the first tab.
 bool split_kv(const std::string& line, std::string& key, std::string& value) {
@@ -109,20 +101,20 @@ std::optional<DaemonReply> parse_reply(const std::string& text) {
       if (value != "0" && value != "1") return std::nullopt;
       reply.retry = value == "1";
     } else if (key == "job") {
-      if (!parse_u64_str(value, u)) return std::nullopt;
+      if (!parse_u64(value, u)) return std::nullopt;
       reply.job = u;
     } else if (key == "state") {
       const auto st = parse_job_state(value);
       if (!st) return std::nullopt;
       reply.state = *st;
     } else if (key == "points") {
-      if (!parse_u64_str(value, u)) return std::nullopt;
+      if (!parse_u64(value, u)) return std::nullopt;
       reply.points = static_cast<std::size_t>(u);
     } else if (key == "done") {
-      if (!parse_u64_str(value, u)) return std::nullopt;
+      if (!parse_u64(value, u)) return std::nullopt;
       reply.done_points = static_cast<std::size_t>(u);
     } else if (key == "executed") {
-      if (!parse_u64_str(value, u)) return std::nullopt;
+      if (!parse_u64(value, u)) return std::nullopt;
       reply.executed = static_cast<std::size_t>(u);
     } else if (key == "error") {
       reply.error = value;
@@ -324,7 +316,7 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
         std::string v;
         std::getline(ls, v, '\t');
         std::uint64_t u = 0;
-        if (parse_u64_str(v, u)) next_job_id = std::max(next_job_id, u);
+        if (parse_u64(v, u)) next_job_id = std::max(next_job_id, u);
       } else if (key == "job") {
         std::string id_s, ns, state_s, points_s, executed_s, error;
         std::getline(ls, id_s, '\t');
@@ -335,8 +327,8 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
         std::getline(ls, error);
         std::uint64_t id = 0, pts = 0, exec = 0;
         const auto st = parse_job_state(state_s);
-        if (!parse_u64_str(id_s, id) || !st || !parse_u64_str(points_s, pts) ||
-            !parse_u64_str(executed_s, exec) || !valid_namespace(ns)) {
+        if (!parse_u64(id_s, id) || !st || !parse_u64(points_s, pts) ||
+            !parse_u64(executed_s, exec) || !valid_namespace(ns)) {
           log << "queue file: skipping malformed job line\n";
           continue;
         }
@@ -354,13 +346,13 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
         std::string id_s;
         std::getline(ls, id_s, '\t');
         std::uint64_t id = 0;
-        if (!parse_u64_str(id_s, id)) continue;
+        if (!parse_u64(id_s, id)) continue;
         const auto it = jobs.find(id);
         if (it == jobs.end()) continue;
         std::string p_s;
         while (std::getline(ls, p_s, '\t')) {
           std::uint64_t p = 0;
-          if (parse_u64_str(p_s, p) && p < it->second.point_done.size() &&
+          if (parse_u64(p_s, p) && p < it->second.point_done.size() &&
               !it->second.point_done[p]) {
             it->second.point_done[p] = true;
             ++it->second.done_points;
@@ -600,7 +592,7 @@ DaemonReport SweepDaemon::run(std::ostream& log) {
       std::uint64_t id = 0;
       DaemonReply r;
       if (!split_kv(frame.payload, key, value) || key != "job" ||
-          !parse_u64_str(value, id)) {
+          !parse_u64(value, id)) {
         r.error = "payload must be 'job\\t<id>'";
         send_reply(conn, r);
         return;

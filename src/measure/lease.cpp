@@ -2,8 +2,11 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <csignal>
+#include <cstdio>
 #include <deque>
 #include <exception>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -11,9 +14,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/heartbeat.hpp"
 #include "common/mutex.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
+#include "measure/worker_fleet.hpp"
 
 namespace am::measure {
 
@@ -33,6 +38,42 @@ SchedulingFlags parse_scheduling_flags(const Cli& cli) {
     throw std::invalid_argument(
         "--shard, --lease and --emit-plan are mutually exclusive");
   return flags;
+}
+
+int run_worker_entry(int argc, char** argv, const std::string& name,
+                     const WorkerBody& body) {
+  try {
+    const Cli cli(argc, argv);
+    const SchedulingFlags flags = parse_scheduling_flags(cli);
+    const bool worker = cli.get_bool("worker", false);
+    if (worker && flags.lease_path.empty())
+      throw std::invalid_argument(
+          "--worker requires --lease: workers are lease workers");
+    const auto marker = cli.get("test-crash-marker", "");
+    if (!marker.empty() && flags.emit_plan_path.empty() &&
+        std::filesystem::remove(marker)) {
+      std::fprintf(stderr, "%s: crash marker claimed, raising SIGKILL\n",
+                   name.c_str());
+      std::raise(SIGKILL);
+    }
+    std::optional<HeartbeatWriter> heartbeat;
+    if (worker) heartbeat.emplace(lease_heartbeat_path(flags.lease_path));
+    return body(cli, flags);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+    return kWorkerExitUsage;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+    return kWorkerExitRunFailed;
+  }
+}
+
+ResultStoreFile open_store(const std::string& results_dir,
+                           const std::string& driver,
+                           const SchedulingFlags& flags) {
+  if (!flags.lease_path.empty())
+    return ResultStoreFile::for_lease(results_dir, driver, flags.lease_path);
+  return ResultStoreFile(results_dir, driver, flags.shard);
 }
 
 namespace {
@@ -266,6 +307,30 @@ void emit_plan_info(const ExperimentPlan& plan, const SweepRunner& runner,
   info.points = plan.size();
   info.costs = runner.estimate_costs(plan, store);
   write_plan_info(path, info);
+}
+
+std::optional<ResultTable> execute_plan(const SchedulingFlags& flags,
+                                        const ExperimentPlan& plan,
+                                        const SweepRunner& runner,
+                                        ResultStoreFile& store,
+                                        ThreadPool* pool, std::ostream& out) {
+  if (!flags.emit_plan_path.empty()) {
+    emit_plan_info(plan, runner, store.store(), flags.emit_plan_path);
+    out << "plan info: " << plan.size() << " point(s) -> "
+        << flags.emit_plan_path << "\n";
+    return std::nullopt;
+  }
+  if (!flags.lease_path.empty()) {
+    const auto report =
+        run_lease_worker(plan, runner, pool, store, flags.lease_path, out);
+    store.finish(report.executed, report.points, out);
+    return std::nullopt;
+  }
+  std::size_t executed = 0;
+  auto table = runner.run(plan, pool, store.store(), flags.shard, &executed);
+  if (store.finish(executed, table.size(), out))
+    return std::nullopt;  // shard: merge, then re-run to emit
+  return table;
 }
 
 }  // namespace am::measure

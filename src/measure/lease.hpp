@@ -25,9 +25,15 @@
 // The probe half (`--emit-plan <file>`) writes the plan's size and
 // per-point cost estimates for the scheduler, which cannot construct
 // the plan itself — only the driver knows its grid.
+//
+// The driver half of the contract lives here too, once for every
+// orchestratable driver: run_worker_entry (flags, heartbeat, crash
+// marker, exit codes), open_store (which store an invocation fills) and
+// execute_plan (which mode runs the plan).
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "common/cli.hpp"
@@ -48,12 +54,42 @@ struct SchedulingFlags {
 };
 
 /// Parses and validates --shard/--lease/--emit-plan in one audited
-/// place (bench_util's make_context and the orchestratable examples all
-/// share this contract). Throws std::invalid_argument when modes are
-/// combined or a path flag arrived value-less (a value-less "--lease"
-/// parses as the boolean sentinel "true" — almost certainly a missing
-/// path, never a usable file name).
+/// place (run_worker_entry, and ambench's own worker). Throws
+/// std::invalid_argument when modes are combined or a path flag arrived
+/// value-less (a value-less "--lease" parses as the boolean sentinel
+/// "true" — almost certainly a missing path, never a usable file name).
 SchedulingFlags parse_scheduling_flags(const Cli& cli);
+
+/// A driver's main body under the worker contract.
+using WorkerBody = std::function<int(const Cli&, const SchedulingFlags&)>;
+
+/// The driver half of the worker contract of measure::SweepOrchestrator
+/// and measure::SweepDaemon, the one entry every orchestratable driver's
+/// main routes through. It parses the command line and its scheduling
+/// flags, then runs `body` and returns its exit code, adding:
+///
+///   * `--worker` mode, which requires `--lease`: a heartbeat file next
+///     to the lease file for the supervisor's liveness watch.
+///   * `--test-crash-marker PATH` fault injection: the first invocation
+///     to claim (atomically delete) the marker dies by SIGKILL before
+///     any work, so kill/retry paths are testable deterministically.
+///     Probes (`--emit-plan`) never claim it — the injection targets
+///     workers.
+///   * Exit codes: a std::invalid_argument (bad flags, plan or offer)
+///     exits kWorkerExitUsage, which no retry can fix; any other
+///     exception exits kWorkerExitRunFailed, which is retryable. Either
+///     way the message goes to stderr prefixed by `name`, and no
+///     exception reaches std::terminate's ambiguous SIGABRT.
+int run_worker_entry(int argc, char** argv, const std::string& name,
+                     const WorkerBody& body);
+
+/// The store one driver invocation reads and fills: under `--lease` the
+/// lease-bound store (ResultStoreFile::for_lease), otherwise the
+/// canonical store of `driver` or its `--shard` slice. Disabled when
+/// `results_dir` is empty and no lease is set.
+ResultStoreFile open_store(const std::string& results_dir,
+                           const std::string& driver,
+                           const SchedulingFlags& flags);
 
 struct LeaseWorkerOptions {
   /// Delay between polls of the lease file while no fresh offer exists
@@ -117,5 +153,27 @@ LeaseWorkerReport run_lease_worker(const ExperimentPlan& plan,
 /// SweepRunner::estimate_costs over `store` (nullptr = cost model only).
 void emit_plan_info(const ExperimentPlan& plan, const SweepRunner& runner,
                     const ResultStore* store, const std::string& path);
+
+/// Executes a plan under whichever scheduling mode `flags` asks for —
+/// the one call every orchestratable driver makes instead of wiring the
+/// modes itself:
+///
+///   * `--emit-plan FILE`: write the plan info (emit_plan_info) and stop.
+///   * `--lease FILE`: run leased batches (run_lease_worker) until the
+///     scheduler drains its queue.
+///   * `--shard i/n`: run the slice and print the merge handoff (the
+///     manual multi-host recipe).
+///   * otherwise: the full cache-aware run.
+///
+/// Every mode but the probe persists `store` and reports its cache
+/// economy on `out` (ResultStoreFile::finish). Returns the table only
+/// for the full run; nullopt means the invocation's whole output is
+/// store or plan files, and the driver should exit 0 without emitting
+/// figures.
+std::optional<ResultTable> execute_plan(const SchedulingFlags& flags,
+                                        const ExperimentPlan& plan,
+                                        const SweepRunner& runner,
+                                        ResultStoreFile& store,
+                                        ThreadPool* pool, std::ostream& out);
 
 }  // namespace am::measure

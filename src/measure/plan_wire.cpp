@@ -1,11 +1,10 @@
 #include "measure/plan_wire.hpp"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/strict_number.hpp"
 #include "measure/app_workloads.hpp"
 #include "measure/tsv.hpp"
 
@@ -28,12 +27,11 @@ std::string num(double v) {
 
 std::uint64_t parse_u64(const std::string& s, std::size_t lineno,
                         const char* what) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    bad(lineno, std::string(what) + " must be a non-negative integer, got '" +
-                    s + "'");
-  errno = 0;
-  const std::uint64_t v = std::strtoull(s.c_str(), nullptr, 10);
-  if (errno == ERANGE) bad(lineno, std::string(what) + " out of range");
+  std::uint64_t v = 0;
+  if (!am::parse_u64(s, v))
+    bad(lineno, std::string(what) +
+                    " must be a non-negative integer below 2^64, got '" + s +
+                    "'");
   return v;
 }
 
@@ -46,10 +44,8 @@ std::uint32_t parse_u32(const std::string& s, std::size_t lineno,
 
 double parse_double(const std::string& s, std::size_t lineno,
                     const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE)
+  double v = 0.0;
+  if (!am::parse_double(s, v))
     bad(lineno, std::string(what) + " must be a number, got '" + s + "'");
   return v;
 }

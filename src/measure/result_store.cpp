@@ -1,10 +1,8 @@
 #include "measure/result_store.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +14,7 @@
 
 #include "common/atomic_file.hpp"
 #include "common/fingerprint.hpp"
+#include "common/strict_number.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
 #include "measure/tsv.hpp"
@@ -50,24 +49,17 @@ std::string num(double v) {
 
 double parse_double(const std::string& s, const std::string& path,
                     std::size_t line) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE)
+  double v = 0.0;
+  if (!am::parse_double(s, v))
     fail(path, line, "bad floating-point field '" + s + "'");
   return v;
 }
 
 std::uint64_t parse_u64(const std::string& s, const std::string& path,
                         std::size_t line) {
-  // Digits only: strtoull alone would accept whitespace and signs,
-  // silently wrapping an edited "-123" to 2^64-123.
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-    fail(path, line, "bad integer field '" + s + "'");
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
-  if (errno == ERANGE)
-    fail(path, line, "integer field out of range: '" + s + "'");
+  std::uint64_t v = 0;
+  if (!am::parse_u64(s, v))
+    fail(path, line, "bad or out-of-range integer field '" + s + "'");
   return v;
 }
 
@@ -317,11 +309,8 @@ ResultStore ResultStore::load(const std::string& path,
       if (cols.size() != 2) continue;
       const auto it = store.records_.find(cols[0]);
       if (it == store.records_.end()) continue;
-      errno = 0;
-      char* end = nullptr;
-      const double v = std::strtod(cols[1].c_str(), &end);
-      if (end != cols[1].c_str() && *end == '\0' && errno != ERANGE &&
-          v >= 0.0)
+      double v = 0.0;
+      if (am::parse_double(cols[1], v) && v >= 0.0)
         it->second.run_seconds = v;
     }
   return store;

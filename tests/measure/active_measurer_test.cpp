@@ -114,6 +114,18 @@ TEST(ActiveMeasurer, SweepValidatesCalibrationLength) {
                std::invalid_argument);
   EXPECT_THROW(measurer.sweep(factory, Resource::kBandwidth, 5),
                std::invalid_argument);
+
+  // A grid's plan needs no calibration, so a too-short one throws at
+  // assembly — before the table is read.
+  for (const auto& request :
+       {GridRequest{factory, "storage", 5, 0},
+        GridRequest{factory, "bandwidth", 0, 5}}) {
+    const std::vector<GridRequest> requests{request};
+    const auto grid = plan_grid(backend, requests);  // reads no calibration
+    EXPECT_THROW(measurer.assemble_grid(grid, requests, ResultTable{}),
+                 std::invalid_argument)
+        << request.name;
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "common/work_lease.hpp"
 #include "measure/active_measurer.hpp"
 #include "measure/app_workloads.hpp"
+#include "measure/lease.hpp"
 #include "model/distributions.hpp"
 
 namespace am::measure {
@@ -605,6 +606,32 @@ TEST(SweepGrid, SharesBaselineAndMatchesIndividualSweeps) {
       single.sweep(factory, Resource::kCacheStorage, 2, cs_cfg(), bw_cfg());
   for (std::size_t i = 0; i < cap_sweep.points.size(); ++i)
     EXPECT_EQ(g.storage.points[i].seconds, cap_sweep.points[i].seconds);
+
+  // The split path the grid drivers take — plan_grid, execute_plan (here
+  // a full run over a pool), assemble_grid — equals sweep_grid bit for
+  // bit.
+  const std::vector<GridRequest> requests{{factory, "app", 2, 1}};
+  const auto grid = plan_grid(backend, requests, cs_cfg(), bw_cfg());
+  ResultStoreFile no_store("", "grid");
+  ThreadPool pool(2);
+  std::ostringstream out;
+  const auto table = execute_plan(SchedulingFlags{}, grid.plan, grid.runner,
+                                  no_store, &pool, out);
+  ASSERT_TRUE(table.has_value());
+  const auto split = measurer.assemble_grid(grid, requests, *table);
+  ASSERT_EQ(split.size(), 1u);
+  for (const auto& [a, b] :
+       {std::pair{&split[0].storage, &g.storage},
+        std::pair{&split[0].bandwidth, &g.bandwidth}}) {
+    EXPECT_EQ(a->resource, b->resource);
+    ASSERT_EQ(a->points.size(), b->points.size());
+    for (std::size_t i = 0; i < a->points.size(); ++i) {
+      EXPECT_EQ(a->points[i].threads, b->points[i].threads);
+      EXPECT_EQ(a->points[i].seconds, b->points[i].seconds);  // bitwise
+      EXPECT_EQ(a->points[i].resource_available,
+                b->points[i].resource_available);
+    }
+  }
 }
 
 }  // namespace

@@ -80,13 +80,15 @@ class OrchestratorTest : public ::testing::Test {
 };
 
 /// A /bin/sh worker script: answers the --emit-plan probe with an
-/// n-point plan, and as a lease worker runs `lease_body`. The appended
-/// flags arrive as $1=--results-dir $2=<dir> then either
-/// $3=--emit-plan $4=<file> or $3=--lease $4=<file> $5=--worker.
-std::string worker_script(std::size_t points, const std::string& lease_body) {
+/// n-point plan (plus `plan_lines`, printf-escaped plan-info lines), and
+/// as a lease worker runs `lease_body`. The appended flags arrive as
+/// $1=--results-dir $2=<dir> then either $3=--emit-plan $4=<file> or
+/// $3=--lease $4=<file> $5=--worker.
+std::string worker_script(std::size_t points, const std::string& lease_body,
+                          const std::string& plan_lines = "") {
   return "case \"$3\" in --emit-plan) printf '#am-plan-info v1\\npoints\\t" +
-         std::to_string(points) +
-         "\\n' > \"$4.tmp\" && mv \"$4.tmp\" \"$4\"; exit 0;; esac\n" +
+         std::to_string(points) + "\\n" + plan_lines +
+         "' > \"$4.tmp\" && mv \"$4.tmp\" \"$4\"; exit 0;; esac\n" +
          lease_body;
 }
 
@@ -296,6 +298,22 @@ TEST_F(OrchestratorTest, LeaseModeRequiresASuccessfulProbe) {
   EXPECT_FALSE(report.success);
   EXPECT_NE(report.error.find("probe"), std::string::npos) << report.error;
   EXPECT_TRUE(report.attempts.empty());  // no workers ever spawned
+}
+
+TEST_F(OrchestratorTest, UnorderableProbeCostIsAReportedProbeError) {
+  // A cost the batcher cannot order (NaN, negative, infinite) fails the
+  // probe: reported with a manifest, never thrown out of run().
+  for (const std::string cost : {"nan", "-1", "inf"}) {
+    SweepOrchestrator orch(opts(
+        worker_script(1, kAckEveryLease, "cost\\t0\\t" + cost + "\\n"), 0));
+    std::ostringstream log;
+    OrchestratorReport report;
+    ASSERT_NO_THROW(report = orch.run(log)) << cost;
+    EXPECT_FALSE(report.success) << cost;
+    EXPECT_NE(report.error.find("probe"), std::string::npos) << report.error;
+    EXPECT_TRUE(report.attempts.empty()) << cost;
+    EXPECT_NE(manifest().find("status\tfailed"), std::string::npos) << cost;
+  }
 }
 
 TEST_F(OrchestratorTest, LeaseModeExhaustsPerPointBudgetAndNamesPoints) {
