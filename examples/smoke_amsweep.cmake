@@ -18,25 +18,9 @@
 #   WORKDIR — scratch directory (wiped on entry)
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
+include("${CMAKE_CURRENT_LIST_DIR}/smoke_sweep_helpers.cmake")
 
 set(fig9_args --scale 64 --ranks 8 --steps 1 --quick --max-cs 1 --max-bw 1)
-
-function(run_checked out_var)
-  execute_process(COMMAND ${ARGN}
-    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE code)
-  if(NOT code EQUAL 0)
-    message(FATAL_ERROR "command failed (${code}): ${ARGN}\n${out}\n${err}")
-  endif()
-  set(${out_var} "${out}" PARENT_SCOPE)
-endfunction()
-
-function(require_same_store a b what)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${a}" "${b}"
-    RESULT_VARIABLE diff)
-  if(NOT diff EQUAL 0)
-    message(FATAL_ERROR "${what} differs from the direct serial run's store")
-  endif()
-endfunction()
 
 # 1. The ground truth: the same grid run serially into its own store.
 run_checked(direct "${FIG9}" ${fig9_args} --results-dir "${WORKDIR}/direct")

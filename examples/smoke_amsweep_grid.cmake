@@ -15,26 +15,10 @@
 #   WORKDIR  — scratch directory (wiped on entry)
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
+include("${CMAKE_CURRENT_LIST_DIR}/smoke_sweep_helpers.cmake")
 
 set(fig10_args --scale 64 --ranks 8 --steps 1 --particles 2000 --quick)
 set(store fig10_mcb_resources)
-
-function(run_checked out_var)
-  execute_process(COMMAND ${ARGN}
-    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE code)
-  if(NOT code EQUAL 0)
-    message(FATAL_ERROR "command failed (${code}): ${ARGN}\n${out}\n${err}")
-  endif()
-  set(${out_var} "${out}" PARENT_SCOPE)
-endfunction()
-
-function(require_same_store a b what)
-  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${a}" "${b}"
-    RESULT_VARIABLE diff)
-  if(NOT diff EQUAL 0)
-    message(FATAL_ERROR "${what} differs from the direct serial run's store")
-  endif()
-endfunction()
 
 # The ground truth: the grid run serially into its own store.
 run_checked(direct "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/direct")

@@ -21,63 +21,13 @@
 #   WORKDIR  — scratch directory (wiped on entry)
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
+include("${CMAKE_CURRENT_LIST_DIR}/smoke_sweep_helpers.cmake")
 
 # sun_path caps Unix socket paths around 100 bytes and build trees run
 # long; keep the socket in /tmp under a random name.
 string(RANDOM LENGTH 8 rand)
 set(SOCK "/tmp/amsd_${rand}.sock")
 set(RESULTS "${WORKDIR}/results")
-
-function(run_checked out_var)
-  execute_process(COMMAND ${ARGN}
-    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE code)
-  if(NOT code EQUAL 0)
-    message(FATAL_ERROR "command failed (${code}): ${ARGN}\n${out}\n${err}")
-  endif()
-  set(${out_var} "${out}" PARENT_SCOPE)
-endfunction()
-
-# Starts amsweepd in the background; writes its pid to ${tag}.pid and,
-# once it exits, its exit status to ${tag}.code (both under WORKDIR).
-function(start_daemon tag)
-  string(JOIN "' '" argv ${AMSWEEPD} ${ARGN})
-  execute_process(COMMAND sh -c
-    "{ '${argv}' > '${WORKDIR}/${tag}.log' 2>&1 & \
-       echo $! > '${WORKDIR}/${tag}.pid'; wait $!; \
-       echo $? > '${WORKDIR}/${tag}.code'; } > /dev/null 2>&1 &"
-    RESULT_VARIABLE code)
-  if(NOT code EQUAL 0)
-    message(FATAL_ERROR "could not launch daemon '${tag}'")
-  endif()
-endfunction()
-
-# SIGTERMs daemon ${tag} and requires a clean drain: exit 0 within 60 s
-# and the socket file gone.
-function(drain_daemon tag)
-  file(READ "${WORKDIR}/${tag}.pid" pid)
-  string(STRIP "${pid}" pid)
-  execute_process(COMMAND sh -c "kill -TERM ${pid}")
-  foreach(i RANGE 600)
-    if(EXISTS "${WORKDIR}/${tag}.code")
-      break()
-    endif()
-    execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.1)
-  endforeach()
-  if(NOT EXISTS "${WORKDIR}/${tag}.code")
-    execute_process(COMMAND sh -c "kill -KILL ${pid}")
-    file(READ "${WORKDIR}/${tag}.log" log)
-    message(FATAL_ERROR "daemon '${tag}' did not drain on SIGTERM:\n${log}")
-  endif()
-  file(READ "${WORKDIR}/${tag}.code" code)
-  string(STRIP "${code}" code)
-  if(NOT code EQUAL 0)
-    file(READ "${WORKDIR}/${tag}.log" log)
-    message(FATAL_ERROR "daemon '${tag}' drained with exit ${code}:\n${log}")
-  endif()
-  if(EXISTS "${SOCK}")
-    message(FATAL_ERROR "daemon '${tag}' left its socket file behind")
-  endif()
-endfunction()
 
 # 0. Timing flags are validated before the daemon serves: negative,
 #    NaN and infinite seconds are usage errors (exit 2), never a
