@@ -3,11 +3,13 @@
 // service. A SweepDaemon listens on a Unix-domain (and optionally
 // loopback-TCP) socket for framed protocol messages (common/socket),
 // accepts serialized ExperimentPlans (measure/plan_wire) from
-// concurrent submitters, and runs them on the same WorkerFleet the
-// one-shot orchestrator uses (measure/worker_fleet) — supervised worker
-// processes, beat-sequence liveness, streaming offers on `ready`, crash
-// requeue with bisection, per-point retry budgets, and busy time as the
-// union of lease intervals. Its workers run the shared lease-worker
+// concurrent submitters, and runs them through the fleet pass the
+// one-shot orchestrator uses (WorkerFleet::pass, measure/worker_fleet),
+// each job keeping its own LeaseBook. run() is a loop over named
+// handlers: accept, connections and frames, admit, fleet pass, persist,
+// then a drain epilogue. The daemon's fleet policy is fair-share
+// picking, `done` only while draining, and a usage exit failing just the
+// job of the newest held lease. Its workers run the shared lease-worker
 // loop (run_daemon_worker below). What the daemon adds on top:
 //
 //   * Tenancy: every submission names a namespace; a job's results are
@@ -102,7 +104,6 @@ class FairShareScheduler {
   void remove(std::uint64_t job);
   std::optional<std::uint64_t> pick(
       const std::function<bool(std::uint64_t)>& has_work);
-  const std::deque<std::uint64_t>& order() const { return order_; }
 
  private:
   std::deque<std::uint64_t> order_;
@@ -137,7 +138,9 @@ struct SweepDaemonOptions {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
-struct DaemonJobSummary {
+/// One job's status: what replies, DaemonReport::jobs and the
+/// manifest's and queue file's `job` rows are all written from.
+struct JobStatus {
   std::uint64_t id = 0;
   std::string ns;
   JobState state = JobState::kQueued;
@@ -154,7 +157,7 @@ struct DaemonReport {
   std::size_t jobs_failed = 0;
   std::size_t engine_runs = 0;
   std::size_t protocol_errors = 0;  // connections failed by bad frames
-  std::vector<DaemonJobSummary> jobs;
+  std::vector<JobStatus> jobs;
   std::string error;
 };
 

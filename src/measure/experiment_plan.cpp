@@ -315,7 +315,7 @@ ResultTable SweepRunner::run_points(const ExperimentPlan& plan,
       return costs[ia] != costs[ib] ? costs[ia] > costs[ib] : ia < ib;
     });
     std::vector<std::exception_ptr> errors(todo.size());
-    parallel_for(*pool, todo.size(), opts_.grain, [&](std::size_t t) {
+    parallel_for(*pool, todo.size(), [&](std::size_t t) {
       try {
         run_one(t);
       } catch (...) {

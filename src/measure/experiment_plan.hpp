@@ -165,9 +165,6 @@ struct SweepRunnerOptions {
   bool mix_seed_per_point = true;
   interfere::CSThrConfig cs;
   interfere::BWThrConfig bw;
-  /// Chunk size for the pool's parallel_for; simulator runs are coarse, so
-  /// per-point submission (grain 1) is the right default.
-  std::size_t grain = 1;
   /// Invoked after each freshly executed point is recorded into the store
   /// (cache-aware run only; serialized — never concurrently). Persisting
   /// the store here (ResultStoreFile::checkpointer) bounds what a killed

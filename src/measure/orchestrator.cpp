@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <deque>
 #include <filesystem>
 #include <ostream>
 #include <sstream>
@@ -16,12 +14,6 @@
 #include "interfere/host_identity.hpp"
 
 namespace am::measure {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-}  // namespace
 
 SweepOrchestrator::SweepOrchestrator(OrchestratorOptions opts)
     : opts_(std::move(opts)) {
@@ -66,7 +58,7 @@ std::optional<PlanInfo> SweepOrchestrator::probe_plan(
     error = std::string("plan probe unspawnable: ") + e.what();
     return std::nullopt;
   }
-  const auto t0 = Clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   // The probe only builds the plan, usually in a few milliseconds: poll
   // with a backoff from 1 ms up to poll_seconds, so a sweep's first
   // worker is not held back by a full poll period.
@@ -101,7 +93,7 @@ std::optional<PlanInfo> SweepOrchestrator::probe_plan(
 }
 
 OrchestratorReport SweepOrchestrator::run(std::ostream& log) {
-  const auto t0 = Clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   OrchestratorReport report;
   try {
     std::filesystem::create_directories(opts_.results_dir);
@@ -155,15 +147,31 @@ void SweepOrchestrator::finish_merge(OrchestratorReport& report,
 
 void SweepOrchestrator::run_lease(OrchestratorReport& report,
                                   std::ostream& log) const {
-  std::string probe_error;
-  const auto info = probe_plan(probe_error);
-  if (!info) {
-    report.error = probe_error;
+  // Everything the probe's answer sizes is built in here, so a point
+  // count no plan could hold is a reported probe error too.
+  LeaseBook book;
+  std::string error;
+  try {
+    if (const auto info = probe_plan(error)) {
+      report.plan_points = info->points;
+      book = LeaseBook(info->points);
+      // A few batches per slot so early finishers keep pulling work;
+      // large grids stay bounded by the plan itself. Slice order is
+      // service order: costliest slice first.
+      book.cut(opts_.lease_batches != 0 ? opts_.lease_batches
+                                        : opts_.workers * 4,
+               opts_.use_measured_costs ? info->costs : std::vector<double>{});
+    }
+  } catch (const std::exception& e) {
+    error = std::string("plan probe answered an unschedulable plan: ") +
+            e.what();
+  }
+  if (!error.empty()) {
+    report.error = error;
     log << report.error << "\n";
     return;
   }
-  report.plan_points = info->points;
-  const std::size_t n = info->points;
+  const std::size_t n = book.points();
   if (n == 0) {
     // Nothing to lease; the canonical store is already complete.
     log << "plan has 0 points: nothing to schedule\n";
@@ -171,22 +179,8 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
     return;
   }
 
-  // A few batches per slot so early finishers keep pulling work; large
-  // grids stay bounded by the plan itself.
-  std::size_t target = opts_.lease_batches != 0 ? opts_.lease_batches
-                                                : opts_.workers * 4;
-  target = std::min(std::max<std::size_t>(target, 1), n);
-  const std::vector<double> costs =
-      opts_.use_measured_costs ? info->costs : std::vector<double>{};
-  // Slice order is service order: costliest slice first. Drop empties.
-  std::deque<WorkLease> queue;
-  for (auto& b : make_batches(n, target, costs)) {
-    report.skipped_empty += b.empty() ? 1 : 0;
-    if (!b.empty()) queue.push_back(std::move(b));
-  }
-
-  const std::size_t slots_n = std::min(opts_.workers, queue.size());
-  log << "amsweep: " << opts_.driver << ", " << queue.size()
+  const std::size_t slots_n = std::min(opts_.workers, book.pending.size());
+  log << "amsweep: " << opts_.driver << ", " << book.pending.size()
       << " leased batch(es) over " << n << " point(s) on " << slots_n
       << " worker slot(s), per-point retries " << opts_.retries << "\n";
 
@@ -204,105 +198,73 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
   };
   fleet_opts.stall_timeout_seconds = opts_.stall_timeout_seconds;
   WorkerFleet fleet(std::move(fleet_opts));
-  std::vector<bool> closed(slots_n, false);  // no work left for the slot
-  std::vector<std::size_t> failures(n, 0);   // per-point crash charges
-  std::vector<bool> point_done(n, false);
-  bool abort = false;
 
-  const auto record_offer = [&](const HeldLease& held, std::size_t w) {
+  // The policy: one longest-first queue (the book's), slots that close
+  // once they find it empty, the attempt and lease logs, and the abort
+  // of the whole sweep on a usage exit or an unspawnable command.
+  std::vector<bool> closed(slots_n, false);  // no work left for the slot
+  bool abort = false;
+  FleetPolicy policy;
+  policy.next = [&](std::size_t w, bool spawn) -> std::optional<OwnedOffer> {
+    if (abort || closed[w]) return std::nullopt;
+    if (book.pending.empty()) {
+      // An idle slot that finds no work left closes for good; a batch a
+      // later crash requeues goes to a live or not yet closed slot.
+      closed[w] = spawn;
+      return std::nullopt;
+    }
+    OwnedOffer next;
+    next.offer.lease = book.take();
+    return next;
+  };
+  policy.offered = [&](std::size_t w, const HeldLease& held) {
     report.leases.push_back(
         {held.lease.id, w, held.lease.points.size(), held.lease.cost});
   };
-  const auto next_batch = [&] {
-    LeaseOffer next;
-    next.lease = std::move(queue.front());
-    queue.pop_front();
-    return next;
+  policy.acked = [&](std::size_t, const HeldLease& held, const LeaseAck& ack) {
+    book.ack(held.lease, ack.executed);
+    report.engine_runs += ack.executed;
+    for (auto& e : report.leases)
+      if (e.id == ack.lease_id) {
+        e.completed = true;
+        e.executed = ack.executed;
+        e.wall_seconds = ack.wall_seconds;
+      }
+  };
+  policy.exited = [&](std::size_t w, const WorkerExit& exit) {
+    report.attempts.push_back({w, fleet.stat(w).respawns, exit.status,
+                               exit.wall_seconds, exit.heartbeats,
+                               exit.stalled});
+    if (!exit.status.signaled && exit.status.code == kWorkerExitUsage) {
+      report.error = "worker " + std::to_string(w) + " rejected its flags (" +
+                     exit.status.describe() + ") — see " +
+                     fleet.lease_path(w) + ".log";
+      log << report.error << "\n";
+      abort = true;
+    } else if (exit.drained) {
+      closed[w] = true;
+    } else {
+      // Newest first, so the earliest lease ends up at the queue's
+      // front. An idle exit holds nothing: the next pass respawns the
+      // slot if work remains.
+      for (auto h = exit.held.rbegin(); h != exit.held.rend(); ++h)
+        book.requeue(h->lease, opts_.retries, w, log);
+    }
+  };
+  policy.unspawnable = [&](std::size_t, std::uint64_t,
+                           const std::string& why) {
+    report.error = why;
+    abort = true;
   };
 
   try {
     while (true) {
-      // Fill: spawn (or respawn) a process on every slot that has work.
-      // A dead slot never holds a batch here — its leases went back to
-      // the queue, where any free slot (this one included) can pick
-      // them up under fresh lease ids.
-      for (std::size_t w = 0; w < slots_n && !abort; ++w) {
-        if (fleet.live(w) || closed[w]) continue;
-        if (queue.empty()) {
-          closed[w] = true;
-          continue;
-        }
-        try {
-          record_offer(fleet.spawn(w, next_batch(), 0, log), w);
-        } catch (const std::exception& e) {
-          report.error = e.what();
-          log << "worker " << w << ": " << e.what() << "\n";
-          abort = true;
-        }
-      }
-
-      bool any_live = false;
-      bool progressed = false;
-      for (std::size_t w = 0; w < slots_n; ++w) {
-        if (!fleet.live(w)) continue;
-        const SlotPoll poll = fleet.poll(w, log);
-        for (const LeaseDone& done : poll.done) {
-          progressed = true;
-          report.engine_runs += done.ack.executed;
-          for (const std::size_t p : done.held.lease.points)
-            point_done[p] = true;
-          for (auto& e : report.leases)
-            if (e.id == done.ack.lease_id) {
-              e.completed = true;
-              e.executed = done.ack.executed;
-              e.wall_seconds = done.ack.wall_seconds;
-            }
-        }
-
-        if (!poll.exit) {
-          // Hand the next batch (or the shutdown offer) to a worker that
-          // wants one.
-          if (poll.wants_offer) {
-            if (!queue.empty())
-              record_offer(fleet.offer(w, next_batch(), 0), w);
-            else
-              fleet.offer_done(w);
-          }
-          any_live = true;
-          continue;
-        }
-
-        // Process exited; its final acks were judged above.
-        progressed = true;
-        const WorkerExit& exit = *poll.exit;
-        report.attempts.push_back({w, fleet.stat(w).respawns, exit.status,
-                                   exit.wall_seconds, exit.heartbeats,
-                                   exit.stalled});
-
-        if (!exit.status.signaled && exit.status.code == kWorkerExitUsage) {
-          report.error = "worker " + std::to_string(w) +
-                         " rejected its flags (" + exit.status.describe() +
-                         ") — see " + fleet.lease_path(w) + ".log";
-          log << report.error << "\n";
-          abort = true;
-        } else if (exit.drained) {
-          closed[w] = true;
-        } else {
-          // Latest first, so the earliest lease ends up at the queue's
-          // front. An idle exit holds nothing: the fill phase respawns
-          // the slot if work remains.
-          for (auto h = exit.held.rbegin(); h != exit.held.rend(); ++h)
-            requeue_with_bisect(h->lease, opts_.retries, failures, queue, w,
-                                log);
-        }
-      }
-
-      if (abort) break;
+      const FleetPass pass = fleet.pass(policy, log);
       // Outstanding batches always sit on a live slot or in the queue
       // (a dead slot's batches went back to the queue), so these two
       // exhaust the termination condition.
-      if (queue.empty() && !any_live) break;
-      if (!progressed)
+      if (abort || (book.pending.empty() && !pass.any_live)) break;
+      if (!pass.progressed)
         std::this_thread::sleep_for(
             std::chrono::duration<double>(opts_.poll_seconds));
     }
@@ -313,23 +275,18 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
     log << "lease scheduling failed: " << e.what() << "\n";
     abort = true;
   }
-  fleet.kill_all();
 
   // Load-balance accounting: steals are batches a slot ran beyond an
   // even split of what actually completed.
   std::size_t total_batches = 0;
   for (std::size_t w = 0; w < slots_n; ++w)
-    total_batches += fleet.stat(w).batches;
-  const std::size_t fair =
-      slots_n == 0 ? 0 : (total_batches + slots_n - 1) / slots_n;
-  for (std::size_t w = 0; w < slots_n; ++w) {
-    WorkerStat stat = fleet.stat(w);
+    total_batches += report.worker_stats.emplace_back(fleet.stat(w)).batches;
+  const std::size_t fair = (total_batches + slots_n - 1) / slots_n;
+  for (WorkerStat& stat : report.worker_stats)
     stat.steals = stat.batches > fair ? stat.batches - fair : 0;
-    report.worker_stats.push_back(stat);
-  }
 
   for (std::size_t p = 0; p < n; ++p)
-    if (!point_done[p]) report.missing_points.push_back(p);
+    if (!book.done[p]) report.missing_points.push_back(p);
 
   report.merged_path = store_path(opts_.results_dir, opts_.driver);
   if (!abort && report.missing_points.empty()) {
@@ -367,8 +324,6 @@ void SweepOrchestrator::write_manifest(
   out << "retries\t" << opts_.retries << '\n';
   if (report.plan_points != SIZE_MAX)
     out << "plan_points\t" << report.plan_points << '\n';
-  if (report.skipped_empty > 0)
-    out << "skipped_empty\t" << report.skipped_empty << '\n';
   out << "status\t" << (report.success ? "ok" : "failed") << '\n';
   if (!report.error.empty()) out << "error\t" << report.error << '\n';
   out << "merged\t" << report.merged_path << '\n';

@@ -20,7 +20,7 @@
 //     store a serial run writes, however the points were scheduled.
 //   * Crash containment: a worker that exits while holding leases —
 //     non-zero, on a signal, or killed for a stalled heartbeat — has
-//     them requeued with a per-point retry budget (requeue_with_bisect).
+//     them requeued with a per-point retry budget (LeaseBook::requeue).
 //     Workers checkpoint their store as points complete, so a retry
 //     re-runs mostly cache hits. A worker rejecting its flags
 //     (kWorkerExitUsage) aborts the whole sweep instead — every other
@@ -121,8 +121,6 @@ struct OrchestratorReport {
   std::vector<std::size_t> missing_points;
   std::vector<LeaseLogEntry> leases;
   std::vector<WorkerStat> worker_stats;
-  /// Batches make_batches left empty (plan smaller than the target).
-  std::size_t skipped_empty = 0;
   std::size_t plan_points = SIZE_MAX;  // SIZE_MAX = no probe answer
   std::string merged_path;
   std::size_t merged_records = 0;

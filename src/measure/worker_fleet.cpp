@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <ostream>
 #include <utility>
@@ -95,10 +96,14 @@ WorkerFleet::WorkerFleet(WorkerFleetOptions opts) : opts_(std::move(opts)) {
   }
 }
 
-WorkerFleet::~WorkerFleet() { kill_all(); }
+WorkerFleet::~WorkerFleet() {
+  for (auto& s : slots_)
+    if (s->live) {
+      s->proc.kill();
+      s->proc.wait();
+    }
+}
 
-std::size_t WorkerFleet::size() const { return slots_.size(); }
-bool WorkerFleet::live(std::size_t w) const { return slots_[w]->live; }
 bool WorkerFleet::ever_spawned(std::size_t w) const {
   return slots_[w]->ever_spawned;
 }
@@ -106,8 +111,22 @@ const std::string& WorkerFleet::lease_path(std::size_t w) const {
   return slots_[w]->lease;
 }
 
-const HeldLease& WorkerFleet::spawn(std::size_t w, LeaseOffer first,
-                                    std::uint64_t owner, std::ostream& log) {
+FleetPass WorkerFleet::pass(const FleetPolicy& policy, std::ostream& log) {
+  FleetPass out;
+  for (std::size_t w = 0; w < slots_.size(); ++w)
+    if (!slots_[w]->live) out.progressed |= spawn(w, policy, log);
+  for (std::size_t w = 0; w < slots_.size(); ++w)
+    if (slots_[w]->live) poll(w, policy, out, log);
+  return out;
+}
+
+bool WorkerFleet::spawn(std::size_t w, const FleetPolicy& policy,
+                        std::ostream& log) {
+  // A dead slot never holds a lease here: its leases went back to their
+  // owner at its exit, and any idle slot (this one included) can take
+  // them up again under fresh lease ids.
+  auto next = policy.next(w, true);
+  if (!next) return false;
   Slot& s = *slots_[w];
   std::error_code ec;
   std::filesystem::remove(s.lease, ec);
@@ -115,8 +134,8 @@ const HeldLease& WorkerFleet::spawn(std::size_t w, LeaseOffer first,
   std::filesystem::remove(lease_heartbeat_path(s.lease), ec);
   s.held.clear();
   s.done_offered = false;
-  offer(w, std::move(first), owner);
   try {
+    offer(w, std::move(next->offer), next->owner);
     Subprocess::Options spawn_opts;
     spawn_opts.stdout_path = s.lease + ".log";  // stderr shares it
     // Own process group: killing a stalled worker must also take out
@@ -124,9 +143,11 @@ const HeldLease& WorkerFleet::spawn(std::size_t w, LeaseOffer first,
     // keep writing this slot's store while the retry runs.
     spawn_opts.new_process_group = true;
     s.proc = Subprocess::spawn(opts_.argv(s.lease), spawn_opts);
-  } catch (...) {
+  } catch (const std::exception& e) {
     s.held.clear();
-    throw;
+    log << "worker " << w << ": " << e.what() << "\n";
+    policy.unspawnable(w, next->owner, e.what());
+    return true;
   }
   s.start = Clock::now();
   s.watch = BeatWatch{};
@@ -138,7 +159,8 @@ const HeldLease& WorkerFleet::spawn(std::size_t w, LeaseOffer first,
   const HeldLease& held = s.held.back();
   log << "worker " << w << ": launched (pid " << s.proc.pid() << "), lease "
       << held.lease.id << " (" << held.lease.points.size() << " point(s))\n";
-  return held;
+  policy.offered(w, held);
+  return true;
 }
 
 const HeldLease& WorkerFleet::offer(std::size_t w, LeaseOffer offer,
@@ -161,9 +183,9 @@ void WorkerFleet::offer_done(std::size_t w) {
   s.done_offered = true;
 }
 
-SlotPoll WorkerFleet::poll(std::size_t w, std::ostream& log) {
+void WorkerFleet::poll(std::size_t w, const FleetPolicy& policy,
+                       FleetPass& out, std::ostream& log) {
   Slot& s = *slots_[w];
-  SlotPoll out;
   s.watch.observe(lease_heartbeat_path(s.lease));
   if (!s.stalled && s.watch.stalled(opts_.stall_timeout_seconds, s.start)) {
     log << "worker " << w << ": " << s.watch.describe(s.start)
@@ -172,6 +194,8 @@ SlotPoll WorkerFleet::poll(std::size_t w, std::ostream& log) {
     s.proc.kill();
   }
 
+  // Liveness before the ack file: a worker seen exited has written its
+  // last ack, so the read below sees every lease it acknowledged.
   const bool running = s.proc.running();
   bool ready = false;
   if (const auto acks = read_lease_acks(lease_ack_path(s.lease))) {
@@ -192,19 +216,31 @@ SlotPoll WorkerFleet::poll(std::size_t w, std::ostream& log) {
       log << "worker " << w << ": lease " << ack.lease_id << " done ("
           << ack.points << " point(s), " << ack.executed
           << " engine run(s), " << fmt_seconds(ack.wall_seconds) << " s)\n";
-      out.done.push_back({std::move(*held), ack});
+      const HeldLease done = std::move(*held);
       s.held.erase(held);
+      out.progressed = true;
+      policy.acked(w, done, ack);
     }
     ready = acks->ready == s.last_offered;
   }
 
   if (running) {
-    out.wants_offer = !s.done_offered && (s.held.empty() || ready);
-    return out;
+    out.any_live = true;
+    // The `ready` rule: offer when the worker holds nothing or has taken
+    // the last offer with none of its points still queued.
+    if (s.done_offered || !(s.held.empty() || ready)) return;
+    if (auto next = policy.next(w, false)) {
+      policy.offered(w, offer(w, std::move(next->offer), next->owner));
+      out.progressed = true;
+    } else if (policy.done_when_dry) {
+      offer_done(w);
+      out.progressed = true;
+    }
+    return;
   }
 
   s.live = false;
-  WorkerExit& exit = out.exit.emplace();
+  WorkerExit exit;
   exit.status = s.proc.wait();  // already reaped; returns the cache
   exit.wall_seconds = seconds_since(s.start);
   exit.heartbeats = s.watch.last_beats;
@@ -223,16 +259,8 @@ SlotPoll WorkerFleet::poll(std::size_t w, std::ostream& log) {
     log << "worker " << w << ": " << exit.status.describe()
         << " holding lease " << h.lease.id << " ("
         << h.lease.points.size() << " point(s))\n";
-  return out;
-}
-
-void WorkerFleet::kill_all() {
-  for (auto& s : slots_)
-    if (s->live) {
-      s->proc.kill();
-      s->proc.wait();
-      s->live = false;
-    }
+  out.progressed = true;
+  policy.exited(w, exit);
 }
 
 WorkerStat WorkerFleet::stat(std::size_t w) const {
@@ -254,10 +282,45 @@ std::string busy_max_over_mean(const std::vector<WorkerStat>& stats) {
   return buf;
 }
 
-std::size_t requeue_with_bisect(const WorkLease& lease, std::size_t retries,
-                                std::vector<std::size_t>& failures,
-                                std::deque<WorkLease>& queue,
-                                std::size_t worker, std::ostream& log) {
+std::size_t LeaseBook::cut(std::size_t target,
+                           const std::vector<double>& costs) {
+  failures.assign(points(), 0);
+  std::vector<std::size_t> todo;  // plan indices not yet done
+  std::vector<double> todo_costs;
+  for (std::size_t p = 0; p < points(); ++p) {
+    if (done[p]) continue;
+    todo.push_back(p);
+    if (!costs.empty()) todo_costs.push_back(costs.at(p));
+  }
+  if (todo.empty()) return 0;
+  target = std::min(std::max<std::size_t>(target, 1), todo.size());
+  for (WorkLease& batch : make_batches(todo.size(), target, todo_costs)) {
+    for (std::size_t& p : batch.points) p = todo[p];
+    pending.push_back(std::move(batch));
+  }
+  return todo.size();
+}
+
+WorkLease LeaseBook::take() {
+  WorkLease lease = std::move(pending.front());
+  pending.pop_front();
+  ++outstanding;
+  return lease;
+}
+
+void LeaseBook::ack(const WorkLease& lease, std::size_t executed_runs) {
+  --outstanding;
+  executed += executed_runs;
+  for (const std::size_t p : lease.points)
+    if (p < done.size() && !done[p]) {
+      done[p] = true;
+      ++done_points;
+    }
+}
+
+std::size_t LeaseBook::requeue(const WorkLease& lease, std::size_t retries,
+                               std::size_t worker, std::ostream& log) {
+  --outstanding;
   std::vector<std::size_t> survivors;
   std::size_t dead = 0;
   for (const std::size_t p : lease.points) {
@@ -280,7 +343,7 @@ std::size_t requeue_with_bisect(const WorkLease& lease, std::size_t retries,
   for (auto* part : {&back_half, &front_half}) {
     if (part->empty()) continue;
     part->cost = cost_per_point * static_cast<double>(part->points.size());
-    queue.push_front(std::move(*part));
+    pending.push_front(std::move(*part));
   }
   if (half > 0)
     log << "worker " << worker << ": batch split into " << half << " + "

@@ -1,11 +1,14 @@
 #pragma once
 // One supervisor for lease-worker processes, shared by both sweep
 // front-ends: the one-shot orchestrator (measure::SweepOrchestrator) and
-// the multi-tenant daemon (measure::SweepDaemon) keep only their policy —
-// which batch to offer next, and what an acknowledged or orphaned lease
-// means for their report or job. Each slot of a fleet owns one lease
-// file (common/work_lease.hpp) and at most one live worker, spawned as
-// `argv(lease_path)`. Per slot the fleet keeps:
+// the multi-tenant daemon (measure::SweepDaemon). WorkerFleet::pass is
+// their one fleet pass — spawn on idle slots, poll live ones, route
+// acks, hand out the next offer or a `done`, report exits — and each
+// supplies only its policy (FleetPolicy): the next offer for a slot and
+// its owner, whether a worker with nothing left to take is told `done`,
+// and what an ack, a worker exit and an unspawnable command mean. Each
+// slot owns one lease file (common/work_lease.hpp) and at most one live
+// worker, spawned as `argv(lease_path)`. Per slot the fleet keeps:
 //
 //   * Liveness: the worker's heartbeat (`<lease>.hb`) must advance its
 //     beat *sequence* against the fleet's own steady clock — never file
@@ -21,7 +24,8 @@
 //   * Accounting: respawns, batches, points, and busy time as the union
 //     of the slot's lease intervals (streamed leases overlap).
 //
-// requeue_with_bisect is the one crash-requeue rule of both front-ends.
+// Both front-ends keep one LeaseBook per plan; LeaseBook::requeue is
+// their one crash-requeue rule.
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -79,12 +83,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0);
 /// manifests; empty when no slot was busy.
 std::string busy_max_over_mean(const std::vector<WorkerStat>& stats);
 
-/// One acknowledged lease.
-struct LeaseDone {
-  HeldLease held;
-  LeaseAck ack;
-};
-
 /// How one worker process ended.
 struct WorkerExit {
   ExitStatus status;
@@ -96,12 +94,36 @@ struct WorkerExit {
   std::vector<HeldLease> held;  // leases it died holding, oldest first
 };
 
-/// What one poll of a live slot found.
-struct SlotPoll {
-  std::vector<LeaseDone> done;  // in acknowledgement order
-  /// Live, not yet told `done`, and holding nothing or `ready`.
-  bool wants_offer = false;
-  std::optional<WorkerExit> exit;  // set when the process was seen gone
+/// An offer for a slot, and the owner its held lease is tagged with.
+struct OwnedOffer {
+  LeaseOffer offer;
+  std::uint64_t owner = 0;
+};
+
+/// A front-end's policy, called by WorkerFleet::pass slot by slot.
+struct FleetPolicy {
+  /// The next offer for slot `w`, or nullopt for none now. `spawn`: `w`
+  /// is idle (a worker would be spawned for it), else its worker wants one.
+  std::function<std::optional<OwnedOffer>(std::size_t w, bool spawn)> next;
+  /// Tell a worker that wants an offer and gets none `done`; else it
+  /// keeps polling its last offer.
+  bool done_when_dry = true;
+  /// A spawn's first offer or a live worker's next.
+  std::function<void(std::size_t w, const HeldLease& held)> offered;
+  std::function<void(std::size_t w, const HeldLease& held,
+                     const LeaseAck& ack)>
+      acked;
+  /// After the exited worker's final acks.
+  std::function<void(std::size_t w, const WorkerExit& exit)> exited;
+  /// No worker could be started for `owner`'s offer; nothing is held.
+  std::function<void(std::size_t w, std::uint64_t owner,
+                     const std::string& why)>
+      unspawnable;
+};
+
+struct FleetPass {
+  bool progressed = false;  // a spawn, offer, ack or exit happened
+  bool any_live = false;    // a worker is live after the pass
 };
 
 struct WorkerFleetOptions {
@@ -122,50 +144,73 @@ class WorkerFleet {
   WorkerFleet(const WorkerFleet&) = delete;
   WorkerFleet& operator=(const WorkerFleet&) = delete;
 
-  std::size_t size() const;
-  bool live(std::size_t w) const;
   bool ever_spawned(std::size_t w) const;
   const std::string& lease_path(std::size_t w) const;
 
-  /// Clears slot `w`'s handoff files, writes `first` as its first offer,
-  /// then spawns a worker on it — so even a worker that dies at startup
-  /// dies holding a lease. Returns the held lease, id stamped. Throws
-  /// when the offer cannot be written or the command cannot be spawned;
-  /// the lease is then not held.
-  const HeldLease& spawn(std::size_t w, LeaseOffer first,
-                         std::uint64_t owner, std::ostream& log);
-  /// Stamps the offer's lease id, writes it to a live slot and returns
-  /// the held lease.
-  const HeldLease& offer(std::size_t w, LeaseOffer offer, std::uint64_t owner);
-  /// Tells a live slot's worker to exit once its open leases are done.
-  void offer_done(std::size_t w);
+  /// One fleet pass: spawns a worker on every idle slot `policy` has an
+  /// offer for, then polls every live slot. Logs spawns, acks, stall
+  /// kills and exits to `log`. Throws when an offer cannot be written to
+  /// a live slot.
+  FleetPass pass(const FleetPolicy& policy, std::ostream& log);
 
-  /// Supervises a live slot: heartbeat and stall kill first, then
-  /// liveness, then the ack file — a worker seen exited has written its
-  /// last ack, so the read sees every lease it acknowledged. Logs acks,
-  /// stall kills and exits to `log`.
-  SlotPoll poll(std::size_t w, std::ostream& log);
-
-  void kill_all();
   WorkerStat stat(std::size_t w) const;
 
  private:
   struct Slot;
+
+  /// Asks `policy` for idle slot `w`'s offer; with one, clears the
+  /// slot's handoff files, writes it, then spawns a worker — so even a
+  /// worker that dies at startup dies holding a lease. True if it tried.
+  bool spawn(std::size_t w, const FleetPolicy& policy, std::ostream& log);
+  /// Stamps the offer's lease id, writes it to the slot and returns the
+  /// held lease.
+  const HeldLease& offer(std::size_t w, LeaseOffer offer, std::uint64_t owner);
+  /// Tells a live slot's worker to exit once its open leases are done.
+  void offer_done(std::size_t w);
+  /// Supervises live slot `w`: heartbeat and stall kill, liveness, then
+  /// its acks, and its exit or next offer.
+  void poll(std::size_t w, const FleetPolicy& policy, FleetPass& out,
+            std::ostream& log);
+
   WorkerFleetOptions opts_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::uint64_t next_id_ = 1;
 };
 
-/// Requeues a lease whose worker died holding it: charges each of its
-/// points one failure in `failures` (indexed by plan point), drops the
-/// points whose charges exceed `retries`, and pushes the survivors back
-/// to the front of `queue` as two halves, front half first, with the
-/// cost split per point. Successive crashes so bisect toward a poison
-/// point instead of charging a whole batch each time, and the halves
-/// can land on different slots. Returns the number of points dropped.
-std::size_t requeue_with_bisect(const WorkLease& lease, std::size_t retries,
-                                std::vector<std::size_t>& failures,
-                                std::deque<WorkLease>& queue,
-                                std::size_t worker, std::ostream& log);
+/// One plan's lease bookkeeping, the same in both front-ends.
+struct LeaseBook {
+  std::deque<WorkLease> pending;      // waiting batches, front first
+  std::vector<std::size_t> failures;  // per-point crash charges
+  std::vector<bool> done;             // per plan point
+  std::size_t done_points = 0;
+  /// Batches leased and not yet back; exact while the plan is served.
+  std::size_t outstanding = 0;
+  std::size_t executed = 0;  // engine runs the acks reported
+
+  LeaseBook() = default;
+  /// No point done yet. Throws std::length_error or std::bad_alloc for a
+  /// count no plan could hold.
+  explicit LeaseBook(std::size_t points) : done(points, false) {}
+
+  std::size_t points() const { return done.size(); }
+  bool finished() const {
+    return done_points == points() && outstanding == 0 && pending.empty();
+  }
+
+  /// Clears the crash charges and queues the points not yet done as
+  /// make_batches slices, `target` clamped to [1, their count] and
+  /// `costs` empty or one per plan point. Returns the points queued.
+  std::size_t cut(std::size_t target, const std::vector<double>& costs);
+  WorkLease take();  // leases the front batch
+  void ack(const WorkLease& lease, std::size_t executed_runs);
+  /// The one crash-requeue rule: charges each point of a batch whose
+  /// worker died holding it one failure, drops the points whose charges
+  /// exceed `retries`, and pushes the rest back to the front as two
+  /// halves, front half first, the cost split per point — so successive
+  /// crashes bisect toward a poison point, and the halves can land on
+  /// different slots. Returns the number of points dropped.
+  std::size_t requeue(const WorkLease& lease, std::size_t retries,
+                      std::size_t worker, std::ostream& log);
+};
 
 }  // namespace am::measure

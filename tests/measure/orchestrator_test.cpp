@@ -316,6 +316,23 @@ TEST_F(OrchestratorTest, UnorderableProbeCostIsAReportedProbeError) {
   }
 }
 
+TEST_F(OrchestratorTest, UnschedulableProbePointCountIsAReportedProbeError) {
+  // A point count no plan could hold, with or without a cost block, fails
+  // the probe the same way: reported with a manifest, never a length
+  // error thrown out of run() (which amsweep would map to a usage exit).
+  for (const std::string costs : {"", "cost\\t0\\t1\\n"}) {
+    SweepOrchestrator orch(
+        opts(worker_script(SIZE_MAX, kAckEveryLease, costs), 0));
+    std::ostringstream log;
+    OrchestratorReport report;
+    ASSERT_NO_THROW(report = orch.run(log)) << costs;
+    EXPECT_FALSE(report.success) << costs;
+    EXPECT_NE(report.error.find("probe"), std::string::npos) << report.error;
+    EXPECT_TRUE(report.attempts.empty()) << costs;
+    EXPECT_NE(manifest().find("status\tfailed"), std::string::npos) << costs;
+  }
+}
+
 TEST_F(OrchestratorTest, LeaseModeExhaustsPerPointBudgetAndNamesPoints) {
   // Workers that die holding a lease charge each leased point one
   // failure; once a point's budget is gone the sweep fails and the
