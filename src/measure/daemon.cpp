@@ -155,8 +155,6 @@ SweepDaemon::SweepDaemon(SweepDaemonOptions opts) : opts_(std::move(opts)) {
     throw std::invalid_argument("amsweepd: max frame bound too small");
 }
 
-SweepDaemon::~SweepDaemon() = default;
-
 bool SweepDaemon::valid_namespace(const std::string& ns) {
   if (ns.empty() || ns.size() > 64) return false;
   for (const char c : ns)
@@ -243,9 +241,8 @@ WorkerFleetOptions fleet_options(const SweepDaemonOptions& opts) {
         (std::filesystem::path(SweepDaemon::daemon_dir(opts.results_dir)) /
          ("wrk" + std::to_string(w) + ".lease"))
             .string());
-  fleet_opts.argv = [command = opts.worker_command](
-                        const std::string& lease_path) {
-    auto argv = command;
+  fleet_opts.argv = [&opts](const std::string& lease_path) {
+    auto argv = opts.worker_command;
     argv.insert(argv.end(), {"--lease", lease_path});
     return argv;
   };
@@ -327,6 +324,8 @@ class Server {
       fail_job(jobs_.at(owner), "worker command unspawnable: " + why);
     };
   }
+  Server(const Server&) = delete;  // the policy's lambdas hold `this`
+  Server& operator=(const Server&) = delete;
 
   bool listen() {
     try {
@@ -383,16 +382,19 @@ class Server {
         std::getline(ls, error);
         std::uint64_t id = 0, pts = 0, exec = 0;
         const auto st = parse_job_state(state_s);
-        if (!parse_u64(id_s, id) || !st || !parse_u64(points_s, pts) ||
-            !parse_u64(executed_s, exec) || !SweepDaemon::valid_namespace(ns)) {
+        Job job;
+        try {
+          if (!parse_u64(id_s, id) || !st || !parse_u64(points_s, pts) ||
+              !parse_u64(executed_s, exec) || !SweepDaemon::valid_namespace(ns))
+            throw std::invalid_argument("malformed job line");
+          job.book = LeaseBook(static_cast<std::size_t>(pts));
+        } catch (const std::exception&) {  // or a count no plan could hold
           log_ << "queue file: skipping malformed job line\n";
           continue;
         }
-        Job job;
         job.id = id;
         job.ns = ns;
         job.state = *st;
-        job.book = LeaseBook(static_cast<std::size_t>(pts));
         job.book.executed = static_cast<std::size_t>(exec);
         job.error = error;
         jobs_.emplace(id, std::move(job));

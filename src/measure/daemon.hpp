@@ -166,7 +166,6 @@ class SweepDaemon {
   /// Throws std::invalid_argument on an unusable configuration (empty
   /// socket path / results_dir, empty worker command with workers > 0).
   explicit SweepDaemon(SweepDaemonOptions opts);
-  ~SweepDaemon();
 
   /// Serves until request_drain(), streaming progress to `log`. On
   /// entry, resumes any queue file a drained predecessor left in the

@@ -150,9 +150,8 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
   // Everything the probe's answer sizes is built in here, so a point
   // count no plan could hold is a reported probe error too.
   LeaseBook book;
-  std::string error;
   try {
-    if (const auto info = probe_plan(error)) {
+    if (const auto info = probe_plan(report.error)) {
       report.plan_points = info->points;
       book = LeaseBook(info->points);
       // A few batches per slot so early finishers keep pulling work;
@@ -163,11 +162,10 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
                opts_.use_measured_costs ? info->costs : std::vector<double>{});
     }
   } catch (const std::exception& e) {
-    error = std::string("plan probe answered an unschedulable plan: ") +
-            e.what();
+    report.error = std::string("plan probe answered an unschedulable plan: ") +
+                   e.what();
   }
-  if (!error.empty()) {
-    report.error = error;
+  if (!report.error.empty()) {
     log << report.error << "\n";
     return;
   }

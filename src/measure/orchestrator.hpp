@@ -5,8 +5,8 @@
 // plan size and per-point cost estimates (SweepRunner::estimate_costs:
 // measured run times when the store has them, the cold-cost model
 // otherwise), cuts the cost-sorted points into slices
-// (common/work_lease.hpp make_batches), and serves them costliest first
-// from one queue to the worker slots of a WorkerFleet (measure/worker_fleet),
+// (LeaseBook::cut), and serves them costliest first from one queue
+// through the fleet pass (WorkerFleet::pass, measure/worker_fleet),
 // which spawns each worker as `<command> --results-dir <dir> --lease
 // <file> --worker` and streams offers to it (measure/lease.hpp). The
 // manifest records every lease assignment plus per-worker load-balance

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <exception>
+#include <stdexcept>
 #include <filesystem>
 #include <ostream>
 #include <utility>
@@ -226,8 +226,6 @@ void WorkerFleet::poll(std::size_t w, const FleetPolicy& policy,
 
   if (running) {
     out.any_live = true;
-    // The `ready` rule: offer when the worker holds nothing or has taken
-    // the last offer with none of its points still queued.
     if (s.done_offered || !(s.held.empty() || ready)) return;
     if (auto next = policy.next(w, false)) {
       policy.offered(w, offer(w, std::move(next->offer), next->owner));
@@ -280,6 +278,14 @@ std::string busy_max_over_mean(const std::vector<WorkerStat>& stats) {
   std::snprintf(buf, sizeof(buf), "%.4f",
                 max / (sum / static_cast<double>(stats.size())));
   return buf;
+}
+
+LeaseBook::LeaseBook(std::size_t points) {
+  // vector<bool> does not check a count past max_size(): its word count
+  // wraps, leaving a bitmap far smaller than size().
+  if (points > done.max_size())
+    throw std::length_error(std::to_string(points) + " plan points");
+  done.assign(points, false);
 }
 
 std::size_t LeaseBook::cut(std::size_t target,

@@ -167,8 +167,6 @@ class WorkerFleet {
   const HeldLease& offer(std::size_t w, LeaseOffer offer, std::uint64_t owner);
   /// Tells a live slot's worker to exit once its open leases are done.
   void offer_done(std::size_t w);
-  /// Supervises live slot `w`: heartbeat and stall kill, liveness, then
-  /// its acks, and its exit or next offer.
   void poll(std::size_t w, const FleetPolicy& policy, FleetPass& out,
             std::ostream& log);
 
@@ -190,7 +188,7 @@ struct LeaseBook {
   LeaseBook() = default;
   /// No point done yet. Throws std::length_error or std::bad_alloc for a
   /// count no plan could hold.
-  explicit LeaseBook(std::size_t points) : done(points, false) {}
+  explicit LeaseBook(std::size_t points);
 
   std::size_t points() const { return done.size(); }
   bool finished() const {

@@ -378,6 +378,27 @@ TEST_F(SweepDaemonTest, QueueSurvivesRestartsAndSubmittersGetRetryLater) {
   }
 }
 
+TEST_F(SweepDaemonTest, QueueFileJobWithAnUnholdablePointCountIsSkipped) {
+  // The queue file is read back as bytes: a point count no plan could
+  // hold makes its job line malformed, so the line is skipped and its
+  // `done` indices are never written past the job's bitmap.
+  fs::create_directories(SweepDaemon::daemon_dir(dir()));
+  std::ofstream(SweepDaemon::queue_path(dir()))
+      << "#am-sweepd-queue v1\nnext_job\t3\n"
+      << "job\t1\tbad\tqueued\t18446744073709551615\t0\t\ndone\t1\t5000\n"
+      << "job\t2\tgood\tqueued\t2\t0\t\ndone\t2\t1\n";
+  DaemonHarness harness(accept_only());
+  auto client = DaemonClient::connect_unix(sock());
+  EXPECT_FALSE(client.status(1).ok);  // unknown job
+  const auto kept = client.status(2);
+  EXPECT_TRUE(kept.ok);
+  EXPECT_EQ(kept.points, 2u);
+  EXPECT_EQ(kept.done_points, 1u);
+  const auto report = harness.drain();
+  ASSERT_EQ(report.jobs.size(), 1u);
+  EXPECT_EQ(report.jobs[0].ns, "good");
+}
+
 TEST_F(SweepDaemonTest, WaitIsReleasedByCancel) {
   DaemonHarness harness(accept_only());
   auto client = DaemonClient::connect_unix(sock());
