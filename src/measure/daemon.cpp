@@ -507,6 +507,7 @@ class Server {
     policy_.done_when_dry = draining;
     return fleet_.pass(policy_, log_);
   }
+
   void persist() {
     if (!queue_dirty_) return;
     try {
@@ -529,9 +530,8 @@ class Server {
           r.ok = false;
         }
         r.retry = true;
-        r.error =
-            "daemon drained before the job finished; "
-            "resubmit or wait after restart";
+        r.error = "daemon drained before the job finished; "
+                  "resubmit or wait after restart";
         send_reply(*conn, r);
       }
       conn->sock.close();
@@ -711,8 +711,8 @@ class Server {
     try {
       const std::size_t nl = frame.payload.find('\n');
       std::string key;
-      if (!split_kv(frame.payload.substr(0, nl), key, job.ns) ||
-          key != "ns" || !SweepDaemon::valid_namespace(job.ns))
+      if (!split_kv(frame.payload.substr(0, nl), key, job.ns) || key != "ns" ||
+          !SweepDaemon::valid_namespace(job.ns))
         throw std::invalid_argument(
             "submit payload must start with 'ns\\t<namespace>' "
             "(1-64 chars of [A-Za-z0-9_-])");

@@ -183,8 +183,8 @@ void WorkerFleet::offer_done(std::size_t w) {
   s.done_offered = true;
 }
 
-void WorkerFleet::poll(std::size_t w, const FleetPolicy& policy,
-                       FleetPass& out, std::ostream& log) {
+void WorkerFleet::poll(std::size_t w, const FleetPolicy& policy, FleetPass& out,
+                       std::ostream& log) {
   Slot& s = *slots_[w];
   s.watch.observe(lease_heartbeat_path(s.lease));
   if (!s.stalled && s.watch.stalled(opts_.stall_timeout_seconds, s.start)) {
