@@ -263,10 +263,10 @@ class Server {
         report_(report),
         log_(log),
         fleet_(fleet_options(opts)) {
-    // The policy. next: the fair-share pick's next batch; with no
-    // pending batch anywhere, an idle worker keeps polling its last offer
-    // until a submission arrives. The offer names the job's plan and
-    // seeds the worker's cache from the namespace store.
+    // The fleet policy. An offer is the fair-share pick's next batch; it
+    // names the job's plan and seeds the worker's cache from the
+    // namespace store. With no pending batch anywhere, an idle worker
+    // keeps polling its last offer until a submission arrives.
     policy_.next = [this](std::size_t, bool) -> std::optional<OwnedOffer> {
       if (draining_) return std::nullopt;
       const auto jid = scheduler_.pick([this](std::uint64_t id) {
