@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/work_lease.hpp"
+#include "wire_goldens.hpp"
 
 namespace am::measure {
 namespace {
@@ -164,6 +165,19 @@ TEST(DaemonReply_, ErrorTextIsSanitizedToOneLine) {
   const auto back = parse_reply(encode_reply(r));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->error, "line one line two with tab");
+}
+
+TEST(DaemonReply_, EncoderWritesPinnedBytes) {
+  DaemonReply r;
+  r.ok = false;
+  r.retry = true;
+  r.job = 42;
+  r.state = JobState::kFailed;
+  r.points = 17;
+  r.done_points = 5;
+  r.executed = 3;
+  r.error = "worker 1 exited:\tstatus 3\nsee the log";
+  EXPECT_EQ(encode_reply(r), golden::kReply);
 }
 
 TEST(DaemonReply_, ParserRejectsGarbageAndIgnoresUnknownKeys) {
@@ -376,6 +390,22 @@ TEST_F(SweepDaemonTest, QueueSurvivesRestartsAndSubmittersGetRetryLater) {
     EXPECT_FALSE(racing.ok);
     gen2.drain();
   }
+}
+
+TEST_F(SweepDaemonTest, DrainWritesPinnedQueueAndManifestRows) {
+  const std::string plan = serialize_plan_spec(tiny_spec());
+  DaemonHarness harness(accept_only());
+  auto client = DaemonClient::connect_unix(sock());
+  ASSERT_TRUE(client.submit("alice", plan).ok);
+  ASSERT_TRUE(client.submit("bob", plan).ok);
+  ASSERT_TRUE(client.cancel(2).ok);
+  ASSERT_TRUE(harness.drain().clean_exit);
+  EXPECT_EQ(read_file(SweepDaemon::queue_path(dir())), golden::kQueue);
+  // The manifest names the host and socket, so only its rows are pinned.
+  EXPECT_EQ(golden::row_shape(read_file(SweepDaemon::manifest_path(dir()))),
+            "#am-sweepd-manifest v1\nhost/2\nsocket/2\nworkers/2\n"
+            "status/2\njobs_accepted/2\njobs_done/2\njobs_failed/2\n"
+            "engine_runs/2\nprotocol_errors/2\njob/8\njob/8\n");
 }
 
 TEST_F(SweepDaemonTest, QueueFileJobWithAnUnholdablePointCountIsSkipped) {

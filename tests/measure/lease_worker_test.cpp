@@ -23,6 +23,7 @@
 #include "common/work_lease.hpp"
 #include "measure/app_workloads.hpp"
 #include "model/distributions.hpp"
+#include "wire_goldens.hpp"
 
 namespace am::measure {
 namespace {
@@ -384,6 +385,29 @@ TEST_F(LeaseAckFormatTest, LegacySingleRecordFileIsOneRecord) {
   EXPECT_EQ(file->acks[0].executed, 2u);
   EXPECT_EQ(file->acks[0].wall_seconds, 0.25);
   EXPECT_FALSE(file->ready.has_value());
+}
+
+TEST_F(LeaseAckFormatTest, WritersEmitPinnedBytes) {
+  LeaseOffer offer;
+  offer.lease.id = 3;
+  offer.lease.points = {5, 0, 2};
+  offer.lease.cost = 2.5;
+  write_lease_offer(dir() + "/bare", offer);
+  EXPECT_EQ(golden::read_bytes(dir() + "/bare"), golden::kOfferBare);
+  offer.plan_path = "/srv/sweepd/job 7.plan";  // spaces are legal
+  offer.seed_store_path = "/srv/results/fig9.tsv";
+  write_lease_offer(dir() + "/full", offer);
+  EXPECT_EQ(golden::read_bytes(dir() + "/full"), golden::kOfferFull);
+
+  LeaseAckFile acks;
+  acks.acks.push_back({4, 3, 2, 0.1});
+  acks.acks.push_back({7, 1, 0, 1.0 / 3.0});
+  acks.ready = 9;
+  write_lease_acks(dir() + "/acks", acks);
+  EXPECT_EQ(golden::read_bytes(dir() + "/acks"), golden::kAcks);
+
+  write_plan_info(dir() + "/info", PlanInfo{4, {1.0, 2.5, 0.1, 0.0}});
+  EXPECT_EQ(golden::read_bytes(dir() + "/info"), golden::kPlanInfo);
 }
 
 TEST_F(LeaseAckFormatTest, RejectsMalformedFiles) {

@@ -14,6 +14,8 @@
 #include <sstream>
 #include <string>
 
+#include "wire_goldens.hpp"
+
 namespace am::measure {
 namespace {
 
@@ -288,6 +290,25 @@ TEST_F(OrchestratorTest, LeaseModeDrainsTheQueueAndRecordsLoadStats) {
   EXPECT_NE(m.find("plan_points\t3"), std::string::npos);
   EXPECT_NE(m.find("worker\t0\t"), std::string::npos);
   EXPECT_NE(m.find("worker\t1\t"), std::string::npos);
+}
+
+TEST_F(OrchestratorTest, ManifestRowsKeepTheirShape) {
+  // Host, command and timing values vary; the rows and their column
+  // counts do not. Two workers, three singleton leases. The script runs
+  // from a file, so the command row is one line on any writer.
+  const std::string script = dir() + "/worker.sh";
+  std::ofstream(script) << worker_script(3, kAckEveryLease);
+  OrchestratorOptions o = opts("", 0);
+  o.worker_command = {"/bin/sh", script};
+  SweepOrchestrator orch(o);
+  std::ostringstream log;
+  ASSERT_TRUE(orch.run(log).success) << log.str();
+  EXPECT_EQ(golden::row_shape(manifest()),
+            "#am-sweep-manifest v1\nhost/2\ndriver/2\ncommand/2\n"
+            "schedule/2\nworkers/2\nretries/2\nplan_points/2\nstatus/2\n"
+            "merged/2\nrecords/2\nengine_runs/2\nwall_seconds/2\n"
+            "attempt/6\nattempt/6\nlease/8\nlease/8\nlease/8\n"
+            "worker/7\nworker/7\nbusy_max_over_mean/2\n");
 }
 
 TEST_F(OrchestratorTest, LeaseModeRequiresASuccessfulProbe) {

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "wire_goldens.hpp"
+
 namespace am::measure {
 namespace {
 
@@ -87,6 +89,11 @@ TEST(PlanWire, RoundTripsAllWorkloadKinds) {
   // Canonical form: re-serializing the parsed spec is byte-identical,
   // which is what lets the daemon persist its own re-serialization.
   EXPECT_EQ(serialize_plan_spec(back), text);
+}
+
+TEST(PlanWire, SerializeWritesPinnedBytes) {
+  // sample_spec() holds one workload of each kind.
+  EXPECT_EQ(serialize_plan_spec(sample_spec()), golden::kPlanSpec);
 }
 
 TEST(PlanWire, EmptyDistNameCanonicalizesToWorkloadName) {

@@ -13,6 +13,7 @@
 #include "measure/app_workloads.hpp"
 #include "measure/experiment_plan.hpp"
 #include "model/distributions.hpp"
+#include "wire_goldens.hpp"
 
 namespace am::measure {
 namespace {
@@ -121,6 +122,20 @@ TEST_F(ResultStoreTest, RoundTripIsBitExact) {
   EXPECT_EQ(r->app_l3_miss_rate, orig.app_l3_miss_rate);
   EXPECT_EQ(r->interference_threads, orig.interference_threads);
   EXPECT_FALSE(r->timed_out);
+}
+
+TEST_F(ResultStoreTest, SaveWritesPinnedBytes) {
+  // Two records, one of each resource and one timed out, each with a run
+  // time for the `.times` sidecar. Both files are compared byte for byte.
+  ResultStore store;
+  store.put(key("w", 2, Resource::kBandwidth), result(0.1 + 0.2),
+            "deadbeefdeadbeef", 0.5);
+  SimRunResult timed_out = result(1.0 / 7.0);
+  timed_out.timed_out = true;
+  store.put(key("w", 0), timed_out, "deadbeefdeadbeef", 1.0 / 3.0);
+  store.save(path("s.tsv"));
+  EXPECT_EQ(golden::read_bytes(path("s.tsv")), golden::kStore);
+  EXPECT_EQ(golden::read_bytes(path("s.tsv.times")), golden::kStoreTimes);
 }
 
 TEST_F(ResultStoreTest, FindDistinguishesKeys) {

@@ -1,0 +1,260 @@
+// Seeded byte mutation of the sweep pipeline's text readers: the lease
+// offer, ack and plan-info files, the daemon reply, the plan spec and
+// the result store. Each case starts from a pinned golden document
+// (wire_goldens.hpp) and feeds its reader mutated copies: one byte
+// flipped, inserted or deleted, a line duplicated, or the tail cut off.
+// Every input must either be rejected (nullopt, or the reader's own
+// exception) or reach a fixed point: writing the parsed value and
+// parsing that again must succeed, and writing the second value must
+// give the same bytes. Writers may canonicalize once (a reply's error
+// text loses its tabs, an empty distribution name becomes the workload
+// name), which is why the fixed point is taken after one write.
+//
+// One run covers kMutations inputs per reader from googletest's
+// --gtest_random_seed (0 by default). Each --gtest_repeat repetition
+// moves on to the next seed, so `--gtest_random_seed=S --gtest_repeat=N`
+// covers seeds S..S+N-1; CI's sanitizer job runs a wider range that way.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <optional>
+#include <random>
+#include <stdexcept>
+#include <string>
+
+#include "common/work_lease.hpp"
+#include "measure/daemon.hpp"
+#include "measure/plan_wire.hpp"
+#include "measure/result_store.hpp"
+#include "wire_goldens.hpp"
+
+namespace am::measure {
+namespace {
+
+namespace fs = std::filesystem;
+
+// googletest before 1.12 has no GTEST_FLAG_GET.
+#ifdef GTEST_FLAG_GET
+#define AM_RANDOM_SEED_FLAG GTEST_FLAG_GET(random_seed)
+#else
+#define AM_RANDOM_SEED_FLAG ::testing::GTEST_FLAG(random_seed)
+#endif
+
+constexpr int kMutations = 400;
+
+/// Bytes a mutation writes: the format's separators and the characters
+/// its numbers and keys are spelled with, plus a few outside both.
+constexpr char kBytes[] = {'\t', '\n', '\r', ' ', '\0', '0', '1', '9', '-',
+                           '+',  '.',  'x',  'p', 'e',  'n', '#', '\x7f',
+                           '\xff'};
+
+/// One seeded edit of `text`.
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const auto byte = [&] { return kBytes[pick(sizeof(kBytes))]; };
+  switch (pick(5)) {
+    case 0: {  // flip one bit, or overwrite with a chosen byte
+      char& c = text[pick(text.size())];
+      c = pick(2) != 0 ? static_cast<char>(c ^ (1 << pick(8))) : byte();
+      break;
+    }
+    case 1:
+      text.insert(pick(text.size() + 1), 1, byte());
+      break;
+    case 2:
+      text.erase(pick(text.size()), 1 + pick(4));
+      break;
+    case 3: {  // duplicate the line holding a random byte
+      const std::size_t at = pick(text.size());
+      const std::size_t begin = text.rfind('\n', at) + 1;  // npos + 1 == 0
+      const std::size_t end = text.find('\n', at);
+      const std::size_t stop = end == std::string::npos ? text.size() : end;
+      text.insert(begin, text.substr(begin, stop - begin) + '\n');
+      break;
+    }
+    default:
+      text.resize(pick(text.size()));
+      break;
+  }
+  return text;
+}
+
+/// The seed of this repetition of the running test: the flag's value
+/// plus the number of earlier repetitions. (UnitTest::random_seed() is
+/// not used: with the flag at 0 it is drawn from the clock.)
+std::uint64_t repetition_seed() {
+  static std::map<std::string, std::uint64_t> runs;
+  const std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  return static_cast<std::uint64_t>(AM_RANDOM_SEED_FLAG) +
+         runs[name]++;
+}
+
+/// Printable form of a failing input.
+std::string escaped(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (c == '\t') out += "\\t";
+    else if (c == '\n') out += "\\n\n";
+    else if (c == '\r') out += "\\r";
+    else if (static_cast<unsigned char>(c) < 0x20 ||
+             static_cast<unsigned char>(c) >= 0x7f)
+      out += "\\x" + std::to_string(static_cast<unsigned char>(c));
+    else out += c;
+  }
+  return out;
+}
+
+/// `parse` turns bytes into a value (nullopt = rejected); `write` turns a
+/// value back into bytes.
+template <typename T>
+void fuzz(std::uint64_t seed, const std::string& golden,
+          const std::function<std::optional<T>(const std::string&)>& parse,
+          const std::function<std::string(const T&)>& write) {
+  std::mt19937_64 rng(seed);
+  ASSERT_TRUE(parse(golden).has_value()) << "the golden itself must parse";
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string input = mutate(golden, rng);
+    const std::optional<T> first = parse(input);
+    if (!first) continue;
+    ++accepted;
+    const std::string bytes = write(*first);
+    const std::optional<T> second = parse(bytes);
+    ASSERT_TRUE(second.has_value())
+        << "seed " << seed << " mutation " << i << ": the reader rejects "
+        << "its own writer's bytes\n--- input\n" << escaped(input)
+        << "--- written\n" << escaped(bytes);
+    ASSERT_EQ(write(*second), bytes)
+        << "seed " << seed << " mutation " << i << ": no fixed point\n"
+        << "--- input\n" << escaped(input);
+  }
+  // Not a property, a sanity check on the mutator: some edits (a
+  // duplicated line, a changed digit) must leave the document readable.
+  EXPECT_GT(accepted, 0) << "seed " << seed;
+}
+
+class WireMutationTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("am_wire_mutation_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    seed_ = repetition_seed();
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+
+  /// Writes `text` to a scratch file and returns its path.
+  std::string put(const std::string& name, const std::string& text) const {
+    std::ofstream(path(name), std::ios::binary) << text;
+    return path(name);
+  }
+
+  fs::path dir_;
+  std::uint64_t seed_ = 0;
+};
+
+TEST_F(WireMutationTest, LeaseOffer) {
+  for (const char* doc : {golden::kOfferBare, golden::kOfferFull})
+    fuzz<LeaseOffer>(
+        seed_, doc,
+        [&](const std::string& text) {
+          return read_lease_offer(put("in", text));
+        },
+        [&](const LeaseOffer& offer) {
+          write_lease_offer(path("out"), offer);
+          return golden::read_bytes(path("out"));
+        });
+}
+
+TEST_F(WireMutationTest, LeaseAcks) {
+  fuzz<LeaseAckFile>(
+      seed_, golden::kAcks,
+      [&](const std::string& text) {
+        return read_lease_acks(put("in", text));
+      },
+      [&](const LeaseAckFile& file) {
+        write_lease_acks(path("out"), file);
+        return golden::read_bytes(path("out"));
+      });
+}
+
+TEST_F(WireMutationTest, PlanInfo) {
+  fuzz<PlanInfo>(
+      seed_, golden::kPlanInfo,
+      [&](const std::string& text) {
+        return read_plan_info(put("in", text));
+      },
+      [&](const PlanInfo& info) {
+        write_plan_info(path("out"), info);
+        return golden::read_bytes(path("out"));
+      });
+}
+
+TEST_F(WireMutationTest, DaemonReply) {
+  fuzz<DaemonReply>(seed_, golden::kReply, parse_reply, encode_reply);
+}
+
+TEST_F(WireMutationTest, PlanSpec) {
+  fuzz<PlanSpec>(
+      seed_, golden::kPlanSpec,
+      [](const std::string& text) -> std::optional<PlanSpec> {
+        try {
+          return parse_plan_spec(text);
+        } catch (const std::invalid_argument&) {
+          return std::nullopt;
+        }
+      },
+      serialize_plan_spec);
+}
+
+TEST_F(WireMutationTest, ResultStore) {
+  // The canonical file, then its run-time sidecar, each mutated with the
+  // other intact. A bad sidecar is never a load error.
+  const auto load = [&](const std::string& store, const std::string& times)
+      -> std::optional<ResultStore> {
+    put("in.tsv.times", times);
+    try {
+      return ResultStore::load(put("in.tsv", store));
+    } catch (const std::runtime_error&) {
+      return std::nullopt;
+    }
+  };
+  const auto save = [&](const ResultStore& store) {
+    fs::remove(path("out.tsv.times"));
+    store.save(path("out.tsv"));
+  };
+  fuzz<ResultStore>(
+      seed_, golden::kStore,
+      [&](const std::string& text) {
+        return load(text, golden::kStoreTimes);
+      },
+      [&](const ResultStore& store) {
+        save(store);
+        return golden::read_bytes(path("out.tsv"));
+      });
+  fuzz<ResultStore>(
+      seed_, golden::kStoreTimes,
+      [&](const std::string& times) { return load(golden::kStore, times); },
+      [&](const ResultStore& store) {
+        save(store);
+        return golden::read_bytes(path("out.tsv.times"));
+      });
+}
+
+}  // namespace
+}  // namespace am::measure
