@@ -47,7 +47,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -59,6 +58,7 @@
 
 #include "common/cli.hpp"
 #include "common/socket.hpp"
+#include "common/line_doc.hpp"
 #include "measure/daemon.hpp"
 #include "measure/orchestrator.hpp"
 #include "measure/plan_wire.hpp"
@@ -82,19 +82,45 @@ int usage() {
 // ---------------------------------------------------------------------------
 // Daemon client subcommands
 
-/// Connects per --socket PATH / --tcp PORT. Throws std::invalid_argument
-/// on missing flags (usage) and SocketError when nothing answers (the
-/// caller maps that to exit 3, retry later).
+/// A typo'd flag must fail loudly, not run with defaults: call once every
+/// flag the subcommand reads has been read, before anything happens.
+void reject_unused(const am::Cli& cli) {
+  for (const auto& flag : cli.unused())
+    throw std::invalid_argument("unknown flag --" + flag);
+}
+
+/// --name as an integer in [lo, hi], `def` when absent. Digits only: a
+/// sign, trailing junk or a value out of range is std::invalid_argument,
+/// never a wrapped or truncated number.
+std::uint64_t get_u64(const am::Cli& cli, const std::string& name,
+                      std::uint64_t def, std::uint64_t lo = 0,
+                      std::uint64_t hi = UINT64_MAX) {
+  const auto s = cli.get(name, "");
+  if (s.empty()) return def;
+  std::uint64_t v = 0;
+  if (!am::parse_u64(s, v) || v < lo || v > hi)
+    throw std::invalid_argument("--" + name + " must be an integer in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "], got '" + s + "'");
+  return v;
+}
+
+/// Connects per --socket PATH / --tcp PORT. Call it once every other flag
+/// has been read: it rejects the unread ones first. Throws
+/// std::invalid_argument on missing or unknown flags (usage) and
+/// SocketError when nothing answers (the caller maps that to exit 3,
+/// retry later).
 am::measure::DaemonClient connect(const am::Cli& cli) {
   const auto timeout = cli.get_seconds("connect-timeout", 5.0);
   const auto tcp = cli.get_int("tcp", -1);
+  const auto socket = cli.get("socket", "");
+  reject_unused(cli);
   if (tcp >= 0) {
     if (tcp > 65535)
       throw std::invalid_argument("--tcp must be a port in [0, 65535]");
     return am::measure::DaemonClient::connect_tcp(
         static_cast<std::uint16_t>(tcp), timeout);
   }
-  const auto socket = cli.get("socket", "");
   if (socket.empty())
     throw std::invalid_argument("--socket PATH (or --tcp PORT) is required");
   return am::measure::DaemonClient::connect_unix(socket, timeout);
@@ -125,9 +151,8 @@ int reply_exit(const am::measure::DaemonReply& r, bool require_done) {
 }
 
 std::uint64_t job_flag(const am::Cli& cli) {
-  const auto job = cli.get_int("job", -1);
-  if (job < 0) throw std::invalid_argument("--job ID is required");
-  return static_cast<std::uint64_t>(job);
+  if (!cli.has("job")) throw std::invalid_argument("--job ID is required");
+  return get_u64(cli, "job", 0);
 }
 
 std::string read_plan_text(const am::Cli& cli) {
@@ -147,6 +172,8 @@ std::string read_plan_text(const am::Cli& cli) {
 int cmd_submit(const am::Cli& cli) {
   const auto ns = cli.get("ns", "");
   if (ns.empty()) throw std::invalid_argument("--ns NAME is required");
+  const bool wait = cli.get_bool("wait", false);
+  const double timeout = cli.get_seconds("timeout", 0.0);
   const auto plan = read_plan_text(cli);
   auto client = connect(cli);
   auto reply = client.submit(ns, plan);
@@ -154,30 +181,33 @@ int cmd_submit(const am::Cli& cli) {
   if (rc != 0) return rc;
   std::cout << "submitted as job " << reply.job << " (" << reply.points
             << " points, namespace " << ns << ")\n";
-  if (!cli.get_bool("wait", false)) return 0;
-  reply = client.wait(reply.job, cli.get_seconds("timeout", 0.0));
+  if (!wait) return 0;
+  reply = client.wait(reply.job, timeout);
   print_reply(reply);
   return reply_exit(reply, true);
 }
 
 int cmd_status(const am::Cli& cli) {
+  const auto job = job_flag(cli);
   auto client = connect(cli);
-  const auto reply = client.status(job_flag(cli));
+  const auto reply = client.status(job);
   if (reply.ok) print_reply(reply);
   return reply_exit(reply, false);
 }
 
 int cmd_cancel(const am::Cli& cli) {
+  const auto job = job_flag(cli);
   auto client = connect(cli);
-  const auto reply = client.cancel(job_flag(cli));
+  const auto reply = client.cancel(job);
   if (reply.ok) print_reply(reply);
   return reply_exit(reply, false);
 }
 
 int cmd_wait(const am::Cli& cli) {
+  const auto job = job_flag(cli);
+  const double timeout = cli.get_seconds("timeout", 0.0);
   auto client = connect(cli);
-  const auto reply =
-      client.wait(job_flag(cli), cli.get_seconds("timeout", 0.0));
+  const auto reply = client.wait(job, timeout);
   if (reply.ok) print_reply(reply);
   return reply_exit(reply, true);
 }
@@ -188,32 +218,29 @@ int cmd_wait(const am::Cli& cli) {
 /// figure pipeline would measure at the same --scale.
 int cmd_mkplan(const am::Cli& cli) {
   am::measure::PlanSpec spec;
-  const auto scale = cli.get_int("scale", 256);
-  const auto nodes = cli.get_int("nodes", 1);
-  if (scale < 1 || nodes < 1)
-    throw std::invalid_argument("--scale and --nodes must be >= 1");
-  spec.machine_scale = static_cast<std::uint32_t>(scale);
-  spec.machine_nodes = static_cast<std::uint32_t>(nodes);
+  spec.machine_scale =
+      static_cast<std::uint32_t>(get_u64(cli, "scale", 256, 1, UINT32_MAX));
+  spec.machine_nodes =
+      static_cast<std::uint32_t>(get_u64(cli, "nodes", 1, 1, UINT32_MAX));
   spec.mem_backend = cli.get("backend", "channel");
-  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  spec.seed = get_u64(cli, "seed", 1);
   spec.cs.buffer_bytes =
       std::max<std::uint64_t>(4096, 4ull * 1024 * 1024 / spec.machine_scale);
   spec.bw.buffer_bytes =
       std::max<std::uint64_t>(4096, 520ull * 1024 / spec.machine_scale);
 
-  const auto accesses = cli.get_int("accesses", 20000);
-  const auto compute_ops = cli.get_int("compute-ops", 1);
-  if (accesses < 1 || compute_ops < 1)
-    throw std::invalid_argument("--accesses and --compute-ops must be >= 1");
-  const auto max_cs = cli.get_int("max-cs", 2);
-  const auto max_bw = cli.get_int("max-bw", 2);
-  if (max_cs < 0 || max_bw < 0)
-    throw std::invalid_argument("--max-cs and --max-bw must be >= 0");
+  const auto accesses = get_u64(cli, "accesses", 20000, 1);
+  const auto compute_ops =
+      static_cast<std::uint32_t>(get_u64(cli, "compute-ops", 1, 1, UINT32_MAX));
+  const auto max_cs = get_u64(cli, "max-cs", 2, 0, UINT32_MAX);
+  const auto max_bw = get_u64(cli, "max-bw", 2, 0, UINT32_MAX);
+  const auto out = cli.get("out", "");
 
   // uni:2048,norm:4096,... — distribution kind and buffer element count.
   // Distribution parameters derive from n, and the derivation is baked
   // into the workload name so stores can never alias two shapes.
   const auto list = cli.get("workloads", "uni:2048,norm:2048");
+  reject_unused(cli);
   std::istringstream items(list);
   std::string item;
   while (std::getline(items, item, ',')) {
@@ -223,14 +250,16 @@ int cmd_mkplan(const am::Cli& cli) {
       throw std::invalid_argument("--workloads entries are kind:elements, got '" +
                                   item + "'");
     const std::string kind = item.substr(0, colon);
-    const long n = std::strtol(item.c_str() + colon + 1, nullptr, 10);
-    if (n < 16)
-      throw std::invalid_argument("--workloads element count must be >= 16");
+    std::uint64_t n = 0;
+    if (!am::parse_u64(item.substr(colon + 1), n) || n < 16)
+      throw std::invalid_argument(
+          "--workloads element count must be an integer >= 16, got '" +
+          item + "'");
     am::measure::WorkloadWire w;
     w.kind = am::measure::WorkloadWire::Kind::kSynthetic;
-    w.n = static_cast<std::uint64_t>(n);
-    w.measured_accesses = static_cast<std::uint64_t>(accesses);
-    w.compute_ops = static_cast<std::uint32_t>(compute_ops);
+    w.n = n;
+    w.measured_accesses = accesses;
+    w.compute_ops = compute_ops;
     if (kind == "uni") {
       w.dist = am::model::DistKind::kUniform;
     } else if (kind == "norm") {
@@ -256,14 +285,15 @@ int cmd_mkplan(const am::Cli& cli) {
 
   for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
     spec.points.push_back({wi, am::measure::Resource::kCacheStorage, 0});
-    for (std::uint32_t t = 1; t <= static_cast<std::uint32_t>(max_cs); ++t)
-      spec.points.push_back({wi, am::measure::Resource::kCacheStorage, t});
-    for (std::uint32_t t = 1; t <= static_cast<std::uint32_t>(max_bw); ++t)
-      spec.points.push_back({wi, am::measure::Resource::kBandwidth, t});
+    for (std::uint64_t t = 1; t <= max_cs; ++t)
+      spec.points.push_back({wi, am::measure::Resource::kCacheStorage,
+                             static_cast<std::uint32_t>(t)});
+    for (std::uint64_t t = 1; t <= max_bw; ++t)
+      spec.points.push_back({wi, am::measure::Resource::kBandwidth,
+                             static_cast<std::uint32_t>(t)});
   }
 
   const auto text = am::measure::serialize_plan_spec(spec);
-  const auto out = cli.get("out", "");
   if (out.empty()) {
     std::cout << text;
   } else {
@@ -282,7 +312,9 @@ int cmd_mkplan(const am::Cli& cli) {
 int cmd_run_local(const am::Cli& cli) {
   const auto out = cli.get("out", "");
   if (out.empty()) throw std::invalid_argument("--out STORE.tsv is required");
-  const auto spec = am::measure::parse_plan_spec(read_plan_text(cli));
+  const auto text = read_plan_text(cli);
+  reject_unused(cli);
+  const auto spec = am::measure::parse_plan_spec(text);
   const auto plan = am::measure::build_plan(spec);
   const auto runner = am::measure::make_runner(spec);
   auto store = am::measure::ResultStore::load_or_empty(out);
@@ -303,6 +335,7 @@ int cmd_run_local(const am::Cli& cli) {
 /// (error reply and/or close), nonzero = unexpected behaviour.
 int cmd_inject(const am::Cli& cli) {
   const auto mode = cli.get("mode", "");
+  const double timeout = cli.get_seconds("timeout", 10.0);
   auto client = connect(cli);
 
   const auto put16 = [](std::string& s, std::uint16_t v) {
@@ -355,7 +388,7 @@ int cmd_inject(const am::Cli& cli) {
     return 0;
   }
   try {
-    am::set_io_timeout(client.socket(), cli.get_seconds("timeout", 10.0));
+    am::set_io_timeout(client.socket(), timeout);
     const auto frame = am::read_frame(client.socket());
     const auto reply = am::measure::parse_reply(frame.payload);
     if (!reply || reply->ok) {

@@ -147,6 +147,9 @@ int main(int argc, char** argv) {
       opts.worker_command.push_back("--test-crash-marker");
       opts.worker_command.push_back(marker);
     }
+    // A typo'd flag must fail loudly, not serve with defaults.
+    for (const auto& flag : cli.unused())
+      throw std::invalid_argument("unknown flag --" + flag);
 
     am::measure::SweepDaemon daemon(std::move(opts));
     g_daemon = &daemon;

@@ -14,7 +14,8 @@
 #      with ZERO re-executed engine runs,
 #   5. an unreachable daemon maps to client exit 3 (retry later),
 #   6. the manifest records per-worker balance (busy_max_over_mean),
-#   7. malformed timing flags are usage errors (exit 2).
+#   7. malformed timing flags, unknown flags and numbers that do not fit
+#      are usage errors (exit 2).
 # Driven by -D vars:
 #   AMSWEEP  — path to the amsweep binary (client subcommands)
 #   AMSWEEPD — path to the amsweepd binary
@@ -33,13 +34,31 @@ set(RESULTS "${WORKDIR}/results")
 #    NaN and infinite seconds are usage errors (exit 2), never a
 #    busy-spinning or never-waking serving loop.
 foreach(bad_flags "--poll-seconds;-1" "--poll-seconds;nan"
-    "--stall-timeout;-1" "--client-timeout;inf" "--idle-timeout;nan")
+    "--stall-timeout;-1" "--client-timeout;inf" "--idle-timeout;nan"
+    "--poll-second;0.1")
   execute_process(COMMAND "${AMSWEEPD}" --socket "${SOCK}"
     --results-dir "${WORKDIR}/badflags" --workers 0 ${bad_flags}
     OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code TIMEOUT 20)
   if(NOT bad_code EQUAL 2)
     message(FATAL_ERROR
       "expected amsweepd ${bad_flags} to exit 2 (usage), got ${bad_code}")
+  endif()
+endforeach()
+
+# A typo'd flag and a number that does not fit are usage errors too:
+# client subcommands reject flags they never read, and numeric flags
+# parse digits only and are range-checked before any narrowing cast.
+foreach(bad_args "mkplan;--workload;uni:99" "mkplan;--scale;4294967297"
+    "mkplan;--nodes;4294967297" "mkplan;--seed;-1"
+    "mkplan;--compute-ops;4294967297" "mkplan;--max-cs;4294967296"
+    "mkplan;--max-bw;4294967296" "mkplan;--workloads;uni:2048junk"
+    "mkplan;--workloads;norm:99999999999999999999999"
+    "status;--socket;${SOCK};--job;1;--tiemout;5")
+  execute_process(COMMAND "${AMSWEEP}" ${bad_args}
+    OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code TIMEOUT 20)
+  if(NOT bad_code EQUAL 2)
+    message(FATAL_ERROR
+      "expected amsweep ${bad_args} to exit 2 (usage), got ${bad_code}")
   endif()
 endforeach()
 

@@ -15,11 +15,15 @@ makes them mechanical:
                             common/rng.hpp) and no wall-clock or timer
                             reads (time is simulated, never sampled).
   AM003 hexfloat-wire       Doubles cross serialization boundaries only
-                            through the hexfloat ("%a") helpers; decimal
-                            float formatting rounds and breaks bit-exact
-                            round-trips. (Integer std::to_string is
-                            fine; a double passed to it is the one case
-                            this rule cannot see — reviews still matter.)
+                            through the line codec (common/line_doc),
+                            which alone spells them as hexfloat ("%a");
+                            decimal float formatting rounds and breaks
+                            bit-exact round-trips. The codec must keep
+                            its "%a", and every format file must
+                            include the codec. (Integer std::to_string
+                            is fine; a double passed to it is the one
+                            case this rule cannot see — reviews still
+                            matter.)
   AM004 fingerprint-cover   Every MachineConfig knob feeds
                             machine_fingerprint, so it keys the result
                             store. A knob left out silently aliases
@@ -170,8 +174,18 @@ def check_determinism(path: str, text: str):
 DECIMAL_FLOAT_CONVERSION = re.compile(r"%[-+ #0-9.*]*[eEfFgG]")
 
 
-def check_hexfloat(path: str, text: str):
-    """AM003: decimal float formatting in a wire-format file."""
+# The codec spells every double of the text formats; the format files
+# write and read through it.
+LINE_CODEC = "src/common/line_doc.cpp"
+FORMAT_FILES = ("src/common/work_lease.cpp", "src/measure/result_store.cpp",
+                "src/measure/plan_wire.cpp", "src/measure/daemon.cpp")
+CODEC_INCLUDE = re.compile(r'^\s*#\s*include\s+"common/line_doc\.hpp"',
+                           re.M)
+
+
+def check_hexfloat(path: str, text: str, codec: bool = True):
+    """AM003: decimal float formatting in a wire-format file. The codec
+    (codec=True) must reference "%a"; a format file must include it."""
     code = strip_comments_and_strings(text, keep_strings=True)
     out = []
     for m in re.finditer(r'"(?:[^"\\\n]|\\.)*"', code):
@@ -191,10 +205,15 @@ def check_hexfloat(path: str, text: str):
                     'cross the wire as hexfloat ("%a") only')
                    for line, tok in _findall_lines(
                        pattern, strip_comments_and_strings(text)))
-    if '"%a"' not in code:
+    if codec and '"%a"' not in code:
         out.append((1, "AM003",
                     "serialization file no longer references the hexfloat "
                     '"%a" helpers — double round-trips are unprotected'))
+    if not codec and not CODEC_INCLUDE.search(text):
+        out.append((1, "AM003",
+                    "format file does not include the line codec "
+                    "(common/line_doc.hpp) — its doubles bypass the "
+                    "hexfloat writer"))
     return out
 
 
@@ -337,11 +356,11 @@ def lint_repo(root: Path):
     for sub in ("src/sim", "src/model"):
         for f in _cpp_files(root, sub):
             add(f, check_determinism(f.as_posix(), f.read_text()))
-    for rel in ("src/measure/result_store.cpp", "src/measure/plan_wire.cpp",
-                "src/common/work_lease.cpp"):
+    for rel in (LINE_CODEC,) + FORMAT_FILES:
         f = root / rel
         if f.exists():
-            add(f, check_hexfloat(f.as_posix(), f.read_text()))
+            add(f, check_hexfloat(f.as_posix(), f.read_text(),
+                                  codec=rel == LINE_CODEC))
     for rel in ("src/common/socket.cpp", "src/common/subprocess.cpp"):
         f = root / rel
         if f.exists():

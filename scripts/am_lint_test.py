@@ -117,6 +117,25 @@ class HexfloatTest(unittest.TestCase):
         found = am_lint.check_hexfloat("src/x.cpp", "int x;\n")
         self.assertEqual(rules(found), ["AM003"])
 
+    FORMAT = ('#include "common/line_doc.hpp"\n'
+              'doc.row("cost", lease.cost);\n')
+
+    def test_passes_format_file_through_the_codec(self):
+        self.assertEqual(am_lint.check_hexfloat("src/x.cpp", self.FORMAT,
+                                                codec=False), [])
+
+    def test_fails_format_file_printing_decimal(self):
+        bad = self.FORMAT + 'std::snprintf(buf, sizeof(buf), "%f", v);\n'
+        self.assertEqual(rules(am_lint.check_hexfloat("src/x.cpp", bad,
+                                                      codec=False)),
+                         ["AM003"])
+
+    def test_fails_format_file_without_the_codec(self):
+        bad = 'doc.row("cost", lease.cost);\n'
+        self.assertEqual(rules(am_lint.check_hexfloat("src/x.cpp", bad,
+                                                      codec=False)),
+                         ["AM003"])
+
 
 MACHINE_FIXTURE = """
 struct MachineConfig {

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
-#include "common/atomic_file.hpp"
-#include "common/strict_number.hpp"
+#include "common/line_doc.hpp"
 
 namespace am {
 
@@ -18,27 +14,6 @@ namespace {
 constexpr const char* kLeaseHeader = "#am-work-lease v1";
 constexpr const char* kAckHeader = "#am-lease-ack v1";
 constexpr const char* kPlanHeader = "#am-plan-info v1";
-
-/// Hexfloat: costs and wall-clocks round-trip bit-exactly, like the
-/// result store's doubles.
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-/// Reads the whole file and checks the header; nullopt when absent or
-/// not the expected format. Remaining lines land in `lines`.
-bool read_lines(const std::string& path, const char* header,
-                std::vector<std::string>& lines) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line) || line != header) return false;
-  while (std::getline(in, line))
-    if (!line.empty()) lines.push_back(line);
-  return true;
-}
 
 }  // namespace
 
@@ -92,154 +67,123 @@ std::string lease_heartbeat_path(const std::string& lease_path) {
 }
 
 void write_lease_offer(const std::string& path, const LeaseOffer& offer) {
-  std::ostringstream out;
-  out << kLeaseHeader << '\n';
-  out << "lease\t" << offer.lease.id << '\n';
-  out << "done\t" << (offer.done ? 1 : 0) << '\n';
-  out << "cost\t" << num(offer.lease.cost) << '\n';
-  // Daemon-only fields, omitted when empty. Paths may not contain tabs
-  // or newlines — the format has no escaping.
-  if (!offer.plan_path.empty()) out << "plan\t" << offer.plan_path << '\n';
+  LineWriter doc(kLeaseHeader);
+  doc.row("lease", offer.lease.id)
+      .row("done", offer.done)
+      .row("cost", offer.lease.cost);
+  // Daemon-only fields, omitted when empty.
+  if (!offer.plan_path.empty()) doc.row("plan", offer.plan_path);
   if (!offer.seed_store_path.empty())
-    out << "seed_store\t" << offer.seed_store_path << '\n';
-  out << "points";
-  for (const auto p : offer.lease.points) out << '\t' << p;
-  out << '\n';
-  atomic_write_file(path, out.str(), "work-lease");
+    doc.row("seed_store", offer.seed_store_path);
+  doc.row("points", offer.lease.points);
+  doc.save(path, "work-lease");
 }
 
 std::optional<LeaseOffer> read_lease_offer(const std::string& path) {
-  std::vector<std::string> lines;
-  if (!read_lines(path, kLeaseHeader, lines)) return std::nullopt;
+  auto in = LineReader::open(path);
+  if (!in || in->header() != kLeaseHeader) return std::nullopt;
   LeaseOffer offer;
   bool saw_lease = false, saw_done = false, saw_points = false;
-  for (const auto& line : lines) {
-    std::istringstream in(line);
-    std::string key;
-    in >> key;
-    if (key == "lease") {
-      std::string v;
-      if (!(in >> v) || !parse_u64(v, offer.lease.id)) return std::nullopt;
-      saw_lease = true;
-    } else if (key == "done") {
-      std::string v;
-      if (!(in >> v) || (v != "0" && v != "1")) return std::nullopt;
-      offer.done = v == "1";
-      saw_done = true;
-    } else if (key == "cost") {
-      std::string v;
-      if (!(in >> v) || !parse_double(v, offer.lease.cost))
-        return std::nullopt;
-    } else if (key == "plan" || key == "seed_store") {
-      // Path values run to end of line (spaces are legal in paths; tabs
-      // and newlines are not — the writer has no escaping).
-      if (line.size() <= key.size() + 1) return std::nullopt;
-      const std::string value = line.substr(key.size() + 1);
-      (key == "plan" ? offer.plan_path : offer.seed_store_path) = value;
-    } else if (key == "points") {
-      std::string v;
-      while (in >> v) {
-        std::uint64_t p = 0;
-        if (!parse_u64(v, p)) return std::nullopt;
-        offer.lease.points.push_back(static_cast<std::size_t>(p));
+  try {
+    while (in->next()) {
+      const std::string& key = in->key();
+      if (key == "lease") {
+        offer.lease.id = in->u64(1);
+        saw_lease = true;
+      } else if (key == "done") {
+        offer.done = in->flag(1);
+        saw_done = true;
+      } else if (key == "cost") {
+        offer.lease.cost = in->f64(1);
+      } else if (key == "plan") {
+        offer.plan_path = in->str(1);
+      } else if (key == "seed_store") {
+        offer.seed_store_path = in->str(1);
+      } else if (key == "points") {
+        for (std::size_t i = 1; i < in->size(); ++i)
+          offer.lease.points.push_back(static_cast<std::size_t>(in->u64(i)));
+        saw_points = true;
       }
-      saw_points = true;
     }
+  } catch (const LineError&) {
+    return std::nullopt;
   }
   if (!saw_lease || !saw_done || !saw_points) return std::nullopt;
   return offer;
 }
 
 void write_lease_acks(const std::string& path, const LeaseAckFile& file) {
-  std::ostringstream out;
-  out << kAckHeader << '\n';
-  for (const auto& ack : file.acks) {
-    out << "lease\t" << ack.lease_id << '\n';
-    out << "points\t" << ack.points << '\n';
-    out << "executed\t" << ack.executed << '\n';
-    out << "wall\t" << num(ack.wall_seconds) << '\n';
-  }
-  if (file.ready) out << "ready\t" << *file.ready << '\n';
-  atomic_write_file(path, out.str(), "lease-ack");
+  LineWriter doc(kAckHeader);
+  for (const auto& ack : file.acks)
+    doc.row("lease", ack.lease_id)
+        .row("points", ack.points)
+        .row("executed", ack.executed)
+        .row("wall", ack.wall_seconds);
+  if (file.ready) doc.row("ready", *file.ready);
+  doc.save(path, "lease-ack");
 }
 
 std::optional<LeaseAckFile> read_lease_acks(const std::string& path) {
-  std::vector<std::string> lines;
-  if (!read_lines(path, kAckHeader, lines)) return std::nullopt;
+  auto in = LineReader::open(path);
+  if (!in || in->header() != kAckHeader) return std::nullopt;
   LeaseAckFile file;
-  for (const auto& line : lines) {
-    std::istringstream in(line);
-    std::string key, v;
-    if (!(in >> key >> v)) return std::nullopt;
-    std::uint64_t u = 0;
-    if (key == "lease") {
-      if (!parse_u64(v, u)) return std::nullopt;
-      file.acks.emplace_back().lease_id = u;
-    } else if (key == "ready") {
-      if (file.ready || !parse_u64(v, u)) return std::nullopt;
-      file.ready = u;
-    } else if (key == "points" || key == "executed" || key == "wall") {
-      // A field belongs to the record the latest `lease` line opened.
-      if (file.acks.empty()) return std::nullopt;
-      LeaseAck& ack = file.acks.back();
-      if (key == "wall") {
-        if (!parse_double(v, ack.wall_seconds)) return std::nullopt;
-      } else {
-        if (!parse_u64(v, u)) return std::nullopt;
-        (key == "points" ? ack.points : ack.executed) =
-            static_cast<std::size_t>(u);
+  try {
+    while (in->next()) {
+      const std::string& key = in->key();
+      if (key == "lease") {
+        file.acks.emplace_back().lease_id = in->u64(1);
+      } else if (key == "ready") {
+        if (file.ready) return std::nullopt;
+        file.ready = in->u64(1);
+      } else if (key == "points" || key == "executed" || key == "wall") {
+        // A field belongs to the record the latest `lease` line opened.
+        if (file.acks.empty()) return std::nullopt;
+        LeaseAck& ack = file.acks.back();
+        if (key == "wall")
+          ack.wall_seconds = in->f64(1);
+        else
+          (key == "points" ? ack.points : ack.executed) =
+              static_cast<std::size_t>(in->u64(1));
       }
     }
+  } catch (const LineError&) {
+    return std::nullopt;
   }
   if (file.acks.empty() && !file.ready) return std::nullopt;
   return file;
 }
 
 void write_plan_info(const std::string& path, const PlanInfo& info) {
-  std::ostringstream out;
-  out << kPlanHeader << '\n';
-  out << "points\t" << info.points << '\n';
+  LineWriter doc(kPlanHeader);
+  doc.row("points", info.points);
   for (std::size_t i = 0; i < info.costs.size(); ++i)
-    out << "cost\t" << i << '\t' << num(info.costs[i]) << '\n';
-  atomic_write_file(path, out.str(), "plan-info");
+    doc.row("cost", i, info.costs[i]);
+  doc.save(path, "plan-info");
 }
 
 std::optional<PlanInfo> read_plan_info(const std::string& path) {
-  std::vector<std::string> lines;
-  if (!read_lines(path, kPlanHeader, lines)) return std::nullopt;
-  PlanInfo info;
-  bool saw_points = false;
-  std::vector<std::pair<std::size_t, double>> costs;
-  for (const auto& line : lines) {
-    std::istringstream in(line);
-    std::string key;
-    in >> key;
-    if (key == "points") {
-      std::string v;
-      std::uint64_t u = 0;
-      if (!(in >> v) || !parse_u64(v, u)) return std::nullopt;
-      info.points = static_cast<std::size_t>(u);
-      saw_points = true;
-    } else if (key == "cost") {
-      std::string i_s, c_s;
-      std::uint64_t i = 0;
-      double c = 0.0;
-      // make_batches rejects a negative or non-finite cost: refuse it
-      // here, where a bad probe file is a reported probe error.
-      if (!(in >> i_s >> c_s) || !parse_u64(i_s, i) ||
-          !parse_double(c_s, c) || !std::isfinite(c) || c < 0.0)
-        return std::nullopt;
-      costs.emplace_back(static_cast<std::size_t>(i), c);
+  auto in = LineReader::open(path);
+  if (!in || in->header() != kPlanHeader) return std::nullopt;
+  std::optional<PlanInfo> info;
+  try {
+    while (in->next()) {
+      if (in->key() == "points") {
+        if (info) return std::nullopt;
+        info.emplace().points = static_cast<std::size_t>(in->u64(1));
+      } else if (in->key() == "cost") {
+        // Costs follow the points line; a plan point without one costs 1.
+        const auto i = static_cast<std::size_t>(in->u64(1));
+        const double c = in->f64(2);
+        // make_batches rejects a negative or non-finite cost: refuse it
+        // here, where a bad probe file is a reported probe error.
+        if (!info || i >= info->points || !std::isfinite(c) || c < 0.0)
+          return std::nullopt;
+        if (info->costs.empty()) info->costs.assign(info->points, 1.0);
+        info->costs[i] = c;
+      }
     }
-  }
-  if (!saw_points) return std::nullopt;
-  // Costs are optional as a block but must cover the plan when present.
-  if (!costs.empty()) {
-    info.costs.assign(info.points, 1.0);
-    for (const auto& [i, c] : costs) {
-      if (i >= info.points) return std::nullopt;
-      info.costs[i] = c;
-    }
+  } catch (const LineError&) {
+    return std::nullopt;
   }
   return info;
 }

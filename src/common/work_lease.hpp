@@ -1,8 +1,9 @@
 #pragma once
 // On-disk handoff for dynamic work-queue scheduling (see shard.hpp for
-// the WorkLease type itself). Three tiny single-purpose file formats,
-// all written atomically (common/atomic_file) so a reader ever sees a
-// complete previous file or a complete new one, never a torn mix:
+// the WorkLease type itself). Three tiny single-purpose line documents
+// (common/line_doc), all written atomically (common/atomic_file) so a
+// reader ever sees a complete previous file or a complete new one,
+// never a torn mix:
 //
 //   * Lease file — scheduler → worker. One per worker slot, rewritten
 //     for every batch: the lease id, the plan indices to run (plus, for
@@ -28,7 +29,8 @@
 //
 // All readers return nullopt for an absent or malformed file instead of
 // throwing: polling loops treat both as "not there yet", and atomic
-// writes make "malformed" unreachable short of manual editing.
+// writes make "malformed" unreachable short of manual editing. They
+// ignore unknown keys and split fields at tabs only.
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -101,7 +103,8 @@ std::string lease_store_path(const std::string& lease_path);
 std::string lease_heartbeat_path(const std::string& lease_path);
 
 /// Atomic writers; throw std::runtime_error on I/O failure (the
-/// scheduler must know its offer never reached the worker).
+/// scheduler must know its offer never reached the worker) and
+/// std::invalid_argument on a path holding a tab, CR or newline.
 void write_lease_offer(const std::string& path, const LeaseOffer& offer);
 void write_lease_acks(const std::string& path, const LeaseAckFile& file);
 void write_plan_info(const std::string& path, const PlanInfo& info);
@@ -109,8 +112,9 @@ void write_plan_info(const std::string& path, const PlanInfo& info);
 /// Readers: the parsed file, or nullopt when absent or malformed. An
 /// ack file is malformed when a record field precedes every `lease`
 /// line, `ready` repeats, or it holds neither a record nor `ready`; a
-/// plan-info file when a cost is negative or not finite (make_batches
-/// could not order it).
+/// plan-info file when `points` repeats, a cost precedes it or indexes
+/// past it, or a cost is negative or not finite (make_batches could not
+/// order it).
 std::optional<LeaseOffer> read_lease_offer(const std::string& path);
 std::optional<LeaseAckFile> read_lease_acks(const std::string& path);
 std::optional<PlanInfo> read_plan_info(const std::string& path);

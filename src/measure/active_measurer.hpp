@@ -141,9 +141,6 @@ class ActiveMeasurer {
                                std::uint32_t processes_per_socket,
                                double tolerance = 0.05);
 
-  const CapacityCalibration& capacity() const { return capacity_; }
-  const BandwidthCalibration& bandwidth() const { return bandwidth_; }
-
  private:
   void check_calibration(Resource resource, std::uint32_t max_threads) const;
   double availability(Resource resource, std::uint32_t k) const;

@@ -14,7 +14,7 @@
 #include <thread>
 
 #include "common/atomic_file.hpp"
-#include "common/strict_number.hpp"
+#include "common/line_doc.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
 #include "measure/worker_fleet.hpp"
@@ -25,19 +25,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// key → rest-of-line split at the first tab.
-bool split_kv(const std::string& line, std::string& key, std::string& value) {
-  const std::size_t tab = line.find('\t');
-  if (tab == std::string::npos) {
-    key = line;
-    value.clear();
-    return !key.empty();
-  }
-  key = line.substr(0, tab);
-  value = line.substr(tab + 1);
-  return !key.empty();
-}
-
 std::optional<JobState> parse_job_state(const std::string& s) {
   for (const JobState st :
        {JobState::kQueued, JobState::kRunning, JobState::kDone,
@@ -47,6 +34,20 @@ std::optional<JobState> parse_job_state(const std::string& s) {
 }
 
 constexpr const char* kQueueHeader = "#am-sweepd-queue v1";
+constexpr const char* kReplyHeader = "#am-reply v1";
+constexpr const char* kManifestHeader = "#am-sweepd-manifest v1";
+
+/// The value of a frame payload's one `<key>\t<value>` line; nullopt
+/// when the line is not that.
+std::optional<std::string> keyed_value(const std::string& line,
+                                       const char* key) {
+  LineReader in("\n" + line);  // a headerless one-record document
+  try {
+    if (in.next() && in.size() == 2 && in.key() == key) return in.str(1);
+  } catch (const LineError&) {
+  }
+  return std::nullopt;
+}
 
 }  // namespace
 
@@ -62,63 +63,50 @@ const char* job_state_name(JobState s) {
 }
 
 std::string encode_reply(const DaemonReply& reply) {
-  std::ostringstream out;
-  out << "#am-reply v1\n";
-  out << "ok\t" << (reply.ok ? 1 : 0) << '\n';
-  out << "retry\t" << (reply.retry ? 1 : 0) << '\n';
-  out << "job\t" << reply.job << '\n';
-  out << "state\t" << job_state_name(reply.state) << '\n';
-  out << "points\t" << reply.points << '\n';
-  out << "done\t" << reply.done_points << '\n';
-  out << "executed\t" << reply.executed << '\n';
-  if (!reply.error.empty()) {
-    // Error text is free-form but must stay one line.
-    std::string e = reply.error;
-    for (char& c : e)
-      if (c == '\n' || c == '\t') c = ' ';
-    out << "error\t" << e << '\n';
-  }
-  return out.str();
+  LineWriter doc(kReplyHeader);
+  doc.row("ok", reply.ok)
+      .row("retry", reply.retry)
+      .row("job", reply.job)
+      .row("state", job_state_name(reply.state))
+      .row("points", reply.points)
+      .row("done", reply.done_points)
+      .row("executed", reply.executed);
+  if (!reply.error.empty()) doc.row("error", one_line(reply.error));
+  return doc.str();
 }
 
 std::optional<DaemonReply> parse_reply(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "#am-reply v1") return std::nullopt;
+  LineReader in(text);
+  if (in.header() != kReplyHeader) return std::nullopt;
   DaemonReply reply;
   bool saw_ok = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::string key, value;
-    if (!split_kv(line, key, value)) return std::nullopt;
-    std::uint64_t u = 0;
-    if (key == "ok") {
-      if (value != "0" && value != "1") return std::nullopt;
-      reply.ok = value == "1";
-      saw_ok = true;
-    } else if (key == "retry") {
-      if (value != "0" && value != "1") return std::nullopt;
-      reply.retry = value == "1";
-    } else if (key == "job") {
-      if (!parse_u64(value, u)) return std::nullopt;
-      reply.job = u;
-    } else if (key == "state") {
-      const auto st = parse_job_state(value);
-      if (!st) return std::nullopt;
-      reply.state = *st;
-    } else if (key == "points") {
-      if (!parse_u64(value, u)) return std::nullopt;
-      reply.points = static_cast<std::size_t>(u);
-    } else if (key == "done") {
-      if (!parse_u64(value, u)) return std::nullopt;
-      reply.done_points = static_cast<std::size_t>(u);
-    } else if (key == "executed") {
-      if (!parse_u64(value, u)) return std::nullopt;
-      reply.executed = static_cast<std::size_t>(u);
-    } else if (key == "error") {
-      reply.error = value;
+  try {
+    while (in.next()) {
+      const std::string& key = in.key();
+      if (key == "ok") {
+        reply.ok = in.flag(1);
+        saw_ok = true;
+      } else if (key == "retry") {
+        reply.retry = in.flag(1);
+      } else if (key == "job") {
+        reply.job = in.u64(1);
+      } else if (key == "state") {
+        const auto st = parse_job_state(in.str(1));
+        if (!st) return std::nullopt;
+        reply.state = *st;
+      } else if (key == "points") {
+        reply.points = static_cast<std::size_t>(in.u64(1));
+      } else if (key == "done") {
+        reply.done_points = static_cast<std::size_t>(in.u64(1));
+      } else if (key == "executed") {
+        reply.executed = static_cast<std::size_t>(in.u64(1));
+      } else if (key == "error") {
+        reply.error = in.str(1);
+      }
+      // Unknown keys are ignored: replies may grow fields.
     }
-    // Unknown keys are ignored: replies may grow fields.
+  } catch (const LineError&) {
+    return std::nullopt;
   }
   if (!saw_ok) return std::nullopt;
   return reply;
@@ -354,66 +342,43 @@ class Server {
 
   void load_queue() {
     const std::string path = SweepDaemon::queue_path(dir_);
-    std::ifstream in(path);
+    auto in = LineReader::open(path);
     if (!in) return;
-    std::string line;
-    if (!std::getline(in, line) || line != kQueueHeader) {
+    if (in->header() != kQueueHeader) {
       log_ << "ignoring unreadable queue file " << path << "\n";
       return;
     }
     std::size_t resumed = 0;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::istringstream ls(line);
-      std::string key;
-      std::getline(ls, key, '\t');
-      if (key == "next_job") {
-        std::string v;
-        std::getline(ls, v, '\t');
-        std::uint64_t u = 0;
-        if (parse_u64(v, u)) next_job_id_ = std::max(next_job_id_, u);
-      } else if (key == "job") {
-        std::string id_s, ns, state_s, points_s, executed_s, error;
-        std::getline(ls, id_s, '\t');
-        std::getline(ls, ns, '\t');
-        std::getline(ls, state_s, '\t');
-        std::getline(ls, points_s, '\t');
-        std::getline(ls, executed_s, '\t');
-        std::getline(ls, error);
-        std::uint64_t id = 0, pts = 0, exec = 0;
-        const auto st = parse_job_state(state_s);
-        Job job;
-        try {
-          if (!parse_u64(id_s, id) || !st || !parse_u64(points_s, pts) ||
-              !parse_u64(executed_s, exec) || !SweepDaemon::valid_namespace(ns))
+    while (true) {
+      try {
+        if (!in->next()) break;
+        if (in->key() == "next_job") {
+          next_job_id_ = std::max(next_job_id_, in->u64(1));
+        } else if (in->key() == "job") {
+          Job job;
+          job.id = in->u64(1);
+          job.ns = in->str(2);
+          const auto st = parse_job_state(in->str(3));
+          if (!st || !SweepDaemon::valid_namespace(job.ns))
             throw std::invalid_argument("malformed job line");
-          job.book = LeaseBook(static_cast<std::size_t>(pts));
-        } catch (const std::exception&) {  // or a count no plan could hold
-          log_ << "queue file: skipping malformed job line\n";
-          continue;
-        }
-        job.id = id;
-        job.ns = ns;
-        job.state = *st;
-        job.book.executed = static_cast<std::size_t>(exec);
-        job.error = error;
-        jobs_.emplace(id, std::move(job));
-        if (*st == JobState::kQueued) ++resumed;
-      } else if (key == "done") {
-        std::string id_s;
-        std::getline(ls, id_s, '\t');
-        std::uint64_t id = 0;
-        Job* job = parse_u64(id_s, id) ? find(id) : nullptr;
-        if (job == nullptr) continue;
-        std::string p_s;
-        while (std::getline(ls, p_s, '\t')) {
-          std::uint64_t p = 0;
-          if (parse_u64(p_s, p) && p < job->book.points() &&
-              !job->book.done[p]) {
-            job->book.done[p] = true;
-            ++job->book.done_points;
+          job.state = *st;
+          job.book = LeaseBook(static_cast<std::size_t>(in->u64(4)));
+          job.book.executed = static_cast<std::size_t>(in->u64(5));
+          if (in->size() > 6) job.error = in->str(6);
+          if (job.state == JobState::kQueued) ++resumed;
+          jobs_.emplace(job.id, std::move(job));
+        } else if (in->key() == "done") {
+          Job* job = find(in->u64(1));
+          for (std::size_t i = 2; job != nullptr && i < in->size(); ++i) {
+            const std::uint64_t p = in->u64(i);
+            if (p < job->book.points() && !job->book.done[p]) {
+              job->book.done[p] = true;
+              ++job->book.done_points;
+            }
           }
         }
+      } catch (const std::exception&) {  // or a count no plan could hold
+        log_ << "queue file: skipping a malformed line\n";
       }
     }
     if (!jobs_.empty())
@@ -710,12 +675,12 @@ class Server {
     Job job;
     try {
       const std::size_t nl = frame.payload.find('\n');
-      std::string key;
-      if (!split_kv(frame.payload.substr(0, nl), key, job.ns) || key != "ns" ||
-          !SweepDaemon::valid_namespace(job.ns))
+      const auto ns = keyed_value(frame.payload.substr(0, nl), "ns");
+      if (!ns || !SweepDaemon::valid_namespace(*ns))
         throw std::invalid_argument(
             "submit payload must start with 'ns\\t<namespace>' "
             "(1-64 chars of [A-Za-z0-9_-])");
+      job.ns = *ns;
       const PlanSpec spec = parse_plan_spec(
           nl == std::string::npos ? "" : frame.payload.substr(nl + 1));
       job.id = next_job_id_++;
@@ -739,11 +704,10 @@ class Server {
   }
 
   void handle_job_request(Conn& conn, const Frame& frame) {
-    std::string key, value;
+    const auto value = keyed_value(frame.payload, "job");
     std::uint64_t id = 0;
     DaemonReply r;
-    if (!split_kv(frame.payload, key, value) || key != "job" ||
-        !parse_u64(value, id)) {
+    if (!value || !parse_u64(*value, id)) {
       r.error = "payload must be 'job\\t<id>'";
       return send_reply(conn, r);
     }
@@ -788,56 +752,51 @@ class Server {
   }
 
   void write_queue() {
-    std::ostringstream out;
-    out << kQueueHeader << '\n';
-    out << "next_job\t" << next_job_id_ << '\n';
+    LineWriter doc(kQueueHeader);
+    doc.row("next_job", next_job_id_);
     for (const auto& [id, job] : jobs_) {
       const JobStatus s = job.status();
       // Running jobs persist as queued: their pending points re-admit on
       // the next start, their completed points ride the `done` line.
       const JobState persisted =
           s.state == JobState::kRunning ? JobState::kQueued : s.state;
-      out << "job\t" << s.id << '\t' << s.ns << '\t'
-          << job_state_name(persisted) << '\t' << s.points << '\t'
-          << s.executed << '\t' << s.error << '\n';
+      doc.row("job", s.id, s.ns, job_state_name(persisted), s.points,
+              s.executed, one_line(s.error));
       if (s.done_points > 0) {
-        out << "done\t" << s.id;
+        std::vector<std::size_t> done;
         for (std::size_t p = 0; p < job.book.points(); ++p)
-          if (job.book.done[p]) out << '\t' << p;
-        out << '\n';
+          if (job.book.done[p]) done.push_back(p);
+        doc.row("done", s.id, done);
       }
     }
-    atomic_write_file(SweepDaemon::queue_path(dir_), out.str(), "sweepd-queue");
+    doc.save(SweepDaemon::queue_path(dir_), "sweepd-queue");
     queue_dirty_ = false;
   }
 
   void write_manifest() {
-    std::ostringstream out;
-    out << "#am-sweepd-manifest v1\n";
-    out << "host\t" << interfere::HostIdentity::detect().fingerprint() << '\n';
-    out << "socket\t" << opts_.socket_path << '\n';
-    out << "workers\t" << opts_.workers << '\n';
-    out << "status\t" << (report_.clean_exit ? "drained" : "failed") << '\n';
-    out << "jobs_accepted\t" << report_.jobs_accepted << '\n';
-    out << "jobs_done\t" << report_.jobs_done << '\n';
-    out << "jobs_failed\t" << report_.jobs_failed << '\n';
-    out << "engine_runs\t" << report_.engine_runs << '\n';
-    out << "protocol_errors\t" << report_.protocol_errors << '\n';
+    LineWriter doc(kManifestHeader);
+    doc.row("host", interfere::HostIdentity::detect().fingerprint())
+        .row("socket", opts_.socket_path)
+        .row("workers", opts_.workers)
+        .row("status", report_.clean_exit ? "drained" : "failed")
+        .row("jobs_accepted", report_.jobs_accepted)
+        .row("jobs_done", report_.jobs_done)
+        .row("jobs_failed", report_.jobs_failed)
+        .row("engine_runs", report_.engine_runs)
+        .row("protocol_errors", report_.protocol_errors);
     for (const JobStatus& j : report_.jobs)
-      out << "job\t" << j.id << '\t' << j.ns << '\t' << job_state_name(j.state)
-          << '\t' << j.points << '\t' << j.done_points << '\t' << j.executed
-          << '\t' << j.error << '\n';
+      doc.row("job", j.id, j.ns, job_state_name(j.state), j.points,
+              j.done_points, j.executed, one_line(j.error));
     std::vector<WorkerStat> spawned;
     for (std::size_t w = 0; w < opts_.workers; ++w) {
       if (!fleet_.ever_spawned(w)) continue;
       const WorkerStat ws = spawned.emplace_back(fleet_.stat(w));
-      out << "worker\t" << w << '\t' << fmt_seconds(ws.busy_seconds) << '\t'
-          << ws.batches << '\t' << ws.points << '\t' << ws.respawns << '\n';
+      doc.row("worker", w, fmt_seconds(ws.busy_seconds), ws.batches,
+              ws.points, ws.respawns);
     }
     if (const auto balance = busy_max_over_mean(spawned); !balance.empty())
-      out << "busy_max_over_mean\t" << balance << '\n';
-    atomic_write_file(SweepDaemon::manifest_path(dir_), out.str(),
-                      "sweepd-manifest");
+      doc.row("busy_max_over_mean", balance);
+    doc.save(SweepDaemon::manifest_path(dir_), "sweepd-manifest");
     log_ << "manifest: " << SweepDaemon::manifest_path(dir_) << "\n";
   }
 

@@ -7,7 +7,6 @@
 
 #include "common/mutex.hpp"
 #include "common/rng.hpp"
-#include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
 
 namespace am::measure {
@@ -63,11 +62,6 @@ std::vector<std::size_t> ExperimentPlan::shard(std::size_t index,
   std::vector<std::size_t> out;
   for (std::size_t i = index; i < points_.size(); i += count) out.push_back(i);
   return out;
-}
-
-std::vector<WorkLease> ExperimentPlan::batches(
-    std::size_t count, const std::vector<double>& costs) const {
-  return make_batches(points_.size(), count, costs);
 }
 
 void ExperimentPlan::check_points(

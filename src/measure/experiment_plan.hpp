@@ -93,22 +93,6 @@ class ExperimentPlan {
   /// index >= count.
   std::vector<std::size_t> shard(std::size_t index, std::size_t count) const;
 
-  /// Splits the plan into `count` cost-ordered slices for dynamic
-  /// scheduling (common/work_lease.hpp make_batches; the orchestrator and
-  /// the daemon lease them to workers in slice order). `costs`, when
-  /// non-empty, gives each plan index a relative cost (size() entries,
-  /// finite and >= 0 — see SweepRunner::estimate_costs); empty means
-  /// uniform. Batch 0 holds the costliest points, and each batch lists
-  /// its points costliest first (ties by plan index). Batches are
-  /// disjoint, cover the plan exactly once and keep original plan
-  /// indices — so per-point seeds, store keys, and therefore results are
-  /// identical to an unsharded run no matter how the batches are
-  /// scheduled. Throws std::invalid_argument when count == 0 or `costs`
-  /// is the wrong length or holds a negative/non-finite entry. count >
-  /// size() leaves the high batches empty.
-  std::vector<WorkLease> batches(std::size_t count,
-                                 const std::vector<double>& costs = {}) const;
-
   /// Throws std::invalid_argument unless `indices` are distinct plan
   /// indices below size() — the check every work list (a shard slice, a
   /// leased batch) passes before any of it runs.

@@ -5,15 +5,20 @@
 #include <cstdint>
 #include <filesystem>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "common/atomic_file.hpp"
+#include "common/line_doc.hpp"
 #include "interfere/host_identity.hpp"
 
 namespace am::measure {
+
+namespace {
+
+constexpr const char* kManifestHeader = "#am-sweep-manifest v1";
+
+}  // namespace
 
 SweepOrchestrator::SweepOrchestrator(OrchestratorOptions opts)
     : opts_(std::move(opts)) {
@@ -307,52 +312,44 @@ void SweepOrchestrator::run_lease(OrchestratorReport& report,
 
 void SweepOrchestrator::write_manifest(
     const OrchestratorReport& report) const {
-  std::ostringstream out;
-  out << "#am-sweep-manifest v1\n";
-  out << "host\t" << interfere::HostIdentity::detect().fingerprint() << '\n';
-  out << "driver\t" << opts_.driver << '\n';
   std::string cmd;
-  for (const auto& a : opts_.worker_command) {
-    if (!cmd.empty()) cmd += ' ';
-    cmd += a;
-  }
-  out << "command\t" << cmd << '\n';
-  out << "schedule\tlease\n";
-  out << "workers\t" << opts_.workers << '\n';
-  out << "retries\t" << opts_.retries << '\n';
+  for (const auto& a : opts_.worker_command)
+    cmd += (cmd.empty() ? "" : " ") + a;
+  LineWriter doc(kManifestHeader);
+  doc.row("host", interfere::HostIdentity::detect().fingerprint())
+      .row("driver", opts_.driver)
+      .row("command", one_line(cmd))
+      .row("schedule", "lease")
+      .row("workers", opts_.workers)
+      .row("retries", opts_.retries);
   if (report.plan_points != SIZE_MAX)
-    out << "plan_points\t" << report.plan_points << '\n';
-  out << "status\t" << (report.success ? "ok" : "failed") << '\n';
-  if (!report.error.empty()) out << "error\t" << report.error << '\n';
-  out << "merged\t" << report.merged_path << '\n';
-  out << "records\t" << report.merged_records << '\n';
-  out << "engine_runs\t" << report.engine_runs << '\n';
-  out << "wall_seconds\t" << fmt_seconds(report.wall_seconds) << '\n';
-  for (const auto p : report.missing_points)
-    out << "missing_point\t" << p << '\n';
+    doc.row("plan_points", report.plan_points);
+  doc.row("status", report.success ? "ok" : "failed");
+  if (!report.error.empty()) doc.row("error", one_line(report.error));
+  doc.row("merged", report.merged_path)
+      .row("records", report.merged_records)
+      .row("engine_runs", report.engine_runs)
+      .row("wall_seconds", fmt_seconds(report.wall_seconds));
+  for (const auto p : report.missing_points) doc.row("missing_point", p);
   // attempt <slot> <attempt> <status> <wall_s> <heartbeats>
   for (const auto& a : report.attempts)
-    out << "attempt\t" << a.shard << '\t' << a.attempt << '\t'
-        << a.status.describe() << (a.stalled ? " [stalled]" : "") << '\t'
-        << fmt_seconds(a.wall_seconds) << '\t' << a.heartbeats << '\n';
+    doc.row("attempt", a.shard, a.attempt,
+            a.status.describe() + (a.stalled ? " [stalled]" : ""),
+            fmt_seconds(a.wall_seconds), a.heartbeats);
   // lease <id> <slot> <points> <cost> <executed> <wall_s> <ok|requeued>
   for (const auto& l : report.leases)
-    out << "lease\t" << l.id << '\t' << l.worker << '\t' << l.points << '\t'
-        << fmt_seconds(l.cost) << '\t'
-        << (l.executed == SIZE_MAX ? std::string("-")
-                                   : std::to_string(l.executed))
-        << '\t' << fmt_seconds(l.wall_seconds) << '\t'
-        << (l.completed ? "ok" : "requeued") << '\n';
+    doc.row("lease", l.id, l.worker, l.points, fmt_seconds(l.cost),
+            l.executed == SIZE_MAX ? std::string("-")
+                                   : std::to_string(l.executed),
+            fmt_seconds(l.wall_seconds), l.completed ? "ok" : "requeued");
   // worker <slot> <busy_s> <batches> <points> <respawns> <steals>
   for (const auto& ws : report.worker_stats)
-    out << "worker\t" << ws.worker << '\t' << fmt_seconds(ws.busy_seconds)
-        << '\t' << ws.batches << '\t' << ws.points << '\t' << ws.respawns
-        << '\t' << ws.steals << '\n';
+    doc.row("worker", ws.worker, fmt_seconds(ws.busy_seconds), ws.batches,
+            ws.points, ws.respawns, ws.steals);
   if (const auto balance = busy_max_over_mean(report.worker_stats);
       !balance.empty())
-    out << "busy_max_over_mean\t" << balance << '\n';
-  atomic_write_file(manifest_path(opts_.results_dir, opts_.driver),
-                    out.str(), "orchestrator");
+    doc.row("busy_max_over_mean", balance);
+  doc.save(manifest_path(opts_.results_dir, opts_.driver), "orchestrator");
 }
 
 }  // namespace am::measure

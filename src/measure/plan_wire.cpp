@@ -1,12 +1,9 @@
 #include "measure/plan_wire.hpp"
 
-#include <cstdio>
-#include <sstream>
 #include <stdexcept>
 
-#include "common/strict_number.hpp"
+#include "common/line_doc.hpp"
 #include "measure/app_workloads.hpp"
-#include "measure/tsv.hpp"
 
 namespace am::measure {
 
@@ -14,40 +11,9 @@ namespace {
 
 constexpr const char* kHeader = "#am-plan-spec v1";
 
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
 [[noreturn]] void bad(std::size_t lineno, const std::string& why) {
   throw std::invalid_argument("plan-spec line " + std::to_string(lineno) +
                               ": " + why);
-}
-
-std::uint64_t parse_u64(const std::string& s, std::size_t lineno,
-                        const char* what) {
-  std::uint64_t v = 0;
-  if (!am::parse_u64(s, v))
-    bad(lineno, std::string(what) +
-                    " must be a non-negative integer below 2^64, got '" + s +
-                    "'");
-  return v;
-}
-
-std::uint32_t parse_u32(const std::string& s, std::size_t lineno,
-                        const char* what) {
-  const std::uint64_t v = parse_u64(s, lineno, what);
-  if (v > UINT32_MAX) bad(lineno, std::string(what) + " out of range");
-  return static_cast<std::uint32_t>(v);
-}
-
-double parse_double(const std::string& s, std::size_t lineno,
-                    const char* what) {
-  double v = 0.0;
-  if (!am::parse_double(s, v))
-    bad(lineno, std::string(what) + " must be a number, got '" + s + "'");
-  return v;
 }
 
 const char* dist_kind_name(model::DistKind kind) {
@@ -75,14 +41,20 @@ Resource parse_resource_word(const std::string& s, std::size_t lineno) {
   bad(lineno, "unknown resource '" + s + "' (cache-storage|bandwidth)");
 }
 
+void check_point_refs(const PlanSpec& spec) {
+  for (const auto& p : spec.points)
+    if (p.workload >= spec.workloads.size())
+      throw std::invalid_argument(
+          "plan-spec: point references workload " +
+          std::to_string(p.workload) + " but only " +
+          std::to_string(spec.workloads.size()) + " are declared");
+}
+
+/// Names travel as fields; the codec refuses tabs and newlines in them.
 void check_name(const std::string& name, const char* what) {
   if (name.empty())
     throw std::invalid_argument(std::string("plan-spec: ") + what +
                                 " must not be empty");
-  if (name.find('\t') != std::string::npos ||
-      name.find('\n') != std::string::npos)
-    throw std::invalid_argument(std::string("plan-spec: ") + what + " '" +
-                                name + "' contains a tab or newline");
 }
 
 }  // namespace
@@ -123,170 +95,152 @@ std::string serialize_plan_spec(const PlanSpec& spec) {
   if (spec.machine_scale == 0)
     throw std::invalid_argument("plan-spec: machine scale must be >= 1");
   check_name(spec.mem_backend, "memory backend");
-  std::ostringstream out;
-  out << kHeader << '\n';
-  out << "machine\tscale\t" << spec.machine_scale << "\tnodes\t"
-      << spec.machine_nodes << "\tbackend\t" << spec.mem_backend << '\n';
-  out << "run\tseed\t" << spec.seed << "\tmax_cycles\t" << spec.max_cycles
-      << "\tmix_seed\t" << (spec.mix_seed_per_point ? 1 : 0) << '\n';
-  out << "cs\t" << spec.cs.buffer_bytes << '\t' << spec.cs.batch_size << '\n';
-  out << "bw\t" << spec.bw.buffer_bytes << '\t' << spec.bw.num_buffers << '\t'
-      << spec.bw.line_stride << '\t' << spec.bw.index_compute_cycles << '\t'
-      << spec.bw.buffers_per_step << '\n';
+  LineWriter doc(kHeader);
+  doc.row("machine", "scale", spec.machine_scale, "nodes", spec.machine_nodes,
+          "backend", spec.mem_backend);
+  doc.row("run", "seed", spec.seed, "max_cycles", spec.max_cycles,
+          "mix_seed", spec.mix_seed_per_point);
+  doc.row("cs", spec.cs.buffer_bytes, spec.cs.batch_size);
+  doc.row("bw", spec.bw.buffer_bytes, spec.bw.num_buffers,
+          spec.bw.line_stride, spec.bw.index_compute_cycles,
+          spec.bw.buffers_per_step);
   for (const auto& w : spec.workloads) {
     check_name(w.name, "workload name");
     switch (w.kind) {
       case WorkloadWire::Kind::kSynthetic: {
-        std::string dist_name = w.dist_name.empty() ? w.name : w.dist_name;
-        check_name(dist_name, "distribution name");
-        out << "workload\tsynthetic\t" << w.name << '\t' << dist_name << '\t'
-            << dist_kind_name(w.dist) << '\t' << w.n << '\t' << num(w.dist_a)
-            << '\t' << num(w.dist_b) << '\t' << w.element_bytes << '\t'
-            << w.compute_ops << '\t' << w.warmup_accesses << '\t'
-            << w.measured_accesses << '\n';
+        const std::string& dist_name =
+            w.dist_name.empty() ? w.name : w.dist_name;
+        doc.row("workload", "synthetic", w.name, dist_name,
+                dist_kind_name(w.dist), w.n, w.dist_a, w.dist_b,
+                w.element_bytes, w.compute_ops, w.warmup_accesses,
+                w.measured_accesses);
         break;
       }
       case WorkloadWire::Kind::kMcb:
-        out << "workload\tmcb\t" << w.name << '\t' << w.ranks << '\t'
-            << w.per_socket << '\t' << w.particles << '\t' << w.steps << '\t'
-            << w.app_scale << '\n';
+        doc.row("workload", "mcb", w.name, w.ranks, w.per_socket,
+                w.particles, w.steps, w.app_scale);
         break;
       case WorkloadWire::Kind::kLulesh:
-        out << "workload\tlulesh\t" << w.name << '\t' << w.ranks << '\t'
-            << w.per_socket << '\t' << w.edge << '\t' << w.steps << '\t'
-            << w.app_scale << '\n';
+        doc.row("workload", "lulesh", w.name, w.ranks, w.per_socket, w.edge,
+                w.steps, w.app_scale);
         break;
     }
   }
-  for (const auto& p : spec.points) {
-    if (p.workload >= spec.workloads.size())
-      throw std::invalid_argument(
-          "plan-spec: point references workload " +
-          std::to_string(p.workload) + " but only " +
-          std::to_string(spec.workloads.size()) + " are declared");
-    out << "point\t" << p.workload << '\t' << resource_name(p.resource)
-        << '\t' << p.threads << '\n';
-  }
-  out << "end\n";
-  return out.str();
+  check_point_refs(spec);
+  for (const auto& p : spec.points)
+    doc.row("point", p.workload, resource_name(p.resource), p.threads);
+  doc.row("end");
+  return doc.str();
 }
 
 PlanSpec parse_plan_spec(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != kHeader)
+  LineReader in(text);
+  if (in.header() != kHeader)
     throw std::invalid_argument(
         std::string("plan-spec: missing '") + kHeader + "' header");
   PlanSpec spec;
   bool saw_machine = false, saw_run = false, saw_end = false;
-  std::size_t lineno = 1;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    if (saw_end) bad(lineno, "content after the 'end' trailer");
-    const std::vector<std::string> f = split_tabs(line);
-    const std::string& key = f[0];
-    if (key == "machine") {
-      if (f.size() != 7 || f[1] != "scale" || f[3] != "nodes" ||
-          f[5] != "backend")
-        bad(lineno, "machine line must be "
-                    "'machine\\tscale\\tS\\tnodes\\tN\\tbackend\\tB'");
-      spec.machine_scale = parse_u32(f[2], lineno, "machine scale");
-      if (spec.machine_scale == 0) bad(lineno, "machine scale must be >= 1");
-      spec.machine_nodes = parse_u32(f[4], lineno, "machine nodes");
-      if (spec.machine_nodes == 0) bad(lineno, "machine nodes must be >= 1");
-      spec.mem_backend = f[6];
-      if (spec.mem_backend.empty()) bad(lineno, "empty memory backend");
-      saw_machine = true;
-    } else if (key == "run") {
-      if (f.size() != 7 || f[1] != "seed" || f[3] != "max_cycles" ||
-          f[5] != "mix_seed")
-        bad(lineno, "run line must be "
-                    "'run\\tseed\\tS\\tmax_cycles\\tC\\tmix_seed\\t0|1'");
-      spec.seed = parse_u64(f[2], lineno, "seed");
-      spec.max_cycles = parse_u64(f[4], lineno, "max_cycles");
-      if (f[6] != "0" && f[6] != "1") bad(lineno, "mix_seed must be 0 or 1");
-      spec.mix_seed_per_point = f[6] == "1";
-      saw_run = true;
-    } else if (key == "cs") {
-      if (f.size() != 3) bad(lineno, "cs line must carry 2 fields");
-      spec.cs.buffer_bytes = parse_u64(f[1], lineno, "cs buffer_bytes");
-      spec.cs.batch_size = parse_u32(f[2], lineno, "cs batch_size");
-    } else if (key == "bw") {
-      if (f.size() != 6) bad(lineno, "bw line must carry 5 fields");
-      spec.bw.buffer_bytes = parse_u64(f[1], lineno, "bw buffer_bytes");
-      spec.bw.num_buffers = parse_u32(f[2], lineno, "bw num_buffers");
-      spec.bw.line_stride = parse_u32(f[3], lineno, "bw line_stride");
-      spec.bw.index_compute_cycles =
-          parse_u32(f[4], lineno, "bw index_compute_cycles");
-      spec.bw.buffers_per_step = parse_u32(f[5], lineno, "bw buffers_per_step");
-    } else if (key == "workload") {
-      if (f.size() < 2) bad(lineno, "workload line missing its kind");
-      WorkloadWire w;
-      if (f[1] == "synthetic") {
-        if (f.size() != 12)
-          bad(lineno, "synthetic workload must carry 10 fields");
-        w.kind = WorkloadWire::Kind::kSynthetic;
-        w.name = f[2];
-        w.dist_name = f[3];
-        w.dist = parse_dist_kind(f[4], lineno);
-        w.n = parse_u64(f[5], lineno, "buffer elements");
-        if (w.n == 0) bad(lineno, "buffer elements must be >= 1");
-        w.dist_a = parse_double(f[6], lineno, "distribution parameter a");
-        w.dist_b = parse_double(f[7], lineno, "distribution parameter b");
-        w.element_bytes = parse_u64(f[8], lineno, "element_bytes");
-        w.compute_ops = parse_u32(f[9], lineno, "compute_ops");
-        w.warmup_accesses = parse_u64(f[10], lineno, "warmup_accesses");
-        w.measured_accesses = parse_u64(f[11], lineno, "measured_accesses");
-      } else if (f[1] == "mcb" || f[1] == "lulesh") {
-        if (f.size() != 8)
-          bad(lineno, f[1] + " workload must carry 6 fields");
-        w.kind = f[1] == "mcb" ? WorkloadWire::Kind::kMcb
-                               : WorkloadWire::Kind::kLulesh;
-        w.name = f[2];
-        w.ranks = parse_u32(f[3], lineno, "ranks");
-        if (w.ranks == 0) bad(lineno, "ranks must be >= 1");
-        w.per_socket = parse_u32(f[4], lineno, "per_socket");
-        if (w.per_socket == 0) bad(lineno, "per_socket must be >= 1");
-        const char* dim = w.kind == WorkloadWire::Kind::kMcb ? "particles"
-                                                             : "edge";
-        const std::uint32_t size = parse_u32(f[5], lineno, dim);
-        if (size == 0) bad(lineno, std::string(dim) + " must be >= 1");
-        (w.kind == WorkloadWire::Kind::kMcb ? w.particles : w.edge) = size;
-        w.steps = parse_u32(f[6], lineno, "steps");
-        w.app_scale = parse_u32(f[7], lineno, "app scale");
-        if (w.app_scale == 0) bad(lineno, "app scale must be >= 1");
+  try {
+    while (in.next()) {
+      const std::size_t lineno = in.line();
+      if (saw_end) bad(lineno, "content after the 'end' trailer");
+      const std::string& key = in.key();
+      if (key == "machine") {
+        if (in.size() != 7 || in.str(1) != "scale" || in.str(3) != "nodes" ||
+            in.str(5) != "backend")
+          bad(lineno, "machine line must be "
+                      "'machine\\tscale\\tS\\tnodes\\tN\\tbackend\\tB'");
+        spec.machine_scale = in.u32(2, "machine scale");
+        if (spec.machine_scale == 0) bad(lineno, "machine scale must be >= 1");
+        spec.machine_nodes = in.u32(4, "machine nodes");
+        if (spec.machine_nodes == 0) bad(lineno, "machine nodes must be >= 1");
+        spec.mem_backend = in.str(6);
+        if (spec.mem_backend.empty()) bad(lineno, "empty memory backend");
+        saw_machine = true;
+      } else if (key == "run") {
+        if (in.size() != 7 || in.str(1) != "seed" || in.str(3) != "max_cycles" ||
+            in.str(5) != "mix_seed")
+          bad(lineno, "run line must be "
+                      "'run\\tseed\\tS\\tmax_cycles\\tC\\tmix_seed\\t0|1'");
+        spec.seed = in.u64(2, "seed");
+        spec.max_cycles = in.u64(4, "max_cycles");
+        spec.mix_seed_per_point = in.flag(6, "mix_seed");
+        saw_run = true;
+      } else if (key == "cs") {
+        if (in.size() != 3) bad(lineno, "cs line must carry 2 fields");
+        spec.cs.buffer_bytes = in.u64(1, "cs buffer_bytes");
+        spec.cs.batch_size = in.u32(2, "cs batch_size");
+      } else if (key == "bw") {
+        if (in.size() != 6) bad(lineno, "bw line must carry 5 fields");
+        spec.bw.buffer_bytes = in.u64(1, "bw buffer_bytes");
+        spec.bw.num_buffers = in.u32(2, "bw num_buffers");
+        spec.bw.line_stride = in.u32(3, "bw line_stride");
+        spec.bw.index_compute_cycles = in.u32(4, "bw index_compute_cycles");
+        spec.bw.buffers_per_step = in.u32(5, "bw buffers_per_step");
+      } else if (key == "workload") {
+        const std::string& kind = in.str(1, "workload kind");
+        WorkloadWire w;
+        if (kind == "synthetic") {
+          if (in.size() != 12)
+            bad(lineno, "synthetic workload must carry 10 fields");
+          w.kind = WorkloadWire::Kind::kSynthetic;
+          w.name = in.str(2);
+          w.dist_name = in.str(3);
+          w.dist = parse_dist_kind(in.str(4), lineno);
+          w.n = in.u64(5, "buffer elements");
+          if (w.n == 0) bad(lineno, "buffer elements must be >= 1");
+          w.dist_a = in.f64(6, "distribution parameter a");
+          w.dist_b = in.f64(7, "distribution parameter b");
+          w.element_bytes = in.u64(8, "element_bytes");
+          w.compute_ops = in.u32(9, "compute_ops");
+          w.warmup_accesses = in.u64(10, "warmup_accesses");
+          w.measured_accesses = in.u64(11, "measured_accesses");
+        } else if (kind == "mcb" || kind == "lulesh") {
+          if (in.size() != 8)
+            bad(lineno, kind + " workload must carry 6 fields");
+          w.kind = kind == "mcb" ? WorkloadWire::Kind::kMcb
+                                 : WorkloadWire::Kind::kLulesh;
+          w.name = in.str(2);
+          w.ranks = in.u32(3, "ranks");
+          if (w.ranks == 0) bad(lineno, "ranks must be >= 1");
+          w.per_socket = in.u32(4, "per_socket");
+          if (w.per_socket == 0) bad(lineno, "per_socket must be >= 1");
+          const char* dim =
+              w.kind == WorkloadWire::Kind::kMcb ? "particles" : "edge";
+          const std::uint32_t size = in.u32(5, dim);
+          if (size == 0) bad(lineno, std::string(dim) + " must be >= 1");
+          (w.kind == WorkloadWire::Kind::kMcb ? w.particles : w.edge) = size;
+          w.steps = in.u32(6, "steps");
+          w.app_scale = in.u32(7, "app scale");
+          if (w.app_scale == 0) bad(lineno, "app scale must be >= 1");
+        } else {
+          bad(lineno, "unknown workload kind '" + kind +
+                          "' (synthetic|mcb|lulesh)");
+        }
+        if (w.name.empty()) bad(lineno, "empty workload name");
+        spec.workloads.push_back(std::move(w));
+      } else if (key == "point") {
+        if (in.size() != 4) bad(lineno, "point line must carry 3 fields");
+        PointWire p;
+        p.workload = static_cast<std::size_t>(in.u64(1, "workload index"));
+        p.resource = parse_resource_word(in.str(2), lineno);
+        p.threads = in.u32(3, "threads");
+        spec.points.push_back(p);
+      } else if (key == "end") {
+        saw_end = true;
       } else {
-        bad(lineno, "unknown workload kind '" + f[1] +
-                        "' (synthetic|mcb|lulesh)");
+        bad(lineno, "unknown keyword '" + key + "'");
       }
-      if (w.name.empty()) bad(lineno, "empty workload name");
-      spec.workloads.push_back(std::move(w));
-    } else if (key == "point") {
-      if (f.size() != 4) bad(lineno, "point line must carry 3 fields");
-      PointWire p;
-      p.workload =
-          static_cast<std::size_t>(parse_u64(f[1], lineno, "workload index"));
-      p.resource = parse_resource_word(f[2], lineno);
-      p.threads = parse_u32(f[3], lineno, "threads");
-      spec.points.push_back(p);
-    } else if (key == "end") {
-      saw_end = true;
-    } else {
-      bad(lineno, "unknown keyword '" + key + "'");
     }
+  } catch (const LineError& e) {
+    bad(e.line(), e.what());
   }
   if (!saw_end)
     throw std::invalid_argument(
         "plan-spec: missing 'end' trailer (truncated spec)");
   if (!saw_machine) throw std::invalid_argument("plan-spec: no machine line");
   if (!saw_run) throw std::invalid_argument("plan-spec: no run line");
-  for (const auto& p : spec.points)
-    if (p.workload >= spec.workloads.size())
-      throw std::invalid_argument(
-          "plan-spec: point references workload " +
-          std::to_string(p.workload) + " but only " +
-          std::to_string(spec.workloads.size()) + " are declared");
+  check_point_refs(spec);
   return spec;
 }
 

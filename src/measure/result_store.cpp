@@ -2,28 +2,26 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/atomic_file.hpp"
 #include "common/fingerprint.hpp"
-#include "common/strict_number.hpp"
+#include "common/line_doc.hpp"
 #include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
-#include "measure/tsv.hpp"
 
 namespace am::measure {
 
 namespace {
 
-constexpr const char* kHeader = "#am-result-store v1";
+constexpr std::string_view kHeader = "#am-result-store v1";
 // Run-time sidecar (`<path>.times`): "fp <tab> hexfloat-seconds" per
 // line. Separate from the canonical TSV on purpose — wall-clocks differ
 // run to run, and the canonical file's bytes must not.
@@ -37,30 +35,6 @@ constexpr std::size_t kColumns = 28;
                        const std::string& why) {
   throw std::runtime_error("ResultStore: " + path + ":" +
                            std::to_string(line) + ": " + why);
-}
-
-/// Hexfloat rendering: round-trips every finite double bit-exactly, so a
-/// cached table is indistinguishable from a recomputed one.
-std::string num(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-double parse_double(const std::string& s, const std::string& path,
-                    std::size_t line) {
-  double v = 0.0;
-  if (!am::parse_double(s, v))
-    fail(path, line, "bad floating-point field '" + s + "'");
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& s, const std::string& path,
-                        std::size_t line) {
-  std::uint64_t v = 0;
-  if (!am::parse_u64(s, v))
-    fail(path, line, "bad or out-of-range integer field '" + s + "'");
-  return v;
 }
 
 Resource parse_resource(const std::string& s, const std::string& path,
@@ -205,114 +179,110 @@ std::string ScenarioKey::fingerprint() const {
 
 ResultStore ResultStore::load(const std::string& path,
                               const StoreLoadOptions& opts) {
-  std::ifstream in(path);
+  auto in = LineReader::open(path);
   if (!in) throw std::runtime_error("ResultStore: cannot open " + path);
-
-  std::string line;
-  std::size_t lineno = 1;
-  const auto strip_cr = [](std::string& s) {
-    if (!s.empty() && s.back() == '\r') s.pop_back();
-  };
-  if (!std::getline(in, line)) fail(path, lineno, "empty file (no header)");
-  strip_cr(line);
-  if (line != kHeader) {
-    if (line.rfind("#am-result-store", 0) == 0)
-      fail(path, lineno,
-           "format version mismatch: file says '" + line + "', this build " +
-               "reads v" + std::to_string(kFormatVersion) +
+  if (in->header().empty()) fail(path, 1, "empty file (no header)");
+  if (in->header() != kHeader) {
+    if (in->header().starts_with(kHeader.substr(0, kHeader.find(' '))))
+      fail(path, 1,
+           "format version mismatch: file says '" + in->header() +
+               "', this build reads v" + std::to_string(kFormatVersion) +
                " — re-run the sweep or convert the store");
-    fail(path, lineno, "not a result store (missing '" +
-                           std::string(kHeader) + "' header)");
+    fail(path, 1, "not a result store (missing '" + std::string(kHeader) +
+                      "' header)");
   }
 
   ResultStore store;
-  while (std::getline(in, line)) {
-    ++lineno;
-    strip_cr(line);
-    if (line.empty() || line[0] == '#') continue;  // comments permitted
-    const auto cols = split_tabs(line);
-    if (cols.size() != kColumns)
-      fail(path, lineno,
-           "expected " + std::to_string(kColumns) + " fields, got " +
-               std::to_string(cols.size()));
+  try {
+    while (in->next()) {
+      if (in->key().starts_with('#')) continue;  // comments permitted
+      const std::size_t lineno = in->line();
+      if (in->size() != kColumns)
+        fail(path, lineno,
+             "expected " + std::to_string(kColumns) + " fields, got " +
+                 std::to_string(in->size()));
 
-    ResultRecord rec;
-    rec.host = cols[1];
-    rec.key.machine = cols[2];
-    rec.key.workload = cols[3];
-    rec.key.resource = parse_resource(cols[4], path, lineno);
-    rec.key.threads =
-        static_cast<std::uint32_t>(parse_u64(cols[5], path, lineno));
-    rec.key.spec = cols[6];
-    rec.key.seed = parse_u64(cols[7], path, lineno);
-    rec.key.max_cycles = parse_u64(cols[8], path, lineno);
+      ResultRecord rec;
+      rec.host = in->str(1);
+      rec.key.machine = in->str(2);
+      rec.key.workload = in->str(3);
+      rec.key.resource = parse_resource(in->str(4), path, lineno);
+      rec.key.threads = in->u32(5);
+      rec.key.spec = in->str(6);
+      rec.key.seed = in->u64(7);
+      rec.key.max_cycles = in->u64(8);
 
-    auto& r = rec.result;
-    r.seconds = parse_double(cols[9], path, lineno);
-    r.cycles = parse_u64(cols[10], path, lineno);
-    auto& c = r.app;
-    c.loads = parse_u64(cols[11], path, lineno);
-    c.stores = parse_u64(cols[12], path, lineno);
-    c.l1_hits = parse_u64(cols[13], path, lineno);
-    c.l2_hits = parse_u64(cols[14], path, lineno);
-    c.l3_hits = parse_u64(cols[15], path, lineno);
-    c.mem_accesses = parse_u64(cols[16], path, lineno);
-    c.prefetch_issued = parse_u64(cols[17], path, lineno);
-    c.prefetch_dropped = parse_u64(cols[18], path, lineno);
-    c.writebacks = parse_u64(cols[19], path, lineno);
-    c.bytes_from_mem = parse_u64(cols[20], path, lineno);
-    c.compute_cycles = parse_u64(cols[21], path, lineno);
-    c.stall_cycles = parse_u64(cols[22], path, lineno);
-    r.app_l3_miss_rate = parse_double(cols[23], path, lineno);
-    r.app_mem_bandwidth = parse_double(cols[24], path, lineno);
-    r.total_mem_bandwidth = parse_double(cols[25], path, lineno);
-    r.interference_threads = parse_u64(cols[26], path, lineno);
-    const auto timed_out = parse_u64(cols[27], path, lineno);
-    if (timed_out > 1) fail(path, lineno, "timed_out must be 0 or 1");
-    r.timed_out = timed_out != 0;
+      auto& r = rec.result;
+      r.seconds = in->f64(9);
+      r.cycles = in->u64(10);
+      auto& c = r.app;
+      c.loads = in->u64(11);
+      c.stores = in->u64(12);
+      c.l1_hits = in->u64(13);
+      c.l2_hits = in->u64(14);
+      c.l3_hits = in->u64(15);
+      c.mem_accesses = in->u64(16);
+      c.prefetch_issued = in->u64(17);
+      c.prefetch_dropped = in->u64(18);
+      c.writebacks = in->u64(19);
+      c.bytes_from_mem = in->u64(20);
+      c.compute_cycles = in->u64(21);
+      c.stall_cycles = in->u64(22);
+      r.app_l3_miss_rate = in->f64(23);
+      r.app_mem_bandwidth = in->f64(24);
+      r.total_mem_bandwidth = in->f64(25);
+      r.interference_threads = in->u64(26);
+      r.timed_out = in->flag(27, "timed_out");
 
-    if (rec.key.fingerprint() != cols[0])
-      fail(path, lineno,
-           "fingerprint mismatch (stored " + cols[0] + ", fields hash to " +
-               rec.key.fingerprint() + ") — record was edited or corrupted");
-    if (!opts.expect_host.empty() && rec.host != opts.expect_host)
-      fail(path, lineno,
-           "host fingerprint mismatch: record was measured on host " +
-               rec.host + ", expected " + opts.expect_host +
-               " — refusing to mix machines' numbers");
-    if (!opts.expect_machine.empty() && rec.key.machine != opts.expect_machine)
-      fail(path, lineno,
-           "simulated-machine fingerprint mismatch: record is for machine " +
-               rec.key.machine + ", expected " + opts.expect_machine);
+      const std::string& fp = in->key();
+      if (rec.key.fingerprint() != fp)
+        fail(path, lineno,
+             "fingerprint mismatch (stored " + fp + ", fields hash to " +
+                 rec.key.fingerprint() +
+                 ") — record was edited or corrupted");
+      if (!opts.expect_host.empty() && rec.host != opts.expect_host)
+        fail(path, lineno,
+             "host fingerprint mismatch: record was measured on host " +
+                 rec.host + ", expected " + opts.expect_host +
+                 " — refusing to mix machines' numbers");
+      if (!opts.expect_machine.empty() &&
+          rec.key.machine != opts.expect_machine)
+        fail(path, lineno,
+             "simulated-machine fingerprint mismatch: record is for "
+             "machine " +
+                 rec.key.machine + ", expected " + opts.expect_machine);
 
-    const auto [it, inserted] = store.records_.emplace(cols[0], rec);
-    if (!inserted && !(it->second.key == rec.key))
-      fail(path, lineno, "fingerprint collision between two distinct keys");
-    if (!inserted && !bits_equal(it->second.result, rec.result))
-      // Hand-concatenated shard files, not `amresult merge`: the same
-      // scenario appears twice with different numbers. Refuse to pick.
-      fail(path, lineno,
-           "duplicate record for scenario '" + rec.key.workload + "' × " +
-               resource_name(rec.key.resource) + " × " +
-               std::to_string(rec.key.threads) +
-               " threads with conflicting results — one of them is stale");
+      const auto [it, inserted] = store.records_.emplace(fp, rec);
+      if (!inserted && !(it->second.key == rec.key))
+        fail(path, lineno, "fingerprint collision between two distinct keys");
+      if (!inserted && !bits_equal(it->second.result, rec.result))
+        // Hand-concatenated shard files, not `amresult merge`: the same
+        // scenario appears twice with different numbers. Refuse to pick.
+        fail(path, lineno,
+             "duplicate record for scenario '" + rec.key.workload + "' × " +
+                 resource_name(rec.key.resource) + " × " +
+                 std::to_string(rec.key.threads) +
+                 " threads with conflicting results — one of them is stale");
+    }
+  } catch (const LineError& e) {
+    fail(path, e.line(), e.what());
   }
 
   // Run-time sidecar: best effort. A missing, stale, or malformed sidecar
   // only costs scheduling accuracy, so unlike the canonical file it is
-  // never a load error; entries for unknown fingerprints are ignored.
-  std::ifstream times(path + ".times");
-  if (times && std::getline(times, line) && line == kTimesHeader)
-    while (std::getline(times, line)) {
-      strip_cr(line);
-      const auto cols = split_tabs(line);
-      if (cols.size() != 2) continue;
-      const auto it = store.records_.find(cols[0]);
-      if (it == store.records_.end()) continue;
-      double v = 0.0;
-      if (am::parse_double(cols[1], v) && v >= 0.0)
-        it->second.run_seconds = v;
+  // never a load error; entries for unknown fingerprints are ignored, and
+  // a line the codec cannot read ends the sidecar.
+  auto times = LineReader::open(path + ".times");
+  if (!times || times->header() != kTimesHeader) return store;
+  try {
+    while (times->next()) {
+      const auto it = store.records_.find(times->key());
+      if (times->size() != 2 || it == store.records_.end()) continue;
+      const double v = times->f64(1);
+      if (v >= 0.0) it->second.run_seconds = v;
     }
+  } catch (const LineError&) {
+  }
   return store;
 }
 
@@ -384,38 +354,31 @@ void ResultStore::merge(const ResultStore& other) {
 }
 
 void ResultStore::save(const std::string& path) const {
-  std::ostringstream out;
-  out << kHeader << '\n';
+  LineWriter doc(kHeader);
   for (const auto& [fp, rec] : records_) {
     const auto& r = rec.result;
     const auto& c = r.app;
-    out << fp << '\t' << rec.host << '\t' << rec.key.machine << '\t'
-        << rec.key.workload << '\t' << resource_name(rec.key.resource)
-        << '\t' << rec.key.threads << '\t' << rec.key.spec << '\t'
-        << rec.key.seed << '\t' << rec.key.max_cycles << '\t'
-        << num(r.seconds) << '\t' << r.cycles
-        << '\t' << c.loads << '\t' << c.stores << '\t' << c.l1_hits << '\t'
-        << c.l2_hits << '\t' << c.l3_hits << '\t' << c.mem_accesses << '\t'
-        << c.prefetch_issued << '\t' << c.prefetch_dropped << '\t'
-        << c.writebacks << '\t' << c.bytes_from_mem << '\t'
-        << c.compute_cycles << '\t' << c.stall_cycles << '\t'
-        << num(r.app_l3_miss_rate) << '\t' << num(r.app_mem_bandwidth)
-        << '\t' << num(r.total_mem_bandwidth) << '\t'
-        << r.interference_threads << '\t' << (r.timed_out ? 1 : 0) << '\n';
+    doc.row(fp, rec.host, rec.key.machine, rec.key.workload,
+            resource_name(rec.key.resource), rec.key.threads, rec.key.spec,
+            rec.key.seed, rec.key.max_cycles, r.seconds, r.cycles, c.loads,
+            c.stores, c.l1_hits, c.l2_hits, c.l3_hits, c.mem_accesses,
+            c.prefetch_issued, c.prefetch_dropped, c.writebacks,
+            c.bytes_from_mem, c.compute_cycles, c.stall_cycles,
+            r.app_l3_miss_rate, r.app_mem_bandwidth, r.total_mem_bandwidth,
+            r.interference_threads, r.timed_out);
   }
   // Atomic: a worker killed mid-save must not leave a torn store file for
   // the next (cached or merging) reader to choke on.
-  atomic_write_file(path, out.str(), "ResultStore");
+  doc.save(path, "ResultStore");
 
   // Sidecar with the known run times, best effort: losing it costs the
   // scheduler its measured costs (it falls back to the cost model), never
   // a result.
-  std::ostringstream times;
-  times << kTimesHeader << '\n';
+  LineWriter times(kTimesHeader);
   bool any = false;
   for (const auto& [fp, rec] : records_)
     if (rec.run_seconds > 0.0) {
-      times << fp << '\t' << num(rec.run_seconds) << '\n';
+      times.row(fp, rec.run_seconds);
       any = true;
     }
   if (any) try_atomic_write_file(path + ".times", times.str());

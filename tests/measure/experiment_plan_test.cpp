@@ -192,7 +192,7 @@ TEST(ExperimentPlan, ShardsStayRoundRobinAndUniformBatchesArePlanSlices) {
   const auto w = plan.add_workload({"w", synth_factory()});
   plan.add_sweep(w, Resource::kCacheStorage, 0, 10);  // 11 points
   for (const std::size_t n : {1u, 2u, 3u, 5u, 11u, 13u}) {
-    const auto batches = plan.batches(n);
+    const auto batches = make_batches(plan.size(), n);
     std::size_t next = 0;
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<std::size_t> oracle;
@@ -231,12 +231,13 @@ TEST(ExperimentPlan, BatchesRejectBadCostModels) {
   ExperimentPlan plan;
   const auto w = plan.add_workload({"w", synth_factory()});
   plan.add_sweep(w, Resource::kCacheStorage, 0, 3);
-  EXPECT_THROW(plan.batches(0), std::invalid_argument);
-  EXPECT_THROW(plan.batches(2, {1.0}), std::invalid_argument);  // wrong len
-  EXPECT_THROW(plan.batches(2, {1.0, -1.0, 1.0, 1.0}),
+  EXPECT_THROW(make_batches(plan.size(), 0), std::invalid_argument);
+  EXPECT_THROW(make_batches(plan.size(), 2, {1.0}),
+               std::invalid_argument);  // wrong len
+  EXPECT_THROW(make_batches(plan.size(), 2, {1.0, -1.0, 1.0, 1.0}),
                std::invalid_argument);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(plan.batches(2, {1.0, nan, 1.0, 1.0}),
+  EXPECT_THROW(make_batches(plan.size(), 2, {1.0, nan, 1.0, 1.0}),
                std::invalid_argument);
 }
 

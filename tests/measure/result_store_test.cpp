@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/work_lease.hpp"
 #include "interfere/host_identity.hpp"
 #include "measure/app_workloads.hpp"
 #include "measure/experiment_plan.hpp"
@@ -575,7 +576,7 @@ TEST_F(ResultStoreTest, LeasedBatchesMergeBitIdenticalToSerial) {
   std::vector<double> costs(plan.size(), 1.0);
   costs[0] = 50.0;
   costs[plan.size() - 1] = 25.0;
-  const auto batches = plan.batches(4, costs);
+  const auto batches = make_batches(plan.size(), 4, costs);
   ResultStore workers[2];
   std::size_t served = 0;
   for (const auto& lease : batches) {
