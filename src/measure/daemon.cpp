@@ -44,7 +44,7 @@ std::optional<std::string> keyed_value(const std::string& line,
   LineReader in("\n" + line);  // a headerless one-record document
   try {
     if (in.next() && in.size() == 2 && in.key() == key) return in.str(1);
-  } catch (const LineError&) {
+  } catch (const LineError&) {  // a stray CR: not such a line either
   }
   return std::nullopt;
 }

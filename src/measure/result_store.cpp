@@ -281,7 +281,7 @@ ResultStore ResultStore::load(const std::string& path,
       const double v = times->f64(1);
       if (v >= 0.0) it->second.run_seconds = v;
     }
-  } catch (const LineError&) {
+  } catch (const LineError&) {  // the lines before it still count
   }
   return store;
 }
