@@ -10,7 +10,7 @@
 // fingerprints, so their records coexist in one store with zero format
 // changes.
 //
-// Worker/probe modes (--shard/--lease/--emit-plan) run the plan under the
+// Worker/probe modes (--lease/--emit-plan) run the plan under the
 // single backend `--mem-backend` selected, like every other driver; the
 // full run sweeps all of channel/ddr4/hbm in-process. A side table prints
 // the banked backends' row-hit/conflict/refresh tallies from a direct
@@ -73,8 +73,7 @@ int abl(const am::Cli& cli, am::bench::BenchContext& ctx) {
   // Worker/probe invocations: the plan under ctx.machine, orchestrated
   // like any fig driver (the scheduler picks the backend per invocation
   // via --mem-backend).
-  if (!ctx.sched.emit_plan_path.empty() || !ctx.sched.lease_path.empty() ||
-      ctx.sched.shard.sharded()) {
+  if (!ctx.sched.emit_plan_path.empty() || !ctx.sched.lease_path.empty()) {
     const am::measure::SweepRunner runner(ctx.machine, opts);
     (void)am::measure::execute_plan(ctx.sched, plan, runner, store, &pool,
                                     std::cout);
@@ -89,8 +88,7 @@ int abl(const am::Cli& cli, am::bench::BenchContext& ctx) {
     const auto machine = backend_machine(ctx, spec);
     const am::measure::SweepRunner runner(machine, opts);
     std::size_t executed = 0;
-    const auto table = runner.run(plan, &pool, store.store(),
-                                  ctx.sched.shard, &executed);
+    const auto table = runner.run(plan, &pool, store.store(), {}, &executed);
     store.finish(executed, table.size(), std::cout);
     for (const auto resource :
          {Resource::kCacheStorage, Resource::kBandwidth}) {

@@ -126,13 +126,10 @@ int run_driver(int argc, char** argv, const std::string& driver,
         BenchContext ctx = make_context(cli, default_scale, nodes);
         ctx.sched = sched;
         ctx.driver = driver;
-        // (--shard without --results-dir is rejected by ResultStoreFile.)
-        if ((sched.shard.sharded() || !sched.lease_path.empty()) &&
-            !ctx.csv_path.empty())
+        if (!sched.lease_path.empty() && !ctx.csv_path.empty())
           throw std::invalid_argument(
-              "--csv cannot be combined with --shard/--lease: a worker "
-              "emits no tables — merge the stores, then re-run unsharded "
-              "with --csv");
+              "--csv cannot be combined with --lease: a worker emits no "
+              "tables — merge the stores, then re-run with --csv");
         return body(cli, ctx);
       });
 }

@@ -1,19 +1,20 @@
 // amresult — inspect, validate and merge persistent result stores.
 //
-// The sharded-sweep workflow: every `--shard i/n` driver invocation writes
-// its slice of a figure grid into its own store file; amresult folds those
-// shard files into the store the unsharded driver reads, validating format
-// versions, per-record integrity and key collisions on the way. A
-// subsequent driver run with the same --results-dir then prints the figure
-// with zero engine runs. (Single-machine sweeps don't need the manual
-// merge: `amsweep` supervises the shard processes and performs this merge
-// as a library call — amresult remains the tool for shards gathered from
-// different machines, and for inspection.)
+// The multi-host workflow: `amsweep slice` cuts a figure grid into one
+// static lease file per host, and each host's `--lease` run writes its
+// slice into its own store file; amresult folds those slice stores into
+// the store the driver reads, validating format versions, per-record
+// integrity and key collisions on the way. A subsequent driver run with
+// the same --results-dir then prints the figure with zero engine runs.
+// (Single-machine sweeps don't need the manual merge: `amsweep`
+// supervises its lease workers and performs this merge as a library
+// call — amresult remains the tool for slices gathered from different
+// machines, and for inspection.)
 //
 //   amresult show     <store.tsv>            # records as an ASCII table
 //   amresult validate <store.tsv>...         # integrity + provenance check
-//   amresult merge --out <merged.tsv> <shard.tsv>...
-//            [--allow-mixed-hosts]           # fold shard stores into one
+//   amresult merge --out <merged.tsv> <store.tsv>...
+//            [--allow-mixed-hosts]           # fold slice stores into one
 //
 // Merging refuses to combine records produced on different physical hosts
 // unless --allow-mixed-hosts is given: simulator results are deterministic

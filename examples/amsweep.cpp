@@ -1,9 +1,9 @@
-// amsweep — multi-process sweep orchestrator over the shard/store
+// amsweep — multi-process sweep orchestrator over the lease/store
 // machinery, plus the client side of the amsweepd daemon protocol.
 //
 // Two personalities, picked by the first argument:
 //
-// 1. Daemon client subcommands (first arg is a word, not a flag):
+// 1. Subcommands (first arg is a word, not a flag):
 //
 //      amsweep mkplan [--workloads L] [--max-cs N] [--max-bw N]
 //              [--scale S] [--nodes N] [--backend B] [--seed S]
@@ -14,6 +14,16 @@
 //      amsweep cancel --socket PATH --job ID
 //      amsweep wait   --socket PATH --job ID [--timeout S]
 //      amsweep run-local --plan FILE --out STORE.tsv
+//      amsweep slice --hosts N --out DIR -- <figure driver> [flags...]
+//
+//    slice is the manual multi-host recipe: it probes the driver once,
+//    cuts its plan into N cost-ordered slices and writes each as a
+//    static lease file DIR/slice_<i>. Host i runs
+//    `<driver> [flags] --results-dir R --lease DIR/slice_<i>`, which
+//    saves DIR/slice_<i>.tsv and exits 0; `amresult merge` folds the
+//    slice stores into R/<driver>.tsv, against which a plain driver
+//    run prints the figure from cache. Exit: 0 sliced, 1 probe failed,
+//    2 usage.
 //
 //    mkplan emits a serialized plan spec (measure/plan_wire) for a
 //    synthetic-workload grid: `--workloads uni:2048,norm:4096` names
@@ -72,6 +82,8 @@ int usage() {
       "               [--cost-model measured|uniform] [--retries K]\n"
       "               [--driver-name NAME] [--poll-seconds S]\n"
       "               [--stall-timeout S] -- <figure driver> [flags...]\n"
+      "       amsweep slice --hosts N --out DIR -- <figure driver> "
+      "[flags...]\n"
       "       amsweep mkplan|submit|status|cancel|wait|run-local ...\n"
       "--poll-seconds defaults to %g s\n"
       "exit: 0 ok, 1 failed, 2 usage, 3 retry later (client)\n",
@@ -223,6 +235,7 @@ int cmd_mkplan(const am::Cli& cli) {
   spec.machine_nodes =
       static_cast<std::uint32_t>(get_u64(cli, "nodes", 1, 1, UINT32_MAX));
   spec.mem_backend = cli.get("backend", "channel");
+  am::measure::make_machine(spec);  // an unknown backend is a usage error
   spec.seed = get_u64(cli, "seed", 1);
   spec.cs.buffer_bytes =
       std::max<std::uint64_t>(4096, 4ull * 1024 * 1024 / spec.machine_scale);
@@ -404,14 +417,82 @@ int cmd_inject(const am::Cli& cli) {
   return 0;
 }
 
+/// The manual multi-host recipe: cuts the driver's plan into one static
+/// lease file per host (SweepOrchestrator::slice) and prints the
+/// commands that run and merge the slices.
+int cmd_slice(const am::Cli& cli, const std::vector<std::string>& driver) {
+  if (!cli.has("hosts")) throw std::invalid_argument("--hosts N is required");
+  const auto hosts = get_u64(cli, "hosts", 1, 1, 65536);
+  am::measure::OrchestratorOptions opts;
+  opts.worker_command = driver;
+  opts.results_dir = cli.get("out", "");
+  if (opts.results_dir.empty())
+    throw std::invalid_argument("--out DIR is required");
+  opts.driver = std::filesystem::path(driver[0]).stem().string();
+  reject_unused(cli);
+  const am::measure::SweepOrchestrator orchestrator(opts);
+  std::string error;
+  const auto slices = orchestrator.slice(hosts, error);
+  if (!slices) {
+    std::fprintf(stderr, "amsweep slice: %s\n", error.c_str());
+    return 1;
+  }
+  std::string command;
+  for (const auto& a : driver) command += a + " ";
+  std::cout << "amsweep slice: " << opts.driver << " cut into "
+            << slices->size() << " slice(s) in " << opts.results_dir
+            << "\nrun slice i on host i, each with the same --results-dir R:"
+               "\n";
+  for (const auto& path : *slices)
+    std::cout << "  " << command << "--results-dir R --lease " << path
+              << "\n";
+  std::cout << "then gather the slice stores and merge them:\n  amresult "
+               "merge --out "
+            << am::measure::store_path("R", opts.driver);
+  for (const auto& path : *slices)
+    std::cout << " " << am::lease_store_path(path);
+  std::cout << "\n";
+  return 0;
+}
+
+/// argv split at the first bare "--": the flags before it and the
+/// command after it, untouched by flag parsing (driver flags must reach
+/// the driver verbatim).
+struct SplitArgs {
+  std::vector<std::string> own;  // argv[0], then the flags
+  std::vector<std::string> command;
+  bool split = false;
+
+  SplitArgs(int argc, char** argv, int first) : own{argv[0]} {
+    for (int i = first; i < argc; ++i) {
+      std::string arg = argv[i];
+      if (!split && arg == "--") {
+        split = true;
+        continue;
+      }
+      (split ? command : own).push_back(std::move(arg));
+    }
+  }
+
+  am::Cli cli() {
+    std::vector<char*> argv;
+    for (auto& a : own) argv.push_back(a.data());
+    return am::Cli(static_cast<int>(argv.size()), argv.data());
+  }
+};
+
 int run_client(int argc, char** argv) {
   const std::string cmd = argv[1];
   // Re-parse without the subcommand word so Cli sees only flags.
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 2; i < argc; ++i) rest.push_back(argv[i]);
+  SplitArgs args(argc, argv, 2);
   try {
-    const am::Cli cli(static_cast<int>(rest.size()), rest.data());
+    if (cmd == "slice") {
+      if (!args.split || args.command.empty()) return usage();
+      return cmd_slice(args.cli(), args.command);
+    }
+    if (args.split)
+      throw std::invalid_argument("'--' belongs to amsweep slice only");
+    const am::Cli cli = args.cli();
     if (cmd == "submit") return cmd_submit(cli);
     if (cmd == "status") return cmd_status(cli);
     if (cmd == "cancel") return cmd_cancel(cli);
@@ -437,32 +518,17 @@ int run_client(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A bare word first is a daemon-client subcommand; flags (or nothing)
-  // mean the original orchestrator interface.
+  // A bare word first is a subcommand; flags (or nothing) mean the
+  // original orchestrator interface.
   if (argc >= 2 && argv[1][0] != '\0' && argv[1][0] != '-')
     return run_client(argc, argv);
 
-  // Everything after the first bare "--" is the worker command, untouched
-  // by flag parsing (driver flags must reach the driver verbatim).
-  std::vector<std::string> own{argv[0]};
-  std::vector<std::string> worker;
-  bool split = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (!split && arg == "--") {
-      split = true;
-      continue;
-    }
-    (split ? worker : own).push_back(std::move(arg));
-  }
-  if (!split || worker.empty()) return usage();
-
-  std::vector<char*> own_argv;
-  own_argv.reserve(own.size());
-  for (auto& s : own) own_argv.push_back(s.data());
+  SplitArgs args(argc, argv, 1);
+  if (!args.split || args.command.empty()) return usage();
+  const auto& worker = args.command;
 
   try {
-    const am::Cli cli(static_cast<int>(own_argv.size()), own_argv.data());
+    const am::Cli cli = args.cli();
     am::measure::OrchestratorOptions opts;
     opts.worker_command = worker;
     opts.results_dir = cli.get("results-dir", "");

@@ -4,8 +4,8 @@
 // prediction by actually co-running the pair on the simulator.
 //
 // Build & run:  ./build/examples/coschedule_advisor [--scale N] [--accesses N]
-//               [--results-dir DIR] [--shard i/n | --lease FILE |
-//               --emit-plan FILE] [--worker] [--test-crash-marker FILE]
+//               [--results-dir DIR] [--lease FILE | --emit-plan FILE]
+//               [--worker] [--test-crash-marker FILE]
 //
 // The scheduling flags make the advisor orchestratable by amsweep (see
 // mcb_mapping_study); the contract — flags, heartbeat, crash marker and
@@ -43,8 +43,7 @@ int advise(const am::Cli& cli, const am::measure::SchedulingFlags& flags) {
   const auto kScale = static_cast<std::uint32_t>(cli.get_int("scale", 16));
   const auto accesses =
       static_cast<std::uint64_t>(cli.get_int("accesses", 150'000));
-  // The --shard/--results-dir pairing is validated by ResultStoreFile,
-  // which is disabled when no results dir is given.
+  // The store is disabled when no results dir and no lease is given.
   auto store = am::measure::open_store(cli.get("results-dir", ""),
                                        "coschedule_advisor", flags);
   auto machine = am::sim::MachineConfig::xeon20mb_scaled(kScale);
@@ -73,7 +72,7 @@ int advise(const am::Cli& cli, const am::measure::SchedulingFlags& flags) {
   am::ThreadPool pool;
   const auto table = am::measure::execute_plan(flags, grid.plan, grid.runner,
                                                store, &pool, std::cout);
-  if (!table) return 0;  // worker/probe/shard: output is store or plan files
+  if (!table) return 0;  // worker/probe: output is store or plan files
 
   // Only the assembled profiles read the calibrations: they turn thread
   // counts into resource availability.

@@ -6,14 +6,14 @@
 //
 // Build & run:  ./build/examples/mcb_mapping_study [--scale N]
 //               [--particles N] [--steps N]
-//               [--results-dir DIR] [--shard i/n | --lease FILE |
-//               --emit-plan FILE] [--worker] [--test-crash-marker FILE]
+//               [--results-dir DIR] [--lease FILE | --emit-plan FILE]
+//               [--worker] [--test-crash-marker FILE]
 //
 // The scheduling flags make the study orchestratable by amsweep: --lease
-// (with --worker) joins its work queue, --emit-plan answers its plan
-// probe, --shard runs a slice for the manual multi-host recipe (merge
-// the slices with amresult), and --test-crash-marker FILE injects one
-// worker kill. The contract — flags, heartbeat, marker and
+// (with --worker) joins its work queue or, given a slice file cut by
+// `amsweep slice`, runs that slice for the manual multi-host recipe
+// (merge the slice stores with amresult); --emit-plan answers the plan
+// probe, and --test-crash-marker FILE injects one worker kill. The contract — flags, heartbeat, marker and
 // exit codes (2 = usage, 3 = run failure) — is the shared worker entry,
 // measure::run_worker_entry.
 #include <cstdio>
@@ -30,8 +30,7 @@ namespace {
 
 int study(const am::Cli& cli, const am::measure::SchedulingFlags& flags) {
   const auto kScale = static_cast<std::uint32_t>(cli.get_int("scale", 16));
-  // The --shard/--results-dir pairing is validated by ResultStoreFile,
-  // which is disabled when no results dir is given.
+  // The store is disabled when no results dir and no lease is given.
   auto store = am::measure::open_store(cli.get("results-dir", ""),
                                        "mcb_mapping_study", flags);
   auto machine =
@@ -73,7 +72,7 @@ int study(const am::Cli& cli, const am::measure::SchedulingFlags& flags) {
   am::ThreadPool pool;
   const auto table = am::measure::execute_plan(flags, plan, runner, store,
                                                &pool, std::cout);
-  if (!table) return 0;  // worker/probe/shard: output is store or plan files
+  if (!table) return 0;  // worker/probe: output is store or plan files
 
   std::printf("MCB, 24 ranks, %u particles on %s\n\n", particles,
               machine.name.c_str());

@@ -11,7 +11,8 @@
 #   3. a repeated amsweep over the same store to execute zero engine runs,
 #   4. a partially cached resume to complete the store bit-identically,
 #   5. amsweep's flags to be strictly parsed (exit 2 on junk, on unknown
-#      flags and on the retired --schedule/--shards).
+#      flags and on the retired --schedule/--shards), and a driver's
+#      retired --shard to be a usage error naming `amsweep slice`.
 # Driven by -D vars:
 #   AMSWEEP — path to the amsweep binary
 #   FIG9    — path to the fig9_mcb_degradation binary
@@ -86,12 +87,15 @@ endif()
 # 6. A partially cached resume — a retry's view of the world: one slice's
 #    records present, the rest still to run — must record every fresh
 #    result under its own plan point's key, so completing the store leaves
-#    it byte-identical to the direct serial run's. The slice comes from a
-#    manual `--shard 0/2` run, the multi-host recipe's unit of work.
+#    it byte-identical to the direct serial run's. The slice is the
+#    multi-host recipe's unit of work: slice 0 of an `amsweep slice` cut
+#    in two, run as its own lease worker.
+run_checked(sliced "${AMSWEEP}" slice --hosts 2 --out "${WORKDIR}/slice" --
+  "${FIG9}" ${fig9_args})
 run_checked(slice "${FIG9}" ${fig9_args} --results-dir "${WORKDIR}/slice"
-  --shard 0/2)
+  --lease "${WORKDIR}/slice/slice_0")
 file(MAKE_DIRECTORY "${WORKDIR}/partial")
-configure_file("${WORKDIR}/slice/fig9_mcb_degradation.shard0of2.tsv"
+configure_file("${WORKDIR}/slice/slice_0.tsv"
   "${WORKDIR}/partial/fig9_mcb_degradation.tsv" COPYONLY)
 run_checked(partial "${FIG9}" ${fig9_args} --results-dir "${WORKDIR}/partial")
 if(partial MATCHES "\\(0 executed" OR partial MATCHES " 0 reused\\)")
@@ -116,9 +120,9 @@ endforeach()
 
 # 8. The scheduling flags are strictly parsed: unknown enum values,
 #    negative batch counts, unknown flags and the retired --schedule and
-#    --shards are usage errors (exit 2), as are a value-less --lease, a
-#    --lease combined with --shard, and --worker without --lease on the
-#    driver side.
+#    --shards are usage errors (exit 2), as are `amsweep slice` without
+#    --hosts or --out, and a value-less --lease, --lease combined with
+#    --emit-plan, and --worker without --lease on the driver side.
 foreach(bad_flags
     "--cost-model;vibes" "--batches;-1" "--bogus-flag;7"
     "--schedule;lease" "--shards;2")
@@ -130,8 +134,18 @@ foreach(bad_flags
       "expected amsweep ${bad_flags} to exit 2 (usage), got ${bad_code}")
   endif()
 endforeach()
+foreach(bad_flags "--out;${WORKDIR}/bad" "--hosts;2"
+    "--hosts;0;--out;${WORKDIR}/bad"
+    "--hosts;2;--out;${WORKDIR}/bad;--bogus-flag;7")
+  execute_process(COMMAND "${AMSWEEP}" slice ${bad_flags} -- "${FIG9}"
+    ${fig9_args} OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code)
+  if(NOT bad_code EQUAL 2)
+    message(FATAL_ERROR
+      "expected amsweep slice ${bad_flags} to exit 2 (usage), got ${bad_code}")
+  endif()
+endforeach()
 foreach(bad_flags
-    "--lease" "--lease;${WORKDIR}/x;--shard;0/2"
+    "--lease" "--lease;${WORKDIR}/x;--emit-plan;${WORKDIR}/y"
     "--worker;--results-dir;${WORKDIR}/orch")
   execute_process(COMMAND "${FIG9}" ${fig9_args} ${bad_flags}
     OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code)
@@ -140,3 +154,11 @@ foreach(bad_flags
       "expected ${FIG9} ${bad_flags} to exit 2 (usage), got ${bad_code}")
   endif()
 endforeach()
+
+# 9. The retired --shard is a usage error that names its replacement.
+execute_process(COMMAND "${FIG9}" ${fig9_args} --results-dir "${WORKDIR}/orch"
+  --shard 0/2 OUTPUT_QUIET ERROR_VARIABLE shard_err RESULT_VARIABLE shard_code)
+if(NOT shard_code EQUAL 2 OR NOT shard_err MATCHES "amsweep slice")
+  message(FATAL_ERROR "expected --shard 0/2 to exit 2 naming `amsweep "
+    "slice`, got ${shard_code}:\n${shard_err}")
+endif()

@@ -3,8 +3,8 @@
 # serially, then
 #   1. through amsweep with 2 lease-worker processes and one injected
 #      worker kill (claimed crash marker -> SIGKILL -> requeue),
-#   2. as two manual shards (`--shard 0/2`, `--shard 1/2`) merged by
-#      `amresult merge`,
+#   2. as the manual multi-host recipe: `amsweep slice --hosts 2`, one
+#      lease run per slice, and `amresult merge`,
 # and require both stores to be byte-identical to the serial run's, and
 # a re-run against the orchestrated store to be fully cached and to print
 # the serial run's tables line for line.
@@ -40,21 +40,21 @@ endif()
 require_same_store("${WORKDIR}/direct/${store}.tsv"
   "${WORKDIR}/orch/${store}.tsv" "orchestrated store")
 
-# 2. Two manual shards merged by amresult.
-run_checked(shard0 "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/shard"
-  --shard 0/2)
-run_checked(shard1 "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/shard"
-  --shard 1/2)
-foreach(out shard0 shard1)
-  if(${out} MATCHES "== Fig")
-    message(FATAL_ERROR "a shard printed a figure:\n${${out}}")
+# 2. Two `amsweep slice` slices, each run as its own lease worker, merged
+#    by amresult.
+run_checked(sliced "${AMSWEEP}" slice --hosts 2 --out "${WORKDIR}/slices" --
+  "${FIG10}" ${fig10_args})
+foreach(i 0 1)
+  run_checked(host "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/sliced"
+    --lease "${WORKDIR}/slices/slice_${i}")
+  if(host MATCHES "== Fig")
+    message(FATAL_ERROR "slice ${i} printed a figure:\n${host}")
   endif()
 endforeach()
-run_checked(merged "${AMRESULT}" merge --out "${WORKDIR}/shard/${store}.tsv"
-  "${WORKDIR}/shard/${store}.shard0of2.tsv"
-  "${WORKDIR}/shard/${store}.shard1of2.tsv")
+run_checked(merged "${AMRESULT}" merge --out "${WORKDIR}/sliced/${store}.tsv"
+  "${WORKDIR}/slices/slice_0.tsv" "${WORKDIR}/slices/slice_1.tsv")
 require_same_store("${WORKDIR}/direct/${store}.tsv"
-  "${WORKDIR}/shard/${store}.tsv" "shard-merged store")
+  "${WORKDIR}/sliced/${store}.tsv" "slice-merged store")
 
 # 3. The orchestrated store makes a re-run fully cached, and the cached
 #    tables match the serial run's (modulo the store bookkeeping line).

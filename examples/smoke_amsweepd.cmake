@@ -53,6 +53,7 @@ foreach(bad_args "mkplan;--workload;uni:99" "mkplan;--scale;4294967297"
     "mkplan;--compute-ops;4294967297" "mkplan;--max-cs;4294967296"
     "mkplan;--max-bw;4294967296" "mkplan;--workloads;uni:2048junk"
     "mkplan;--workloads;norm:99999999999999999999999"
+    "mkplan;--backend;bogus;--out;${WORKDIR}/bogus.spec"
     "status;--socket;${SOCK};--job;1;--tiemout;5")
   execute_process(COMMAND "${AMSWEEP}" ${bad_args}
     OUTPUT_QUIET ERROR_QUIET RESULT_VARIABLE bad_code TIMEOUT 20)

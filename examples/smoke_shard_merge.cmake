@@ -1,50 +1,55 @@
-# End-to-end exercise of the sharded-sweep workflow (ctest smoke entry):
-# run mcb_mapping_study as two shards into separate store files, merge them
-# with amresult, then re-run unsharded against the merged store and require
-# a fully cached run (zero engine executions). Driven by -D vars:
+# End-to-end exercise of the manual multi-host recipe (ctest smoke entry):
+# cut mcb_mapping_study's plan into two static slices with `amsweep
+# slice`, run each slice as its own lease worker (one per "host"), merge
+# the two slice stores with amresult, and require
+#   1. the merged store to be byte-identical to a direct serial run's,
+#   2. a re-run against it to be fully cached (zero engine executions)
+#      and to print the direct run's table line for line.
+# Driven by -D vars:
 #   STUDY    — path to the mcb_mapping_study binary
+#   AMSWEEP  — path to the amsweep binary
 #   AMRESULT — path to the amresult binary
 #   WORKDIR  — scratch directory (wiped on entry)
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
+include("${CMAKE_CURRENT_LIST_DIR}/smoke_sweep_helpers.cmake")
 
-set(common_args --scale 128 --particles 2000 --steps 1
-    --results-dir "${WORKDIR}")
+set(study_args --scale 128 --particles 2000 --steps 1)
+set(store mcb_mapping_study)
 
-function(run_checked out_var)
-  execute_process(COMMAND ${ARGN}
-    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE code)
-  if(NOT code EQUAL 0)
-    message(FATAL_ERROR "command failed (${code}): ${ARGN}\n${out}\n${err}")
+# The ground truth: the same plan run serially into its own store.
+run_checked(direct "${STUDY}" ${study_args} --results-dir "${WORKDIR}/direct")
+
+run_checked(sliced "${AMSWEEP}" slice --hosts 2 --out "${WORKDIR}/slices"
+  -- "${STUDY}" ${study_args})
+foreach(i 0 1)
+  run_checked(host "${STUDY}" ${study_args} --results-dir "${WORKDIR}/merged"
+    --lease "${WORKDIR}/slices/slice_${i}")
+  if(host MATCHES "p/processor")
+    message(FATAL_ERROR "slice ${i} printed a table:\n${host}")
   endif()
-  set(${out_var} "${out}" PARENT_SCOPE)
-endfunction()
+endforeach()
 
-run_checked(shard0 "${STUDY}" ${common_args} --shard 0/2)
-run_checked(shard1 "${STUDY}" ${common_args} --shard 1/2)
+run_checked(merged "${AMRESULT}" merge --out "${WORKDIR}/merged/${store}.tsv"
+  "${WORKDIR}/slices/slice_0.tsv" "${WORKDIR}/slices/slice_1.tsv")
+run_checked(validated "${AMRESULT}" validate "${WORKDIR}/merged/${store}.tsv")
+run_checked(shown "${AMRESULT}" show "${WORKDIR}/merged/${store}.tsv")
+require_same_store("${WORKDIR}/direct/${store}.tsv"
+  "${WORKDIR}/merged/${store}.tsv" "slice-merged store")
 
-run_checked(merged "${AMRESULT}" merge
-  --out "${WORKDIR}/mcb_mapping_study.tsv"
-  "${WORKDIR}/mcb_mapping_study.shard0of2.tsv"
-  "${WORKDIR}/mcb_mapping_study.shard1of2.tsv")
-
-run_checked(validated "${AMRESULT}" validate
-  "${WORKDIR}/mcb_mapping_study.tsv")
-run_checked(shown "${AMRESULT}" show "${WORKDIR}/mcb_mapping_study.tsv")
-
-# The merged store must make the unsharded re-run fully cached.
-run_checked(cached "${STUDY}" ${common_args})
+# The merged store must make a re-run fully cached.
+run_checked(cached "${STUDY}" ${study_args} --results-dir "${WORKDIR}/merged")
 if(NOT cached MATCHES "\\(0 executed")
   message(FATAL_ERROR
-    "expected a fully cached re-run after merging shards, got:\n${cached}")
+    "expected a fully cached re-run after merging slices, got:\n${cached}")
 endif()
 
-# And the cached table must match a store-free direct run line for line
-# (modulo the store bookkeeping line).
-run_checked(direct "${STUDY}" --scale 128 --particles 2000 --steps 1)
+# And the cached table must match the direct run's line for line (modulo
+# the store bookkeeping line).
 string(REGEX REPLACE "results: [^\n]*\n" "" cached_table "${cached}")
-if(NOT cached_table STREQUAL direct)
+string(REGEX REPLACE "results: [^\n]*\n" "" direct_table "${direct}")
+if(NOT cached_table STREQUAL direct_table)
   message(FATAL_ERROR
     "cached table differs from direct run.\ncached:\n${cached_table}\n"
-    "direct:\n${direct}")
+    "direct:\n${direct_table}")
 endif()

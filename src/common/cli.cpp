@@ -86,31 +86,6 @@ bool Cli::get_bool(const std::string& name, bool def) const {
   return s == "true" || s == "1" || s == "yes" || s == "on";
 }
 
-ShardRange Cli::get_shard(const std::string& name) const {
-  const auto s = get(name, "");
-  if (s.empty()) return {};
-  const auto slash = s.find('/');
-  // Exactly <digits>/<digits>: in particular no sign characters, which
-  // strtoull would otherwise accept and wrap around (a typo like 1/-4
-  // must not silently become shard 1 of 2^64-4).
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= s.size() ||
-      s.find_first_not_of("0123456789/") != std::string::npos ||
-      s.find('/', slash + 1) != std::string::npos)
-    throw std::invalid_argument("--" + name + ": expected i/n, got '" + s +
-                                "'");
-  errno = 0;
-  const auto index = std::strtoull(s.c_str(), nullptr, 10);
-  const auto count = std::strtoull(s.c_str() + slash + 1, nullptr, 10);
-  if (errno == ERANGE || count == 0)
-    throw std::invalid_argument("--" + name + ": bad shard count in '" + s +
-                                "'");
-  if (index >= count)
-    throw std::invalid_argument("--" + name + ": index " +
-                                std::to_string(index) + " out of range for " +
-                                std::to_string(count) + " shards");
-  return {static_cast<std::size_t>(index), static_cast<std::size_t>(count)};
-}
-
 std::vector<std::string> Cli::unused() const {
   std::vector<std::string> out;
   for (const auto& [name, _] : flags_)

@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/shard.hpp"
-
 namespace am {
 
 class Cli {
@@ -29,11 +27,6 @@ class Cli {
   /// unless the value is finite and >= 0 (strtod accepts "nan" and
   /// "inf", and neither may reach a sleep or a timeout).
   double get_seconds(const std::string& name, double def) const;
-
-  /// Parses --name=i/n (e.g. --shard 0/4). An absent flag is the whole job
-  /// ({0, 1}). Throws std::invalid_argument on anything but two integers
-  /// separated by '/', on count == 0, or on index >= count.
-  ShardRange get_shard(const std::string& name) const;
 
   /// Positional (non-flag) arguments in order of appearance.
   const std::vector<std::string>& positional() const { return positional_; }

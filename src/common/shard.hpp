@@ -1,20 +1,14 @@
 #pragma once
-// Which slice of a partitionable job this process owns.
+// Which points of a partitionable job a process owns. Either form keeps
+// every plan index under its original index, and so its original seed.
 //
-// Two representations, one contract (every plan index executed exactly
-// once across the fleet, under its original index and therefore its
-// original seed):
-//
-//   * ShardRange — the static front-end: "--shard i/n" picks the fixed
-//     round-robin slice {j : j ≡ i (mod n)} at spawn time. Parsed by
-//     Cli::get_shard, expanded by ExperimentPlan::shard. Good for manual
-//     runs; blind to per-point cost, so a sweep's wall-clock is pinned
-//     to the unluckiest slice.
-//   * WorkLease — the dynamic form: an explicit batch of plan indices a
-//     scheduler (measure::SweepOrchestrator, measure::SweepDaemon) leases
-//     to whichever worker frees up next. Produced by
-//     ExperimentPlan::batches from a per-point cost model, costliest
-//     batch first (see work_lease.hpp for the on-disk handoff).
+//   * WorkLease — what every scheduler hands out: a batch of plan
+//     indices cut by make_batches (common/work_lease.hpp), costliest
+//     first. The orchestrator and the daemon lease batches to whichever
+//     worker frees up next; `amsweep slice` writes one per host as a
+//     static lease file.
+//   * ShardRange — the round-robin slice ExperimentPlan::shard expands;
+//     only SweepRunner::run's whole-plan overload still takes one.
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -24,8 +18,6 @@ namespace am {
 struct ShardRange {
   std::size_t index = 0;
   std::size_t count = 1;
-
-  bool sharded() const { return count > 1; }
 };
 
 /// One leased batch of plan points. `points` are duplicate-free plan

@@ -171,20 +171,21 @@ std::optional<PlanInfo> read_plan_info(const std::string& path) {
         if (info) return std::nullopt;
         info.emplace().points = static_cast<std::size_t>(in->u64(1));
       } else if (in->key() == "cost") {
-        // Costs follow the points line; a plan point without one costs 1.
-        const auto i = static_cast<std::size_t>(in->u64(1));
+        // One line per point, in index order, after the points line: the
+        // costs are sized by the lines read, never by the count claimed.
+        const auto i = in->u64(1);
         const double c = in->f64(2);
         // make_batches rejects a negative or non-finite cost: refuse it
         // here, where a bad probe file is a reported probe error.
-        if (!info || i >= info->points || !std::isfinite(c) || c < 0.0)
+        if (!info || i != info->costs.size() || !std::isfinite(c) || c < 0.0)
           return std::nullopt;
-        if (info->costs.empty()) info->costs.assign(info->points, 1.0);
-        info->costs[i] = c;
+        info->costs.push_back(c);
       }
     }
   } catch (const LineError&) {
     return std::nullopt;
   }
+  if (info && info->costs.size() != info->points) return std::nullopt;
   return info;
 }
 

@@ -8,7 +8,9 @@
 //   * Lease file — scheduler → worker. One per worker slot, rewritten
 //     for every batch: the lease id, the plan indices to run (plus, for
 //     the daemon, the plan file they index), and a `done` flag that
-//     tells the worker to exit cleanly once the queue is drained.
+//     tells the worker to exit cleanly once the queue is drained. A
+//     static slice (`amsweep slice`) is a lease file written once, with
+//     `done` set and the host's points in it.
 //     Workers poll it; a lease id they already took means "no new work
 //     yet". The scheduler overwrites an offer only after the worker
 //     took it (see `ready` below), so no offer is lost.
@@ -44,9 +46,10 @@ namespace am {
 /// A lease file's full content: the batch plus the shutdown flag.
 struct LeaseOffer {
   WorkLease lease;
-  /// True = queue drained; the worker exits 0 without writing a further
-  /// ack (the scheduler judges the shutdown by exit status, not by a
-  /// receipt). A done offer carries no points.
+  /// True = the last offer: the worker runs and acks its points, if any
+  /// (an `amsweep slice` slice has them; a drained scheduler's done
+  /// offer has none), drains, and exits 0 — no ack for the shutdown
+  /// itself, whose receipt is the exit status.
   bool done = false;
   /// Multi-plan scheduling (measure::SweepDaemon): the serialized plan
   /// the batch's indices refer to, and an optional read-only store to
@@ -112,9 +115,10 @@ void write_plan_info(const std::string& path, const PlanInfo& info);
 /// Readers: the parsed file, or nullopt when absent or malformed. An
 /// ack file is malformed when a record field precedes every `lease`
 /// line, `ready` repeats, or it holds neither a record nor `ready`; a
-/// plan-info file when `points` repeats, a cost precedes it or indexes
-/// past it, or a cost is negative or not finite (make_batches could not
-/// order it).
+/// plan-info file when `points` repeats, its cost lines do not number
+/// each point once in index order after it (a count no line backs is
+/// never allocated), or a cost is negative or not finite (make_batches
+/// could not order it).
 std::optional<LeaseOffer> read_lease_offer(const std::string& path);
 std::optional<LeaseAckFile> read_lease_acks(const std::string& path);
 std::optional<PlanInfo> read_plan_info(const std::string& path);

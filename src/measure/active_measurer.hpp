@@ -61,9 +61,9 @@ struct GridSweeps {
 };
 
 /// A grid's ExperimentPlan and the SweepRunner that executes it. Built
-/// without calibration, it is all a probe, a lease worker or a shard
-/// needs (measure::execute_plan); ActiveMeasurer::assemble_grid turns
-/// the executed table into sweeps.
+/// without calibration, it is all a probe or a lease worker needs
+/// (measure::execute_plan); ActiveMeasurer::assemble_grid turns the
+/// executed table into sweeps.
 struct GridPlan {
   ExperimentPlan plan;
   SweepRunner runner;

@@ -683,8 +683,11 @@ class Server {
       job.ns = *ns;
       const PlanSpec spec = parse_plan_spec(
           nl == std::string::npos ? "" : frame.payload.substr(nl + 1));
-      job.id = next_job_id_++;
+      // Everything admission builds, checked before the job exists: an
+      // unknown memory backend fails this submit, not a queued job.
+      make_machine(spec);
       job.book = LeaseBook(build_plan(spec).size());
+      job.id = next_job_id_++;
       // Canonical re-serialization: the durable spec is exactly what
       // admission (in this daemon or a resumed one) parses, not the
       // client's raw bytes.

@@ -17,10 +17,11 @@
 //     column.
 //   * Timeout propagation: the per-run cycle budget reaches every engine,
 //     and truncated runs surface as SimRunResult::timed_out.
-//   * Caching & sharding: a run can consult a ResultStore (hit → reuse,
-//     miss → run and record) and can execute only one shard of the plan
-//     (ExperimentPlan::shard), so a grid splits across processes/machines
-//     and re-running an unchanged grid costs zero engine runs. Cached and
+//   * Caching & partial runs: a run can consult a ResultStore (hit →
+//     reuse, miss → run and record) and can execute any subset of the
+//     plan's indices (SweepRunner::run_points — a leased batch or a
+//     static slice), so a grid splits across processes/machines and
+//     re-running an unchanged grid costs zero engine runs. Cached and
 //     recomputed tables are bit-identical.
 #include <cstdint>
 #include <functional>
@@ -84,18 +85,18 @@ class ExperimentPlan {
   std::size_t size() const { return points_.size(); }
 
   /// Plan indices owned by shard `index` of `count`: the round-robin slice
-  /// {i : i ≡ index (mod count)}, in ascending order — the manual
-  /// multi-host recipe (`--shard i/n`). For any count the shards are
-  /// disjoint and cover the plan exactly; a shard keeps its points'
-  /// original plan indices, so per-point seeds — and therefore results —
-  /// are identical to an unsharded run. count > size() simply leaves the
-  /// high shards empty. Throws std::invalid_argument when count == 0 or
+  /// {i : i ≡ index (mod count)}, in ascending order, as
+  /// SweepRunner::run's ShardRange overload expands it. For any count the
+  /// shards are disjoint and cover the plan exactly; a shard keeps its
+  /// points' original plan indices, so per-point seeds — and therefore
+  /// results — are identical to an unsharded run. count > size() simply
+  /// leaves the high shards empty. Throws std::invalid_argument when count == 0 or
   /// index >= count.
   std::vector<std::size_t> shard(std::size_t index, std::size_t count) const;
 
   /// Throws std::invalid_argument unless `indices` are distinct plan
-  /// indices below size() — the check every work list (a shard slice, a
-  /// leased batch) passes before any of it runs.
+  /// indices below size() — the check every work list (a leased batch, a
+  /// static slice) passes before any of it runs.
   void check_points(const std::vector<std::size_t>& indices) const;
 
  private:
@@ -117,7 +118,7 @@ class ResultTable {
                          std::uint32_t threads) const;
 
   /// Non-throwing lookup: the result, or nullptr when the scenario never
-  /// ran (e.g. a point owned by another shard).
+  /// ran (e.g. a point another worker ran).
   const SimRunResult* get(WorkloadId workload, Resource resource,
                           std::uint32_t threads) const;
 
@@ -190,7 +191,7 @@ class SweepRunner {
                   std::size_t* executed = nullptr) const;
 
   /// The general form every run() overload reduces to: run exactly the
-  /// plan indices in `owned` (any subset — a static shard slice or a
+  /// plan indices in `owned` (any subset — a round-robin shard or a
   /// leased batch). Each fresh run is recorded into `store` together with
   /// its wall-clock (ResultStore run times feed estimate_costs). Over a
   /// pool the points that must run are dispatched longest first

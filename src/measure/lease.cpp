@@ -23,20 +23,21 @@
 namespace am::measure {
 
 SchedulingFlags parse_scheduling_flags(const Cli& cli) {
+  if (cli.has("shard"))
+    throw std::invalid_argument(
+        "--shard is retired: cut the plan with `amsweep slice --hosts N "
+        "--out DIR -- <driver> [flags]`, then run each host's slice with "
+        "--lease DIR/slice_<i>");
   SchedulingFlags flags;
-  flags.shard = cli.get_shard("shard");
   flags.lease_path = cli.get("lease", "");
   flags.emit_plan_path = cli.get("emit-plan", "");
   for (const auto* flag : {&flags.lease_path, &flags.emit_plan_path})
     if (*flag == "true")
       throw std::invalid_argument(
           "--lease/--emit-plan need a file path argument");
-  const int modes = (flags.shard.sharded() ? 1 : 0) +
-                    (!flags.lease_path.empty() ? 1 : 0) +
-                    (!flags.emit_plan_path.empty() ? 1 : 0);
-  if (modes > 1)
+  if (!flags.lease_path.empty() && !flags.emit_plan_path.empty())
     throw std::invalid_argument(
-        "--shard, --lease and --emit-plan are mutually exclusive");
+        "--lease and --emit-plan are mutually exclusive");
   return flags;
 }
 
@@ -73,7 +74,7 @@ ResultStoreFile open_store(const std::string& results_dir,
                            const SchedulingFlags& flags) {
   if (!flags.lease_path.empty())
     return ResultStoreFile::for_lease(results_dir, driver, flags.lease_path);
-  return ResultStoreFile(results_dir, driver, flags.shard);
+  return ResultStoreFile(results_dir, driver);
 }
 
 namespace {
@@ -243,9 +244,11 @@ LeaseWorkerReport run_lease_worker(const LeaseResolver& resolve,
         if (offer && offer->lease.id != taken) {
           last_activity = Clock::now();
           taken = offer->lease.id;
-          if (offer->done) {
-            draining = true;  // gets no ack: exit 0 is the receipt
-          } else {
+          // A done offer is the last: its points (a static slice from
+          // `amsweep slice`) run and are acked, the shutdown itself gets
+          // no ack — exit 0 is the receipt.
+          draining = offer->done;
+          if (!offer->done || !offer->lease.points.empty()) {
             const LeasePlan target = resolve(*offer);
             target.plan->check_points(offer->lease.points);
             OpenLease& l = open[offer->lease.id];
@@ -327,9 +330,8 @@ std::optional<ResultTable> execute_plan(const SchedulingFlags& flags,
     return std::nullopt;
   }
   std::size_t executed = 0;
-  auto table = runner.run(plan, pool, store.store(), flags.shard, &executed);
-  if (store.finish(executed, table.size(), out))
-    return std::nullopt;  // shard: merge, then re-run to emit
+  auto table = runner.run(plan, pool, store.store(), {}, &executed);
+  store.finish(executed, table.size(), out);
   return table;
 }
 

@@ -5,10 +5,12 @@
 //
 // A lease worker is a driver started with `--lease <file>`: it pulls
 // batches of plan points from its scheduler through the lease file until
-// the scheduler says the queue is drained. Each offer is resolved to the
-// plan and runner its indices refer to: a figure driver has exactly one
-// plan, while `amsweepd --worker` resolves the offer's plan file
-// (measure/daemon.hpp). Leases stream: the points of every taken lease
+// the scheduler says the queue is drained. A static slice cut by
+// `amsweep slice` is the degenerate case: one done offer that holds its
+// points, run to completion before the worker returns. Each offer is
+// resolved to the plan and runner its indices refer to: a figure driver
+// has exactly one plan, while `amsweepd --worker` resolves the offer's
+// plan file (measure/daemon.hpp). Leases stream: the points of every taken lease
 // join one FIFO, at most pool->size() of them run at once, and as soon
 // as the FIFO is empty — every taken point running or done — the worker
 // writes `ready <id>` to its ack file so the next offer arrives while
@@ -45,19 +47,19 @@
 namespace am::measure {
 
 /// The scheduling-mode flags every orchestratable driver shares. At
-/// most one of the three modes may be set; each fixes the invocation's
+/// most one of the two modes may be set; each fixes the invocation's
 /// entire control flow.
 struct SchedulingFlags {
-  ShardRange shard;            // --shard i/n: manual multi-host slice
-  std::string lease_path;      // --lease FILE: dynamic lease worker
+  std::string lease_path;      // --lease FILE: lease worker (or a slice)
   std::string emit_plan_path;  // --emit-plan FILE: scheduler probe
 };
 
-/// Parses and validates --shard/--lease/--emit-plan in one audited
-/// place (run_worker_entry, and ambench's own worker). Throws
-/// std::invalid_argument when modes are combined or a path flag arrived
-/// value-less (a value-less "--lease" parses as the boolean sentinel
-/// "true" — almost certainly a missing path, never a usable file name).
+/// Parses and validates --lease/--emit-plan in one audited place
+/// (run_worker_entry, and ambench's own worker). Throws
+/// std::invalid_argument when both modes are set, when a path flag
+/// arrived value-less (a value-less "--lease" parses as the boolean
+/// sentinel "true" — almost certainly a missing path, never a usable
+/// file name), and for the retired --shard, naming `amsweep slice`.
 SchedulingFlags parse_scheduling_flags(const Cli& cli);
 
 /// A driver's main body under the worker contract.
@@ -85,8 +87,8 @@ int run_worker_entry(int argc, char** argv, const std::string& name,
 
 /// The store one driver invocation reads and fills: under `--lease` the
 /// lease-bound store (ResultStoreFile::for_lease), otherwise the
-/// canonical store of `driver` or its `--shard` slice. Disabled when
-/// `results_dir` is empty and no lease is set.
+/// canonical store of `driver`. Disabled when `results_dir` is empty and
+/// no lease is set.
 ResultStoreFile open_store(const std::string& results_dir,
                            const std::string& driver,
                            const SchedulingFlags& flags);
@@ -127,9 +129,11 @@ using LeaseResolver = std::function<LeasePlan(const LeaseOffer&)>;
 /// thread, when `pool` is null). `store` must be lease-bound
 /// (ResultStoreFile::for_lease on the same lease path) and is saved
 /// before every ack; every resolved runner records into it. Progress
-/// lines stream to `out`. A `done` offer (which gets no ack — the
-/// caller's exit 0 is the receipt) drains the open leases, then the
-/// function returns. Throws std::runtime_error on idle timeout,
+/// lines stream to `out`. A `done` offer is the last one taken: its own
+/// points, if any (a static slice cut by `amsweep slice`), run and are
+/// acked like any lease's, the open leases drain, then the function
+/// returns — the shutdown itself gets no ack, the caller's exit 0 is
+/// the receipt. Throws std::runtime_error on idle timeout,
 /// std::invalid_argument on an offer the resolver rejects or one naming
 /// out-of-range or repeated plan indices (scheduler and worker disagree
 /// about the plan — a usage error, not retryable), and whatever a point
@@ -160,9 +164,8 @@ void emit_plan_info(const ExperimentPlan& plan, const SweepRunner& runner,
 ///
 ///   * `--emit-plan FILE`: write the plan info (emit_plan_info) and stop.
 ///   * `--lease FILE`: run leased batches (run_lease_worker) until the
-///     scheduler drains its queue.
-///   * `--shard i/n`: run the slice and print the merge handoff (the
-///     manual multi-host recipe).
+///     scheduler drains its queue, or until the points of a static
+///     slice's single done offer are recorded.
 ///   * otherwise: the full cache-aware run.
 ///
 /// Every mode but the probe persists `store` and reports its cache

@@ -97,6 +97,29 @@ std::optional<PlanInfo> SweepOrchestrator::probe_plan(
   return info;
 }
 
+std::optional<std::vector<std::string>> SweepOrchestrator::slice(
+    std::size_t hosts, std::string& error) const {
+  if (hosts == 0)
+    throw std::invalid_argument("orchestrator: hosts must be positive");
+  std::filesystem::create_directories(opts_.results_dir);
+  const auto info = probe_plan(error);
+  if (!info) return std::nullopt;
+  std::vector<std::string> paths;
+  for (WorkLease& lease :
+       make_batches(info->points, hosts,
+                    opts_.use_measured_costs ? info->costs
+                                             : std::vector<double>{})) {
+    paths.push_back((std::filesystem::path(opts_.results_dir) /
+                     ("slice_" + std::to_string(lease.id)))
+                        .string());
+    LeaseOffer offer;
+    offer.lease = std::move(lease);
+    offer.done = true;
+    write_lease_offer(paths.back(), offer);
+  }
+  return paths;
+}
+
 OrchestratorReport SweepOrchestrator::run(std::ostream& log) {
   const auto t0 = std::chrono::steady_clock::now();
   OrchestratorReport report;

@@ -10,7 +10,8 @@
 // which spawns each worker as `<command> --results-dir <dir> --lease
 // <file> --worker` and streams offers to it (measure/lease.hpp). The
 // manifest records every lease assignment plus per-worker load-balance
-// stats (busy time, batch count, steals).
+// stats (busy time, batch count, steals). Without a fleet, slice() makes
+// the same cut once, into one static lease file per host.
 //
 // Guarantees:
 //
@@ -141,6 +142,16 @@ class SweepOrchestrator {
   /// Failures are reported, not thrown: the report (and the manifest on
   /// disk) always describes what happened.
   OrchestratorReport run(std::ostream& log);
+
+  /// The manual multi-host recipe: probes the driver as run() does, cuts
+  /// the plan into `hosts` cost-ordered slices (make_batches) and writes
+  /// slice i as a done lease offer <results_dir>/slice_<i> holding its
+  /// points, for `<command> --results-dir R --lease <that file>` on host
+  /// i. Returns the offer paths, or nullopt with `error` set when the
+  /// probe failed or answered unreadable plan info. Throws
+  /// std::invalid_argument for zero hosts.
+  std::optional<std::vector<std::string>> slice(std::size_t hosts,
+                                                std::string& error) const;
 
   /// <results_dir>/<driver>.manifest.tsv — where run() records the
   /// outcome.

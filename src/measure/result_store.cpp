@@ -126,12 +126,8 @@ std::string machine_fingerprint(const sim::MachineConfig& m) {
 }
 
 std::string store_path(const std::string& results_dir,
-                       const std::string& driver, ShardRange shard) {
-  std::string name = driver;
-  if (shard.sharded())
-    name += ".shard" + std::to_string(shard.index) + "of" +
-            std::to_string(shard.count);
-  return (std::filesystem::path(results_dir) / (name + ".tsv")).string();
+                       const std::string& driver) {
+  return (std::filesystem::path(results_dir) / (driver + ".tsv")).string();
 }
 
 std::string spec_signature(const InterferenceSpec& spec) {
@@ -256,7 +252,7 @@ ResultStore ResultStore::load(const std::string& path,
       if (!inserted && !(it->second.key == rec.key))
         fail(path, lineno, "fingerprint collision between two distinct keys");
       if (!inserted && !bits_equal(it->second.result, rec.result))
-        // Hand-concatenated shard files, not `amresult merge`: the same
+        // Hand-concatenated store files, not `amresult merge`: the same
         // scenario appears twice with different numbers. Refuse to pick.
         fail(path, lineno,
              "duplicate record for scenario '" + rec.key.workload + "' × " +
@@ -400,17 +396,10 @@ std::vector<std::string> ResultStore::hosts() const {
 }
 
 ResultStoreFile::ResultStoreFile(const std::string& results_dir,
-                                 const std::string& driver, ShardRange shard)
-    : shard_(shard), driver_(driver), results_dir_(results_dir) {
-  if (results_dir.empty()) {
-    if (shard.sharded())
-      throw std::invalid_argument(
-          "--shard requires --results-dir: a shard's only output is its "
-          "store file");
-    return;
-  }
+                                 const std::string& driver) {
+  if (results_dir.empty()) return;
   std::filesystem::create_directories(results_dir);
-  path_ = store_path(results_dir, driver, shard);
+  path_ = store_path(results_dir, driver);
   store_ = ResultStore::load_or_empty(path_);
 }
 
@@ -457,23 +446,15 @@ std::function<void(const ResultStore&)> ResultStoreFile::checkpointer(
   };
 }
 
-bool ResultStoreFile::finish(std::size_t executed, std::size_t planned,
+void ResultStoreFile::finish(std::size_t executed, std::size_t planned,
                              std::ostream& out) {
-  if (path_.empty()) return false;
+  if (path_.empty()) return;
   store_.save(path_);
   // `reused` counts this invocation's cache hits only — the store may
   // also hold records of other machines/grids, which were neither.
   const std::size_t reused = planned > executed ? planned - executed : 0;
   out << "results: " << store_.size() << " records in " << path_ << " ("
       << executed << " executed, " << reused << " reused)\n";
-  if (!shard_.sharded()) return false;
-  out << "shard " << shard_.index << "/" << shard_.count
-      << " complete; merge all shards with\n  amresult merge --out "
-      << store_path(results_dir_, driver_) << " "
-      << store_path(results_dir_, driver_, {0, shard_.count})
-      << " ...\nthen re-run without --shard to print the figure from "
-         "cache.\n";
-  return true;
 }
 
 }  // namespace am::measure

@@ -3,20 +3,20 @@
 //
 // The paper's evaluation re-runs the same (workload × resource × threads)
 // grids over and over — across figure drivers, across --quick and full
-// sweeps, and (with ExperimentPlan::shard) across machines. A ResultStore
-// makes every completed grid point durable: each SimRunResult is keyed by a
-// ScenarioKey fingerprint covering everything that determines the number —
-// the simulated machine, the workload's name (which embeds its parameters),
-// the interference resource and thread count, the engine seed, and the
-// cycle budget. Guarantees:
+// sweeps, and (through lease workers) across processes and machines. A
+// ResultStore makes every completed grid point durable: each SimRunResult
+// is keyed by a ScenarioKey fingerprint covering everything that
+// determines the number — the simulated machine, the workload's name
+// (which embeds its parameters), the interference resource and thread
+// count, the engine seed, and the cycle budget. Guarantees:
 //
 //   * Exactness: doubles are serialized as C99 hexfloats, so a result read
 //     back from disk is bit-identical to the freshly computed one and a
 //     cached ResultTable is indistinguishable from a recomputed one.
 //   * Diff/merge-ability: the on-disk format is one TSV record per line,
 //     written in canonical (fingerprint-sorted) order under a versioned
-//     header, so stores diff cleanly and shard stores merge with plain
-//     collision checking (`amresult merge`).
+//     header, so stores diff cleanly and per-worker or per-slice stores
+//     merge with plain collision checking (`amresult merge`).
 //   * No silent mixing: every record carries the producing host's
 //     fingerprint (interfere::HostIdentity); loading verifies the format
 //     version, per-record integrity, and — when requested — that records
@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/shard.hpp"
 #include "measure/sim_backend.hpp"
 #include "sim/machine.hpp"
 
@@ -59,13 +58,12 @@ inline constexpr std::uint32_t kResultEpoch = 1;
 /// no host-speed knob, so every other field is mixed (am-lint AM004).
 std::string machine_fingerprint(const sim::MachineConfig& machine);
 
-/// The store-file naming policy every driver shares, so `amresult merge`
-/// and a later cached re-run agree on paths: an unsharded run of driver D
-/// reads/writes <results_dir>/D.tsv; shard i of n writes
-/// <results_dir>/D.shard<i>of<n>.tsv. Merging the shard files into D.tsv
-/// is exactly what makes the next unsharded run fully cached.
+/// The store-file naming policy every driver shares, so a merge and a
+/// later cached re-run agree on paths: driver D reads/writes
+/// <results_dir>/D.tsv. Merging lease or slice stores into D.tsv is
+/// exactly what makes the next run fully cached.
 std::string store_path(const std::string& results_dir,
-                       const std::string& driver, ShardRange shard = {});
+                       const std::string& driver);
 
 /// Canonical signature of an interference configuration — every CSThr /
 /// BWThr parameter that changes the interference agents' behaviour, e.g.
@@ -161,8 +159,8 @@ class ResultStore {
 
   /// Folds `other` into this store. Records agreeing on key and payload
   /// deduplicate; records with equal keys but different payloads are a
-  /// hard error (two shards measured the same scenario differently — one
-  /// of them is stale or mislabeled).
+  /// hard error (two workers measured the same scenario differently —
+  /// one of them is stale or mislabeled).
   void merge(const ResultStore& other);
 
   /// Writes the canonical (fingerprint-sorted) file, atomically (write to
@@ -195,11 +193,7 @@ class ResultStore {
 /// unconditionally.
 class ResultStoreFile {
  public:
-  /// Throws std::invalid_argument for a sharded range without a results
-  /// directory — the one flag pairing every driver must enforce, checked
-  /// here once so drivers cannot silently emit a partial figure.
-  ResultStoreFile(const std::string& results_dir, const std::string& driver,
-                  ShardRange shard = {});
+  ResultStoreFile(const std::string& results_dir, const std::string& driver);
 
   /// Lease-worker variant: the backing file is the lease's own store
   /// (common/work_lease.hpp's lease_store_path(lease_path)), and the
@@ -236,16 +230,10 @@ class ResultStoreFile {
   /// Persists the store and reports the run's cache economy on `out`:
   /// `planned` is the number of grid points this invocation was
   /// responsible for and `executed` how many actually ran (the difference
-  /// is the cache hits). With a sharded range also prints the
-  /// amresult merge handoff and returns true — the caller should skip
-  /// figure emission, its table being partial by construction. No-op
-  /// (false) when disabled.
-  bool finish(std::size_t executed, std::size_t planned, std::ostream& out);
+  /// is the cache hits). No-op when disabled.
+  void finish(std::size_t executed, std::size_t planned, std::ostream& out);
 
  private:
-  ShardRange shard_;
-  std::string driver_;
-  std::string results_dir_;
   std::string path_;
   ResultStore store_;
 };

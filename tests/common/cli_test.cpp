@@ -107,29 +107,6 @@ TEST(Cli, SecondsRejectNegativeNanAndInfinity) {
                std::invalid_argument);  // value-less -> "true"
 }
 
-TEST(Cli, ShardParsing) {
-  auto cli = make({"--shard=2/8"});
-  const auto shard = cli.get_shard("shard");
-  EXPECT_EQ(shard.index, 2u);
-  EXPECT_EQ(shard.count, 8u);
-  EXPECT_TRUE(shard.sharded());
-
-  const auto whole = make({}).get_shard("shard");  // absent: the whole job
-  EXPECT_EQ(whole.index, 0u);
-  EXPECT_EQ(whole.count, 1u);
-  EXPECT_FALSE(whole.sharded());
-}
-
-TEST(Cli, ShardParsingRejectsMalformedValues) {
-  for (const char* bad :
-       {"--shard=3", "--shard=/4", "--shard=3/", "--shard=a/4",
-        "--shard=3/b", "--shard=3/4x", "--shard=3/0", "--shard=4/4",
-        "--shard=9/4", "--shard=1/-4", "--shard=-1/4", "--shard=+1/4",
-        "--shard=1/2/3", "--shard= 1/4"})
-    EXPECT_THROW(make({bad}).get_shard("shard"), std::invalid_argument)
-        << bad;
-}
-
 TEST(Cli, PathFlagsLikeLeaseParseBothForms) {
   // The scheduler worker flags (--lease FILE, --emit-plan FILE) are
   // plain string flags; both spellings must carry the path through

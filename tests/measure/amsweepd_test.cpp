@@ -429,6 +429,24 @@ TEST_F(SweepDaemonTest, QueueFileJobWithAnUnholdablePointCountIsSkipped) {
   EXPECT_EQ(report.jobs[0].ns, "good");
 }
 
+TEST_F(SweepDaemonTest, SubmitRejectsAnUnknownMemoryBackendWithoutAJob) {
+  PlanSpec bogus = tiny_spec();
+  bogus.mem_backend = "bogus";
+  DaemonHarness harness(accept_only());
+  auto client = DaemonClient::connect_unix(sock());
+  const auto rejected = client.submit("alice", serialize_plan_spec(bogus));
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_FALSE(rejected.retry);
+  EXPECT_NE(rejected.error.find("bogus"), std::string::npos)
+      << rejected.error;
+  EXPECT_FALSE(client.status(1).ok) << "a rejected submit created a job";
+  // The rejection consumed no job id.
+  const auto accepted = client.submit("alice", serialize_plan_spec(tiny_spec()));
+  ASSERT_TRUE(accepted.ok) << accepted.error;
+  EXPECT_EQ(accepted.job, 1u);
+  EXPECT_EQ(harness.drain().jobs_accepted, 1u);
+}
+
 TEST_F(SweepDaemonTest, WaitIsReleasedByCancel) {
   DaemonHarness harness(accept_only());
   auto client = DaemonClient::connect_unix(sock());

@@ -323,6 +323,44 @@ TEST_F(LeaseWorkerTest, DoneOfferDrainsOpenLeases) {
   EXPECT_EQ(ResultStore::load(lease_store_path(lease_)).size(), 2u);
 }
 
+TEST_F(LeaseWorkerTest, DoneOfferHoldingPointsRunsThemAndReturns) {
+  // A static slice (`amsweep slice`) is a single done offer that holds
+  // points: the worker runs them, saves its store, acks, and returns
+  // without polling for a further offer until the idle timeout.
+  gate_.open();
+  LeaseOffer slice;
+  slice.lease.id = 0;
+  slice.lease.points = {4, 0, 3};
+  slice.done = true;
+  write_lease_offer(lease_, slice);
+  start();
+  ASSERT_EQ(worker_.wait_for(20s), std::future_status::ready)
+      << "the worker waited for an offer after its last one";
+  const auto report = worker_.get();
+  EXPECT_EQ(report.leases, 1u);
+  EXPECT_EQ(report.points, 3u);
+  EXPECT_EQ(report.executed, 3u);
+
+  const auto acks = read_lease_acks(lease_ack_path(lease_));
+  ASSERT_TRUE(acks.has_value());
+  ASSERT_EQ(acks->acks.size(), 1u);
+  EXPECT_EQ(acks->acks[0].lease_id, 0u);
+  EXPECT_EQ(acks->acks[0].points, 3u);
+  EXPECT_FALSE(acks->ready) << "a done offer asks for no further offer";
+
+  ResultStore serial;
+  runner_.run_points(plan_, nullptr, &serial, {0, 3, 4});
+  const std::string serial_path = dir() + "/serial.tsv";
+  serial.save(serial_path);
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  };
+  EXPECT_EQ(slurp(lease_store_path(lease_)), slurp(serial_path));
+}
+
 TEST_F(LeaseWorkerTest, ThrowingPointIsRethrownAfterInFlightPointsSettle) {
   const auto boom = plan_.add_workload(
       {"boom", [](sim::Engine&) -> WorkloadInfo {
@@ -418,6 +456,35 @@ TEST_F(LeaseAckFormatTest, RejectsMalformedFiles) {
   EXPECT_FALSE(parse("#am-lease-ack v1\n")) << "neither records nor ready";
   EXPECT_FALSE(parse("#am-lease-ack v1\nready\t-1\n"));
   EXPECT_TRUE(parse("#am-lease-ack v1\nready\t3\n"));
+}
+
+TEST_F(LeaseAckFormatTest, PlanInfoHoldsOneCostLinePerPointInIndexOrder) {
+  const auto parse_info = [&](const std::string& text) {
+    const std::string path = dir() + "/info";
+    std::ofstream(path) << text;
+    return read_plan_info(path);
+  };
+  const auto info = parse_info(
+      "#am-plan-info v1\npoints\t2\ncost\t0\t0x1p+1\ncost\t1\t0x1p-1\n");
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->points, 2u);
+  EXPECT_EQ(info->costs, (std::vector<double>{2.0, 0.5}));
+  EXPECT_TRUE(parse_info("#am-plan-info v1\npoints\t0\n"));
+
+  // A count the cost lines do not back is malformed, however large: the
+  // reader's memory follows the lines it holds, never the count claimed.
+  EXPECT_FALSE(parse_info(
+      "#am-plan-info v1\npoints\t1000000000000000\ncost\t0\t0x1p+0\n"));
+  EXPECT_FALSE(parse_info("#am-plan-info v1\npoints\t1000000000000000\n"));
+  EXPECT_FALSE(parse_info("#am-plan-info v1\npoints\t3\ncost\t0\t1\n"
+                          "cost\t1\t1\n"))
+      << "a point without a cost line";
+  EXPECT_FALSE(parse_info("#am-plan-info v1\npoints\t2\ncost\t1\t1\n"
+                          "cost\t0\t1\n"))
+      << "cost lines out of index order";
+  EXPECT_FALSE(parse_info("#am-plan-info v1\npoints\t1\ncost\t0\t1\n"
+                          "cost\t0\t1\n"))
+      << "a repeated cost line";
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -82,14 +83,20 @@ class OrchestratorTest : public ::testing::Test {
 };
 
 /// A /bin/sh worker script: answers the --emit-plan probe with an
-/// n-point plan (plus `plan_lines`, printf-escaped plan-info lines), and
-/// as a lease worker runs `lease_body`. The appended flags arrive as
+/// n-point plan whose cost lines are `plan_lines` (printf-escaped
+/// plan-info lines; by default a uniform cost line per point), and as a
+/// lease worker runs `lease_body`. The appended flags arrive as
 /// $1=--results-dir $2=<dir> then either $3=--emit-plan $4=<file> or
 /// $3=--lease $4=<file> $5=--worker.
 std::string worker_script(std::size_t points, const std::string& lease_body,
-                          const std::string& plan_lines = "") {
+                          std::optional<std::string> plan_lines = {}) {
+  if (!plan_lines) {
+    plan_lines.emplace();
+    for (std::size_t i = 0; i < points; ++i)
+      *plan_lines += "cost\\t" + std::to_string(i) + "\\t1\\n";
+  }
   return "case \"$3\" in --emit-plan) printf '#am-plan-info v1\\npoints\\t" +
-         std::to_string(points) + "\\n" + plan_lines +
+         std::to_string(points) + "\\n" + *plan_lines +
          "' > \"$4.tmp\" && mv \"$4.tmp\" \"$4\"; exit 0;; esac\n" +
          lease_body;
 }
@@ -338,20 +345,58 @@ TEST_F(OrchestratorTest, UnorderableProbeCostIsAReportedProbeError) {
 }
 
 TEST_F(OrchestratorTest, UnschedulableProbePointCountIsAReportedProbeError) {
-  // A point count no plan could hold, with or without a cost block, fails
-  // the probe the same way: reported with a manifest, never a length
-  // error thrown out of run() (which amsweep would map to a usage exit).
-  for (const std::string costs : {"", "cost\\t0\\t1\\n"}) {
-    SweepOrchestrator orch(
-        opts(worker_script(SIZE_MAX, kAckEveryLease, costs), 0));
-    std::ostringstream log;
-    OrchestratorReport report;
-    ASSERT_NO_THROW(report = orch.run(log)) << costs;
-    EXPECT_FALSE(report.success) << costs;
-    EXPECT_NE(report.error.find("probe"), std::string::npos) << report.error;
-    EXPECT_TRUE(report.attempts.empty()) << costs;
-    EXPECT_NE(manifest().find("status\tfailed"), std::string::npos) << costs;
-  }
+  // A point count no plan could hold (10^15 or SIZE_MAX, with or without
+  // a cost block) fails the probe the same way: run() reports it with a
+  // manifest, never a length error thrown out of run() (which amsweep
+  // would map to a usage exit), and slice() writes no slice.
+  for (const std::size_t points :
+       {std::size_t{1'000'000'000'000'000}, std::size_t{SIZE_MAX}})
+    for (const std::string costs : {"", "cost\\t0\\t1\\n"}) {
+      SweepOrchestrator orch(
+          opts(worker_script(points, kAckEveryLease, costs), 0));
+      std::ostringstream log;
+      OrchestratorReport report;
+      ASSERT_NO_THROW(report = orch.run(log)) << points << costs;
+      EXPECT_FALSE(report.success) << costs;
+      EXPECT_NE(report.error.find("probe"), std::string::npos) << report.error;
+      EXPECT_TRUE(report.attempts.empty()) << costs;
+      EXPECT_NE(manifest().find("status\tfailed"), std::string::npos) << costs;
+
+      std::string error;
+      EXPECT_FALSE(orch.slice(2, error)) << points << costs;
+      EXPECT_NE(error.find("probe"), std::string::npos) << error;
+      EXPECT_FALSE(fs::exists(dir() + "/slice_0")) << points << costs;
+    }
+}
+
+TEST_F(OrchestratorTest, SliceWritesOneCostOrderedDoneOfferPerHost) {
+  // Costs 1, 3, 2: the costliest points go to slice 0, each slice lists
+  // its points costliest first, and a host past the plan gets an empty
+  // slice.
+  const SweepOrchestrator orch(opts(
+      worker_script(3, "exit 3", "cost\\t0\\t1\\ncost\\t1\\t3\\ncost\\t2\\t2\\n"),
+      0));
+  std::string error;
+  const auto read_slices = [&](std::size_t hosts) {
+    std::vector<std::vector<std::size_t>> points;
+    const auto slices = orch.slice(hosts, error);
+    EXPECT_TRUE(slices.has_value()) << error;
+    if (!slices) return points;
+    EXPECT_EQ(slices->size(), hosts);
+    for (std::size_t i = 0; i < slices->size(); ++i) {
+      EXPECT_EQ((*slices)[i], dir() + "/slice_" + std::to_string(i));
+      const auto offer = read_lease_offer((*slices)[i]);
+      EXPECT_TRUE(offer && offer->done && offer->lease.id == i) << i;
+      points.push_back(offer ? offer->lease.points
+                             : std::vector<std::size_t>{});
+    }
+    return points;
+  };
+  EXPECT_EQ(read_slices(2),
+            (std::vector<std::vector<std::size_t>>{{1, 2}, {0}}));
+  EXPECT_EQ(read_slices(4),
+            (std::vector<std::vector<std::size_t>>{{1}, {2}, {0}, {}}));
+  EXPECT_THROW(orch.slice(0, error), std::invalid_argument);
 }
 
 TEST_F(OrchestratorTest, LeaseModeExhaustsPerPointBudgetAndNamesPoints) {
@@ -412,7 +457,8 @@ TEST_F(OrchestratorTest, ExhaustedRetryBudgetFailsAndNamesThePoint) {
 constexpr const char* kPoisonOnceLeaseWorkerScript = R"sh(
 case "$3" in
   --emit-plan)
-    printf '#am-plan-info v1\npoints\t4\n' > "$4.tmp" && mv "$4.tmp" "$4"
+    printf '#am-plan-info v1\npoints\t4\ncost\t0\t1\ncost\t1\t1\ncost\t2\t1\ncost\t3\t1\n' \
+      > "$4.tmp" && mv "$4.tmp" "$4"
     exit 0 ;;
   --lease)
     lease=$4; last=
@@ -470,7 +516,8 @@ TEST_F(OrchestratorTest, DeadWorkersBatchIsSplitOnRequeue) {
 constexpr const char* kStreamingCrashLeaseWorkerScript = R"sh(
 case "$3" in
   --emit-plan)
-    printf '#am-plan-info v1\npoints\t4\n' > "$4.tmp" && mv "$4.tmp" "$4"
+    printf '#am-plan-info v1\npoints\t4\ncost\t0\t1\ncost\t1\t1\ncost\t2\t1\ncost\t3\t1\n' \
+      > "$4.tmp" && mv "$4.tmp" "$4"
     exit 0 ;;
   --lease)
     lease=$4; last=; taken=0
