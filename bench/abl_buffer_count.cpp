@@ -2,6 +2,7 @@
 // paper found 44 buffers sufficient to maximize concurrent memory traffic;
 // this sweep shows the saturation curve on the simulator (throughput rises
 // with memory-level parallelism until the line-fill-buffer limit).
+#include "apps/idle_agent.hpp"
 #include "bench_util.hpp"
 
 int main(int argc, char** argv) {
@@ -13,17 +14,7 @@ int main(int argc, char** argv) {
   am::Table t({"Buffers", "BWThr GB/s", "GB/s per buffer"});
   for (const std::uint32_t nbuf : {1u, 2u, 4u, 8u, 16u, 32u, 44u, 64u}) {
     am::sim::Engine engine(ctx.machine, ctx.seed);
-    struct Timer final : am::sim::Agent {
-      explicit Timer(am::sim::Cycles d) : am::sim::Agent("t"), left(d) {}
-      void step(am::sim::AgentContext& c) override {
-        const auto chunk = std::min<am::sim::Cycles>(left, 10'000);
-        c.compute(chunk);
-        left -= chunk;
-      }
-      bool finished() const override { return left == 0; }
-      am::sim::Cycles left;
-    };
-    engine.add_agent(std::make_unique<Timer>(window), 0);
+    engine.add_agent(std::make_unique<am::apps::IdleAgent>(window), 0);
     auto cfg = ctx.bw_config();
     cfg.num_buffers = nbuf;
     engine.add_agent(std::make_unique<am::interfere::BWThrAgent>(

@@ -19,11 +19,12 @@
 #include "common/units.hpp"
 #include "interfere/bwthr_agent.hpp"
 #include "interfere/csthr_agent.hpp"
+#include "measure/app_workloads.hpp"
+#include "measure/calibration.hpp"
 #include "measure/experiment_plan.hpp"
 #include "measure/lease.hpp"
 #include "measure/result_store.hpp"
 #include "model/ehr_model.hpp"
-#include "sim/engine.hpp"
 
 namespace am::bench {
 
@@ -218,6 +219,43 @@ inline void emit_degradation_tables(const measure::ResultTable& table,
   }
 }
 
+struct FigureCalibrations {
+  measure::CapacityCalibration capacity;
+  measure::BandwidthCalibration bandwidth;
+};
+
+/// The calibrations fig10 and fig12 turn thread counts into resource
+/// availability with (--quick trims them). With --results-dir they are
+/// served by and recorded into the calibration store every driver shares,
+/// <results_dir>/calibration.tsv, whose cache economy is reported like a
+/// grid store's; without it every probe runs.
+inline FigureCalibrations figure_calibrations(const BenchContext& ctx,
+                                              bool quick) {
+  measure::CalibrationOptions copts;
+  copts.max_threads = quick ? 2 : 5;
+  copts.buffer_to_l3_ratios = {2.5};
+  copts.probe_distributions = {9};
+  copts.accesses_per_probe = quick ? 20'000 : 150'000;
+  copts.seed = ctx.seed;
+  measure::ResultStoreFile store(ctx.results_dir, "calibration");
+  const std::size_t held = store.store() ? store.store()->size() : 0;
+  FigureCalibrations out{
+      measure::calibrate_capacity(ctx.machine, ctx.cs_config(), copts,
+                                  store.store()),
+      measure::calibrate_bandwidth(ctx.machine, ctx.bw_config(), 2, ctx.seed,
+                                   store.store())};
+  if (store.store() != nullptr) {
+    // Each probe that ran added one record. Capacity probes one per
+    // (level, ratio, distribution); bandwidth the peak plus one per level.
+    const std::size_t probes = out.capacity.available_bytes.size() *
+                                   copts.buffer_to_l3_ratios.size() *
+                                   copts.probe_distributions.size() +
+                               1 + out.bandwidth.used_bytes_per_sec.size();
+    store.finish(store.store()->size() - held, probes, std::cout);
+  }
+  return out;
+}
+
 /// One synthetic-benchmark experiment: the probe runs against `k` CSThrs
 /// on the same socket; returns the measured L3 miss rate in steady state.
 struct SynthOutcome {
@@ -230,24 +268,20 @@ inline SynthOutcome run_synth_experiment(
     const BenchContext& ctx, const model::AccessDistribution& dist,
     std::uint32_t compute_ops, std::uint32_t k_csthr,
     std::uint64_t measured_accesses) {
-  sim::Engine engine(ctx.machine, ctx.seed);
-  apps::SyntheticConfig cfg{dist, 4, compute_ops,
-                            /*warmup=*/dist.n() * 3 / 2, measured_accesses};
-  auto bench = std::make_unique<apps::SyntheticBenchmarkAgent>(
-      engine.memory(), cfg);
-  auto* bench_raw = bench.get();
-  const auto idx = engine.add_agent(std::move(bench), 0);
-  for (std::uint32_t i = 0; i < k_csthr; ++i)
-    engine.add_agent(std::make_unique<interfere::CSThrAgent>(engine.memory(),
-                                                             ctx.cs_config()),
-                     1 + i, /*primary=*/false);
-  const sim::Cycles end = engine.run();
+  const apps::SyntheticConfig cfg{dist, 4, compute_ops,
+                                  /*warmup=*/dist.n() * 3 / 2,
+                                  measured_accesses};
+  // The benchmark's own warm-up phase stands in for the interference
+  // head start: the CSThrs start with it.
+  auto spec = measure::InterferenceSpec::storage(k_csthr, ctx.cs_config());
+  spec.warmup_cycles = 0;
+  const auto run = measure::SimBackend(ctx.machine, ctx.seed)
+                       .run(measure::make_synthetic_workload(cfg), spec);
   SynthOutcome out;
-  out.miss_rate = engine.agent_counters(idx).l3_miss_rate();
-  out.seconds =
-      ctx.machine.cycles_to_seconds(end - bench_raw->measure_start_cycle());
+  out.miss_rate = run.app_l3_miss_rate;
+  out.seconds = run.seconds;
   out.effective_capacity =
-      model::EhrModel(dist, 4).invert_capacity(out.miss_rate);
+      model::EhrModel(dist, cfg.element_bytes).invert_capacity(out.miss_rate);
   return out;
 }
 

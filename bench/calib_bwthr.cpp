@@ -4,6 +4,7 @@
 #include "bench_util.hpp"
 
 #include "measure/calibration.hpp"
+#include "measure/result_store.hpp"
 
 int main(int argc, char** argv) {
   am::Cli cli(argc, argv);
@@ -11,8 +12,14 @@ int main(int argc, char** argv) {
   const auto max_threads = static_cast<std::uint32_t>(
       cli.get_int("max-threads", ctx.machine.cores_per_socket - 1));
 
+  // --results-dir serves and records the probes in the calibration store
+  // the figure drivers share.
+  am::measure::ResultStoreFile store(ctx.results_dir, "calibration");
+  const std::size_t held = store.store() ? store.store()->size() : 0;
   const auto calib = am::measure::calibrate_bandwidth(
-      ctx.machine, ctx.bw_config(), max_threads, ctx.seed);
+      ctx.machine, ctx.bw_config(), max_threads, ctx.seed, store.store());
+  if (store.store() != nullptr)  // the peak plus one window per level
+    store.finish(store.store()->size() - held, max_threads + 2, std::cout);
 
   am::Table t({"BWThrs", "Used GB/s", "Available GB/s", "Used % of peak"});
   for (std::uint32_t k = 0; k <= max_threads; ++k) {

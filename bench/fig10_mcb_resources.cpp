@@ -10,7 +10,6 @@
 #include "bench_util.hpp"
 #include "measure/active_measurer.hpp"
 #include "measure/app_workloads.hpp"
-#include "measure/calibration.hpp"
 
 namespace {
 
@@ -58,17 +57,9 @@ int fig10(const am::Cli& cli, am::bench::BenchContext& ctx) {
 
   // Only the assembled figure reads the calibrations: they turn thread
   // counts into resource availability.
-  am::measure::CalibrationOptions copts;
-  copts.max_threads = quick ? 2 : 5;
-  copts.buffer_to_l3_ratios = {2.5};
-  copts.probe_distributions = {9};
-  copts.accesses_per_probe = quick ? 20'000 : 150'000;
-  copts.seed = ctx.seed;
-  const auto cap_calib =
-      am::measure::calibrate_capacity(ctx.machine, ctx.cs_config(), copts);
-  const auto bw_calib = am::measure::calibrate_bandwidth(
-      ctx.machine, ctx.bw_config(), 2, ctx.seed);
-  const am::measure::ActiveMeasurer measurer(backend, cap_calib, bw_calib);
+  const auto calib = am::bench::figure_calibrations(ctx, quick);
+  const am::measure::ActiveMeasurer measurer(backend, calib.capacity,
+                                             calib.bandwidth);
   const auto sweeps = measurer.assemble_grid(grid, requests, *table);
 
   const double mb = 1024.0 * 1024.0;

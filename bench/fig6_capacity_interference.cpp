@@ -22,6 +22,12 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("dists", full ? 10 : 4));
   const auto max_threads =
       static_cast<std::uint32_t>(cli.get_int("max-threads", 5));
+  // The probe holds core 0 and the CSThrs share its socket (cores 1..k).
+  if (max_threads >= ctx.machine.cores_per_socket) {
+    std::cerr << "fig6: --max-threads must be below the "
+              << ctx.machine.cores_per_socket << " cores of a socket\n";
+    return 2;
+  }
   const auto accesses =
       static_cast<std::uint64_t>(cli.get_int("accesses", 150'000));
   const std::vector<std::uint32_t> ops_levels{1, 10, 100};

@@ -16,6 +16,10 @@
 //   amresult merge --out <merged.tsv> <store.tsv>...
 //            [--allow-mixed-hosts]           # fold slice stores into one
 //
+// An input naming the --out file itself may be missing: merging slice
+// stores into a results dir's store lists that store first, to keep its
+// older records, and a fresh results dir has none yet.
+//
 // Merging refuses to combine records produced on different physical hosts
 // unless --allow-mixed-hosts is given: simulator results are deterministic
 // and host-independent, so the flag is safe for sim stores, but the
@@ -84,7 +88,8 @@ int merge(const std::string& out, bool allow_mixed_hosts,
           const std::vector<std::string>& paths) {
   ResultStore merged;
   for (const auto& path : paths) {
-    const auto store = ResultStore::load(path);
+    const auto store = path == out ? ResultStore::load_or_empty(path)
+                                   : ResultStore::load(path);
     merged.merge(store);
     std::printf("merged %s (%zu records)\n", path.c_str(), store.size());
   }

@@ -446,9 +446,13 @@ int cmd_slice(const am::Cli& cli, const std::vector<std::string>& driver) {
   for (const auto& path : *slices)
     std::cout << "  " << command << "--results-dir R --lease " << path
               << "\n";
-  std::cout << "then gather the slice stores and merge them:\n  amresult "
-               "merge --out "
-            << am::measure::store_path("R", opts.driver);
+  // A slice store holds only its slice's points (R's store is a lookup
+  // seed, never copied), so R's own store leads the merge to keep its
+  // older records.
+  const std::string canonical = am::measure::store_path("R", opts.driver);
+  std::cout << "then gather the slice stores and merge them into R's:\n"
+               "  amresult merge --out "
+            << canonical << " " << canonical;
   for (const auto& path : *slices)
     std::cout << " " << am::lease_store_path(path);
   std::cout << "\n";

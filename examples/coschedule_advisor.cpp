@@ -11,7 +11,8 @@
 // mcb_mapping_study); the contract — flags, heartbeat, crash marker and
 // exit codes (2 = usage, 3 = run failure) — is the shared worker entry,
 // measure::run_worker_entry. Workers and probes only build and run the
-// profiling grid; the calibrations are computed for the advice alone.
+// profiling grid; the calibrations are computed for the advice alone,
+// cached in <results-dir>/calibration.tsv when a results dir is given.
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -80,8 +81,23 @@ int advise(const am::Cli& cli, const am::measure::SchedulingFlags& flags) {
   copts.buffer_to_l3_ratios = {2.5};
   copts.probe_distributions = {9};
   copts.accesses_per_probe = accesses * 2 / 3;  // 100k at the 150k default
-  const auto cap_calib = am::measure::calibrate_capacity(machine, cs, copts);
-  const auto bw_calib = am::measure::calibrate_bandwidth(machine, bw, 2);
+  // --results-dir serves and records the probes in the calibration store
+  // the drivers share.
+  am::measure::ResultStoreFile calib_store(cli.get("results-dir", ""),
+                                           "calibration");
+  const std::size_t held =
+      calib_store.store() ? calib_store.store()->size() : 0;
+  const auto cap_calib =
+      am::measure::calibrate_capacity(machine, cs, copts, calib_store.store());
+  const auto bw_calib = am::measure::calibrate_bandwidth(
+      machine, bw, 2, copts.seed, calib_store.store());
+  if (calib_store.store() != nullptr) {
+    // Each probe that ran added one record: one per capacity level, and
+    // the bandwidth peak plus one window per level.
+    const std::size_t probes = cap_calib.available_bytes.size() + 1 +
+                               bw_calib.used_bytes_per_sec.size();
+    calib_store.finish(calib_store.store()->size() - held, probes, std::cout);
+  }
   const am::measure::ActiveMeasurer measurer(backend, cap_calib, bw_calib);
   const auto sweeps = measurer.assemble_grid(grid, requests, *table);
 

@@ -6,8 +6,10 @@
 #   2. as the manual multi-host recipe: `amsweep slice --hosts 2`, one
 #      lease run per slice, and `amresult merge`,
 # and require both stores to be byte-identical to the serial run's, and
-# a re-run against the orchestrated store to be fully cached and to print
-# the serial run's tables line for line.
+# re-runs against the orchestrated store to be fully cached and to print
+# the serial run's tables line for line: the first render computes the
+# calibration into the dir's calibration store, the second reads it back
+# and runs nothing at all.
 # Driven by -D vars:
 #   AMSWEEP  — path to the amsweep binary
 #   AMRESULT — path to the amresult binary
@@ -22,6 +24,13 @@ set(store fig10_mcb_resources)
 
 # The ground truth: the grid run serially into its own store.
 run_checked(direct "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/direct")
+# Its calibration probes are cached apart from the grid, so the grid
+# stores compared below hold grid points only.
+file(STRINGS "${WORKDIR}/direct/${store}.tsv" calib_in_grid REGEX "\tcalib ")
+file(STRINGS "${WORKDIR}/direct/calibration.tsv" calib_records REGEX "\tcalib ")
+if(calib_in_grid OR NOT calib_records)
+  message(FATAL_ERROR "calibration records belong in calibration.tsv only")
+endif()
 
 # 1. Orchestrated, with exactly one worker dying mid-lease. The plan
 #    probe never claims the marker.
@@ -70,4 +79,19 @@ if(NOT cached_table STREQUAL direct_table)
   message(FATAL_ERROR
     "cached tables differ from the direct run.\ncached:\n${cached_table}\n"
     "direct:\n${direct_table}")
+endif()
+
+# 4. A second render reads its calibration from the calibration store
+#    the first one wrote: zero probes run, and the tables still match.
+run_checked(rerendered "${FIG10}" ${fig10_args} --results-dir "${WORKDIR}/orch")
+if(NOT rerendered MATCHES "calibration\\.tsv \\(0 executed")
+  message(FATAL_ERROR
+    "expected a fully cached calibration on the second render, got:\n"
+    "${rerendered}")
+endif()
+string(REGEX REPLACE "results: [^\n]*\n" "" rerendered_table "${rerendered}")
+if(NOT rerendered_table STREQUAL direct_table)
+  message(FATAL_ERROR
+    "re-rendered tables differ from the direct run.\nre-rendered:\n"
+    "${rerendered_table}\ndirect:\n${direct_table}")
 endif()

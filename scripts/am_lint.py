@@ -42,6 +42,15 @@ makes them mechanical:
                             (measure::run_worker_entry); a driver that
                             returns them itself is a copy of the
                             contract.
+  AM007 probe-key-cover     Every field of the calibration inputs keys
+                            a probe's store record: CalibrationOptions,
+                            apps::SyntheticConfig and
+                            apps::StreamProbeConfig fields are read
+                            where calibration builds probe names, and
+                            CSThrConfig and BWThrConfig fields in
+                            spec_signature. A field left out would
+                            serve a cached calibration for changed
+                            inputs.
 
 Each rule is a pure function over (path, text) — no filesystem access —
 so scripts/am_lint_test.py can feed fixture snippets straight in.
@@ -217,10 +226,11 @@ def check_hexfloat(path: str, text: str, codec: bool = True):
     return out
 
 
-def machine_config_fields(machine_hpp: str):
-    """Data members of struct MachineConfig (depth-1 declarations)."""
-    code = strip_comments_and_strings(machine_hpp)
-    m = re.search(r"^struct MachineConfig\s*\{", code, re.M)
+def struct_fields(header: str, struct: str):
+    """Data members of `struct <struct>` in `header` (depth-1
+    declarations)."""
+    code = strip_comments_and_strings(header)
+    m = re.search(rf"^struct {struct}\s*\{{", code, re.M)
     if not m:
         return []
     fields, depth, body = [], 1, code[m.end():]
@@ -237,25 +247,68 @@ def machine_config_fields(machine_hpp: str):
     return fields
 
 
+def machine_config_fields(machine_hpp: str):
+    """Data members of struct MachineConfig (depth-1 declarations)."""
+    return struct_fields(machine_hpp, "MachineConfig")
+
+
+def function_body(code: str, name: str):
+    """The body of the first definition of function `name` in
+    comment-stripped `code` (a return type, then the name, at the start
+    of a line), or None."""
+    opener = re.compile(rf"^(?:[\w:<>]+[ \t]+)+{name}\s*\([^;{{]*\)"
+                        r"\s*(?:const\s*)?\{", re.M)
+    spans = _brace_spans(code, opener)
+    return code[spans[0][0]:spans[0][1]] if spans else None
+
+
+def check_field_coverage(rule: str, header: str, struct: str, impl: str,
+                         func: str, var: str, why: str):
+    """Every field of `struct` is read as `<var>.<field>` in the body of
+    `func` in `impl`."""
+    fields = struct_fields(header, struct)
+    if not fields:
+        return [(1, rule, f"could not parse struct {struct} — fix the "
+                 "parser or the header")]
+    body = function_body(strip_comments_and_strings(impl), func)
+    if body is None:
+        return [(1, rule, f"could not find the definition of {func}")]
+    return [(1, rule, f"{struct}.{f} is not read in {func} — {why}")
+            for f in fields
+            if not re.search(rf"\b{var}\.{f}\b", body)]
+
+
 def check_fingerprint_coverage(machine_hpp: str, result_store_cpp: str):
     """AM004: every MachineConfig knob keys the store."""
-    fields = machine_config_fields(machine_hpp)
-    if not fields:
-        return [(1, "AM004", "could not parse struct MachineConfig out of "
-                 "sim/machine.hpp — fix the parser or the header")]
-    code = strip_comments_and_strings(result_store_cpp)
-    m = re.search(r"^std::string machine_fingerprint[^{]*\{", code, re.M)
-    if not m:
-        return [(1, "AM004",
-                 "could not find machine_fingerprint in result_store.cpp")]
-    body = code[m.end():]
-    end = re.search(r"^\}", body, re.M)
-    body = body[:end.start()] if end else body
-    mixed = set(re.findall(r"\bm\.([a-z][a-z0-9_]*)", body))
-    return [(1, "AM004", f"MachineConfig.{f} is not mixed into "
-             "machine_fingerprint — stores would alias across different "
-             "configs")
-            for f in fields if f not in mixed]
+    return check_field_coverage(
+        "AM004", machine_hpp, "MachineConfig", result_store_cpp,
+        "machine_fingerprint", "m",
+        "stores would alias across different configs")
+
+
+# AM007: (header, struct, implementation, function, variable) — every
+# field of the struct must be read through the variable in the function
+# that turns it into a store key.
+PROBE_KEY_COVERAGE = (
+    ("src/measure/calibration.hpp", "CalibrationOptions",
+     "src/measure/calibration.cpp", "calibrate_capacity", "opts"),
+    ("src/apps/synthetic_benchmark.hpp", "SyntheticConfig",
+     "src/measure/calibration.cpp", "synthetic_name", "c"),
+    ("src/apps/stream_probe.hpp", "StreamProbeConfig",
+     "src/measure/calibration.cpp", "stream_name", "c"),
+    ("src/interfere/csthr_agent.hpp", "CSThrConfig",
+     "src/measure/result_store.cpp", "spec_signature", "cs"),
+    ("src/interfere/bwthr_agent.hpp", "BWThrConfig",
+     "src/measure/result_store.cpp", "spec_signature", "bw"),
+)
+
+
+def check_probe_key_coverage(header: str, struct: str, impl: str,
+                             func: str, var: str):
+    """AM007: every calibration input keys its probe's store record."""
+    return check_field_coverage(
+        "AM007", header, struct, impl, func, var,
+        "a cached calibration would be served for changed inputs")
 
 
 # Names that collide with methods in this codebase (Socket::close,
@@ -370,6 +423,11 @@ def lint_repo(root: Path):
     if machine.exists() and store.exists():
         add(store, check_fingerprint_coverage(machine.read_text(),
                                               store.read_text()))
+    for header, struct, impl, func, var in PROBE_KEY_COVERAGE:
+        h, i = root / header, root / impl
+        if h.exists() and i.exists():
+            add(i, check_probe_key_coverage(h.read_text(), struct,
+                                            i.read_text(), func, var))
     return violations
 
 

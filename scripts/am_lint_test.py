@@ -191,6 +191,66 @@ class FingerprintCoverageTest(unittest.TestCase):
         self.assertNotIn("total_sockets", fields)
 
 
+PROBE_CONFIG_FIXTURE = """
+struct ProbeConfig {
+  std::uint64_t array_bytes = 8 * 1024;  // each array
+  /// Passes over the arrays.
+  std::uint32_t passes = 3;
+  void validate() const;
+};
+"""
+
+
+def probe_name_fixture(fields):
+    reads = " + ".join(f"std::to_string(c.{f})" for f in fields) or '""'
+    return ("namespace {\n"
+            "std::string probe_name(const ProbeConfig& c) {\n"
+            f"  return \"calib \" + {reads};\n"
+            "}\n"
+            "}  // namespace\n"
+            "Result run() { return run_probe(probe_name(config)); }\n")
+
+
+class ProbeKeyCoverageTest(unittest.TestCase):
+    def check(self, fields):
+        return am_lint.check_probe_key_coverage(
+            PROBE_CONFIG_FIXTURE, "ProbeConfig", probe_name_fixture(fields),
+            "probe_name", "c")
+
+    def test_passes_full_coverage(self):
+        self.assertEqual(self.check(["array_bytes", "passes"]), [])
+
+    def test_fails_unread_field(self):
+        found = self.check(["array_bytes"])
+        self.assertEqual(rules(found), ["AM007"])
+        self.assertIn("ProbeConfig.passes", found[0][2])
+
+    def test_a_comment_or_call_site_does_not_count(self):
+        # The field named in a comment, and the function named at a call
+        # site, are not the definition reading it.
+        impl = ("// reads c.passes\n" + probe_name_fixture(["array_bytes"]) +
+                "void g() { probe_name(c.passes); }\n")
+        found = am_lint.check_probe_key_coverage(
+            PROBE_CONFIG_FIXTURE, "ProbeConfig", impl, "probe_name", "c")
+        self.assertEqual(rules(found), ["AM007"])
+
+    def test_fails_when_the_function_is_gone(self):
+        found = am_lint.check_probe_key_coverage(
+            PROBE_CONFIG_FIXTURE, "ProbeConfig", "int x;\n", "probe_name",
+            "c")
+        self.assertEqual(rules(found), ["AM007"])
+        self.assertIn("could not find", found[0][2])
+
+    def test_parses_the_real_configs(self):
+        for header, struct, impl, func, _ in am_lint.PROBE_KEY_COVERAGE:
+            self.assertTrue(
+                am_lint.struct_fields((REPO / header).read_text(), struct),
+                struct)
+            code = am_lint.strip_comments_and_strings(
+                (REPO / impl).read_text())
+            self.assertIsNotNone(am_lint.function_body(code, func), func)
+
+
 class SyscallReturnTest(unittest.TestCase):
     def test_passes_consumed_and_void_cast(self):
         ok = ("void f() {\n"

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "apps/idle_agent.hpp"
 #include "minimpi/communicator.hpp"
 #include "minimpi/mapping.hpp"
 
@@ -32,6 +33,20 @@ SimBackend::WorkloadFactory make_mpi_workload(std::uint32_t ranks,
   };
 }
 
+/// `agent` as the primary on core 0 of socket 0, the rest of the socket
+/// as the one interference group.
+WorkloadInfo core0_workload(sim::Engine& engine,
+                            std::unique_ptr<sim::Agent> agent) {
+  WorkloadInfo info;
+  info.primary_agents.push_back(
+      engine.add_agent(std::move(agent), /*core=*/0, /*primary=*/true));
+  std::vector<sim::CoreId> free;
+  for (sim::CoreId c = 1; c < engine.config().cores_per_socket; ++c)
+    free.push_back(c);
+  info.interference_cores.push_back(std::move(free));
+  return info;
+}
+
 }  // namespace
 
 SimBackend::WorkloadFactory make_mcb_workload(std::uint32_t ranks,
@@ -56,21 +71,28 @@ std::uint32_t mpi_interference_groups(const sim::MachineConfig& machine,
 SimBackend::WorkloadFactory make_synthetic_workload(
     apps::SyntheticConfig config) {
   return [config](sim::Engine& engine) {
-    WorkloadInfo info;
     auto agent = std::make_unique<apps::SyntheticBenchmarkAgent>(
         engine.memory(), config);
     const auto* raw = agent.get();
+    WorkloadInfo info = core0_workload(engine, std::move(agent));
     info.measure_start = [raw](const sim::Engine&) {
       return raw->measure_start_cycle();
     };
-    info.primary_agents.push_back(engine.add_agent(
-        std::move(agent),
-        /*core=*/0, /*primary=*/true));
-    std::vector<sim::CoreId> free;
-    for (sim::CoreId c = 1; c < engine.config().cores_per_socket; ++c)
-      free.push_back(c);
-    info.interference_cores.push_back(std::move(free));
     return info;
+  };
+}
+
+SimBackend::WorkloadFactory make_stream_workload(
+    apps::StreamProbeConfig config) {
+  return [config](sim::Engine& engine) {
+    return core0_workload(engine, std::make_unique<apps::StreamProbeAgent>(
+                                      engine.memory(), config));
+  };
+}
+
+SimBackend::WorkloadFactory make_idle_workload(sim::Cycles cycles) {
+  return [cycles](sim::Engine& engine) {
+    return core0_workload(engine, std::make_unique<apps::IdleAgent>(cycles));
   };
 }
 

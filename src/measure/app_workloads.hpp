@@ -7,6 +7,7 @@
 
 #include "apps/lulesh_proxy.hpp"
 #include "apps/mcb_proxy.hpp"
+#include "apps/stream_probe.hpp"
 #include "apps/synthetic_benchmark.hpp"
 #include "measure/sim_backend.hpp"
 
@@ -30,9 +31,21 @@ std::uint32_t mpi_interference_groups(const sim::MachineConfig& machine,
                                       std::uint32_t ranks,
                                       std::uint32_t per_socket);
 
-/// One synthetic probabilistic benchmark on core 0 of socket 0; the rest
-/// of the socket is offered for interference (one group).
+/// The single-agent factories below each place one primary on core 0 of
+/// socket 0 and offer the rest of that socket for interference (one
+/// group), so k interference threads land on cores 1..k.
+
+/// One synthetic probabilistic benchmark; measurement starts when its
+/// warm-up accesses are done.
 SimBackend::WorkloadFactory make_synthetic_workload(
     apps::SyntheticConfig config);
+
+/// The STREAM-style triad probe.
+SimBackend::WorkloadFactory make_stream_workload(
+    apps::StreamProbeConfig config);
+
+/// An apps::IdleAgent holding the run open for `cycles`: the window in
+/// which only the interference threads draw on the memory system.
+SimBackend::WorkloadFactory make_idle_workload(sim::Cycles cycles);
 
 }  // namespace am::measure

@@ -6,12 +6,25 @@
 // "k interference threads" to "resource left for the application", which
 // is what turns a degradation sweep into resource-use bounds.
 //
-// Every probe is an independent engine, so each call runs its probes
-// concurrently on a thread pool it owns and joins before returning; callers
-// need no pool of their own, and the call is safe from inside another
-// pool's task. Each probe fills its own slot and the per-k statistics are
-// folded serially in a fixed order, so the tables are bit-identical to a
-// serial run and independent of the host's core count.
+// Every probe is an ordinary SimBackend scenario: a workload factory on
+// core 0 of socket 0 (the synthetic benchmark, the STREAM triad, or an
+// idle window), k interference threads on cores 1..k with no head start,
+// and the call's seed. Each call runs its probes concurrently on a thread
+// pool it owns and joins before returning; callers need no pool of their
+// own, and the call is safe from inside another pool's task. Each probe
+// fills its own slot and the per-k statistics are folded serially in a
+// fixed order, so the tables are bit-identical to a serial run and
+// independent of the host's core count.
+//
+// Because a probe is a scenario, a ResultStore caches it like a grid
+// point. Pass one and each probe is looked up under its ScenarioKey
+// (machine fingerprint, a probe name that spells every workload input,
+// resource, k, spec_signature, seed, cycle budget) before the pool
+// starts; only the misses run, and their results are put into the store
+// after the join. A hit reads back the bits a run would produce, so a
+// cached calibration equals a computed one. Without a store (the default)
+// every probe runs. Drivers keep these records apart from their grid
+// stores, in store_path(results_dir, "calibration"), which they share.
 #include <cstdint>
 #include <vector>
 
@@ -20,6 +33,8 @@
 #include "sim/machine.hpp"
 
 namespace am::measure {
+
+class ResultStore;
 
 struct CapacityCalibration {
   /// available_bytes[k]: effective cache capacity with k CSThrs running.
@@ -59,16 +74,20 @@ struct CalibrationOptions {
 
 /// Fig. 6 procedure: run probe benchmarks against k CSThrs, measure L3
 /// miss rates, invert Eq. 4 into effective capacity, average over probes.
-/// Validates `opts` before building any engine.
+/// Validates `opts` before building any engine. `store`, when set, serves
+/// and records the probes (see the file comment).
 CapacityCalibration calibrate_capacity(const sim::MachineConfig& machine,
                                        const interfere::CSThrConfig& cs,
-                                       const CalibrationOptions& opts = {});
+                                       const CalibrationOptions& opts = {},
+                                       ResultStore* store = nullptr);
 
 /// §III-A procedure: measure the bandwidth k BWThrs draw on an otherwise
-/// idle socket, and the STREAM-style peak.
+/// idle socket, and the STREAM-style peak. `store` as for
+/// calibrate_capacity.
 BandwidthCalibration calibrate_bandwidth(const sim::MachineConfig& machine,
                                          const interfere::BWThrConfig& bw,
                                          std::uint32_t max_threads,
-                                         std::uint64_t seed = 1);
+                                         std::uint64_t seed = 1,
+                                         ResultStore* store = nullptr);
 
 }  // namespace am::measure

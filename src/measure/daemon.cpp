@@ -886,7 +886,7 @@ LeaseWorkerReport run_daemon_worker(const std::string& lease_path,
                    .first;
     }
     if (!offer.seed_store_path.empty())
-      store.store()->merge(ResultStore::load_or_empty(offer.seed_store_path));
+      store.store()->seed(ResultStore::load_or_empty(offer.seed_store_path));
     return LeasePlan{&cached->second.plan, &cached->second.runner};
   };
   return run_lease_worker(resolve, nullptr, store, lease_path, log, opts);

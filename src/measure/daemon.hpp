@@ -201,10 +201,12 @@ class SweepDaemon {
 /// The worker half (`amsweepd --worker`): the shared lease-worker loop
 /// (run_lease_worker) on one lane, resolving each offer's plan file —
 /// parsed once per path and cached, since fair-share dispatch
-/// interleaves jobs on one slot — and merging the offer's seed store
-/// into the cache before its points run. Records go to the slot store
-/// next to the lease file (ResultStoreFile::for_lease without a results
-/// directory), where the daemon's finalize looks for them. The worker
+/// interleaves jobs on one slot — and adding the offer's seed store to
+/// the cache's lookup seed (ResultStore::seed) before its points run.
+/// Records, seeded hits adopted included, go to the slot store next to
+/// the lease file (ResultStoreFile::for_lease without a results
+/// directory), where the daemon's finalize looks for them; the seed
+/// itself is never written there. The worker
 /// knows nothing about jobs or namespaces. Throws std::invalid_argument
 /// on an offer without a plan path or a malformed plan (usage — exit 2
 /// in the binary) and std::runtime_error on idle timeout or I/O failure

@@ -186,8 +186,11 @@ LeaseWorkerReport run_lease_worker(const LeaseResolver& resolve,
         const auto [lease, index] = queued.front();
         queued.pop_front();
         OpenLease& l = open.at(lease);
-        if (cache.find(l.target.runner->key_for(*l.target.plan, index)) !=
-            nullptr) {
+        const ScenarioKey key = l.target.runner->key_for(*l.target.plan, index);
+        if (cache.has(key)) {
+          // A seeded hit joins the store: every point a lease settles is
+          // in the store that acknowledges it.
+          cache.adopt(key);
           --l.remaining;
           continue;
         }

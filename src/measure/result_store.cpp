@@ -289,14 +289,33 @@ ResultStore ResultStore::load_or_empty(const std::string& path,
   return load(path, opts);
 }
 
+const ResultRecord* ResultStore::lookup(const ScenarioKey& key) const {
+  const std::string fp = key.fingerprint();
+  for (const auto* records : {&records_, &seed_}) {
+    const auto it = records->find(fp);
+    if (it != records->end() && it->second.key == key) return &it->second;
+  }
+  return nullptr;
+}
+
 bool ResultStore::has(const ScenarioKey& key) const {
-  return find(key) != nullptr;
+  return lookup(key) != nullptr;
 }
 
 const SimRunResult* ResultStore::find(const ScenarioKey& key) const {
-  const auto it = records_.find(key.fingerprint());
-  if (it == records_.end() || !(it->second.key == key)) return nullptr;
-  return &it->second.result;
+  const ResultRecord* rec = lookup(key);
+  return rec != nullptr ? &rec->result : nullptr;
+}
+
+void ResultStore::seed(const ResultStore& cache) {
+  for (const auto& [fp, rec] : cache.records_) seed_.emplace(fp, rec);
+}
+
+void ResultStore::adopt(const ScenarioKey& key) {
+  const std::string fp = key.fingerprint();
+  if (records_.contains(fp)) return;
+  const auto it = seed_.find(fp);
+  if (it != seed_.end() && it->second.key == key) records_.emplace(*it);
 }
 
 void ResultStore::put(const ScenarioKey& key, const SimRunResult& result,
@@ -317,9 +336,8 @@ void ResultStore::put(const ScenarioKey& key, const SimRunResult& result,
 }
 
 double ResultStore::run_seconds(const ScenarioKey& key) const {
-  const auto it = records_.find(key.fingerprint());
-  if (it == records_.end() || !(it->second.key == key)) return 0.0;
-  return it->second.run_seconds;
+  const ResultRecord* rec = lookup(key);
+  return rec != nullptr ? rec->run_seconds : 0.0;
 }
 
 void ResultStore::merge(const ResultStore& other) {
@@ -412,11 +430,11 @@ ResultStoreFile ResultStoreFile::for_lease(const std::string& results_dir,
   ResultStoreFile file(results_dir, driver);
   file.path_ = lease_store_path(lease_path);
   ResultStore mine = ResultStore::load_or_empty(file.path_);
-  // Seed order matters for determinism of run-time hints: this lease's
-  // own records win over the canonical cache already loaded by the
-  // delegated constructor (file.store_ may be empty when results_dir is
-  // unset — a standalone lease worker has no canonical cache).
-  mine.merge(file.store_);
+  // The canonical cache the delegated constructor loaded (empty when
+  // results_dir is unset — a standalone lease worker has none) is looked
+  // up, never saved: this lease's own records win, and its store file
+  // stays its own.
+  mine.seed(file.store_);
   file.store_ = std::move(mine);
   return file;
 }

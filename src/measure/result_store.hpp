@@ -141,9 +141,22 @@ class ResultStore {
   static ResultStore load_or_empty(const std::string& path,
                                    const StoreLoadOptions& opts = {});
 
+  /// Lookups consult the store's own records first, then its seed.
   bool has(const ScenarioKey& key) const;
   /// The stored result, or nullptr on a miss.
   const SimRunResult* find(const ScenarioKey& key) const;
+
+  /// Adds `cache`'s own records to this store's lookup seed. has, find
+  /// and run_seconds fall back on the seed; save, merge, records, size
+  /// and hosts see only the store's own records, so a store seeded from a
+  /// large cache still writes only what was put into (or adopted by) it.
+  /// A record already seeded wins over `cache`'s.
+  void seed(const ResultStore& cache);
+
+  /// Copies `key`'s seed record, host and run time included, into the
+  /// store's own records. A no-op when the store holds `key` itself or
+  /// the seed does not.
+  void adopt(const ScenarioKey& key);
 
   /// Inserts or overwrites one record. `host` defaults to this host's
   /// fingerprint; `run_seconds` is the producing run's wall-clock (0 =
@@ -181,7 +194,11 @@ class ResultStore {
   std::vector<std::string> hosts() const;
 
  private:
+  /// `key`'s record, own first, then seeded; nullptr on a miss.
+  const ResultRecord* lookup(const ScenarioKey& key) const;
+
   std::map<std::string, ResultRecord> records_;  // fingerprint → record
+  std::map<std::string, ResultRecord> seed_;     // lookups only, never saved
 };
 
 /// Driver convenience: the store file backing one invocation, named per
@@ -198,9 +215,10 @@ class ResultStoreFile {
   /// Lease-worker variant: the backing file is the lease's own store
   /// (common/work_lease.hpp's lease_store_path(lease_path)), and the
   /// canonical store for `driver` under `results_dir` (when the
-  /// directory is set and the file exists) is folded in as a cache seed
-  /// — so a re-sweep stays fully cached even when the scheduler hands
-  /// this worker points a different worker ran last time. Throws
+  /// directory is set and the file exists) is its lookup seed
+  /// (ResultStore::seed) — so a re-sweep stays fully cached even when the
+  /// scheduler hands this worker points a different worker ran last time,
+  /// while the lease store holds only the lease's own points. Throws
   /// std::invalid_argument on an empty lease path.
   static ResultStoreFile for_lease(const std::string& results_dir,
                                    const std::string& driver,

@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "apps/idle_agent.hpp"
 #include "apps/synthetic_benchmark.hpp"
 #include "interfere/bwthr_agent.hpp"
 #include "interfere/csthr_agent.hpp"
@@ -33,24 +34,10 @@ interfere::BWThrConfig bw_cfg() {
   return c;
 }
 
-class TimerAgent final : public sim::Agent {
- public:
-  explicit TimerAgent(sim::Cycles d) : sim::Agent("timer"), left_(d) {}
-  void step(sim::AgentContext& ctx) override {
-    const auto chunk = std::min<sim::Cycles>(left_, 10'000);
-    ctx.compute(chunk);
-    left_ -= chunk;
-  }
-  bool finished() const override { return left_ == 0; }
-
- private:
-  sim::Cycles left_;
-};
-
 /// Bandwidth drawn by one BWThr co-running with k CSThrs (Fig. 7 cell).
 double bwthr_bandwidth_with_csthrs(std::uint32_t k) {
   sim::Engine eng(machine());
-  eng.add_agent(std::make_unique<TimerAgent>(15'000'000), 0);
+  eng.add_agent(std::make_unique<apps::IdleAgent>(15'000'000), 0);
   eng.add_agent(std::make_unique<interfere::BWThrAgent>(eng.memory(), bw_cfg()),
                 1, false);
   for (std::uint32_t i = 0; i < k; ++i)
@@ -64,7 +51,7 @@ double bwthr_bandwidth_with_csthrs(std::uint32_t k) {
 /// Seconds per CSThr op co-running with k BWThrs (Fig. 8 cell).
 double csthr_op_time_with_bwthrs(std::uint32_t k) {
   sim::Engine eng(machine());
-  eng.add_agent(std::make_unique<TimerAgent>(15'000'000), 0);
+  eng.add_agent(std::make_unique<apps::IdleAgent>(15'000'000), 0);
   auto cs = std::make_unique<interfere::CSThrAgent>(eng.memory(), cs_cfg());
   auto* cs_raw = cs.get();
   eng.add_agent(std::move(cs), 1, false);
@@ -92,7 +79,7 @@ TEST(PaperShapes, Fig8CsthrToleratesTwoBwthrsNotFour) {
 
 TEST(PaperShapes, Fig8LoneCsthrUsesLittleBandwidth) {
   sim::Engine eng(machine());
-  eng.add_agent(std::make_unique<TimerAgent>(15'000'000), 0);
+  eng.add_agent(std::make_unique<apps::IdleAgent>(15'000'000), 0);
   eng.add_agent(std::make_unique<interfere::CSThrAgent>(eng.memory(), cs_cfg()),
                 1, false);
   const auto end = eng.run();

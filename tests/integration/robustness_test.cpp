@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "apps/idle_agent.hpp"
 #include "apps/synthetic_benchmark.hpp"
 #include "interfere/bwthr_agent.hpp"
 #include "interfere/csthr_agent.hpp"
@@ -54,17 +55,7 @@ INSTANTIATE_TEST_SUITE_P(Factors, ScaledMachineProperty,
 TEST(BwthrSlicing, IterationsCountFullRoundsOnly) {
   auto m = sim::MachineConfig::xeon20mb_scaled(32);
   sim::Engine eng(m);
-  struct Timer final : sim::Agent {
-    explicit Timer(sim::Cycles d) : sim::Agent("t"), left(d) {}
-    void step(sim::AgentContext& ctx) override {
-      const auto chunk = std::min<sim::Cycles>(left, 10'000);
-      ctx.compute(chunk);
-      left -= chunk;
-    }
-    bool finished() const override { return left == 0; }
-    sim::Cycles left;
-  };
-  eng.add_agent(std::make_unique<Timer>(2'000'000), 0);
+  eng.add_agent(std::make_unique<apps::IdleAgent>(2'000'000), 0);
   interfere::BWThrConfig cfg;
   cfg.buffer_bytes = 520ull * 1024 / 32;
   cfg.num_buffers = 44;

@@ -6,6 +6,8 @@
 #include <limits>
 #include <vector>
 
+#include "measure/result_store.hpp"
+
 namespace am::measure {
 namespace {
 
@@ -178,6 +180,124 @@ TEST(Calibration, MultiProbeTablesMatchSerialGoldens) {
   EXPECT_EQ(capacity2.stddev_bytes, capacity.stddev_bytes);
   EXPECT_EQ(bandwidth2.peak_bytes_per_sec, bandwidth.peak_bytes_per_sec);
   EXPECT_EQ(bandwidth2.used_bytes_per_sec, bandwidth.used_bytes_per_sec);
+}
+
+// The goldens' configuration, calibrated through a ResultStore. Each call
+// is compared with a storeless one, which the goldens above pin.
+class CalibrationStoreTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kScale = 512;
+  // (1 + max_threads) levels x 2 ratios x 2 distributions; the bandwidth
+  // peak plus 1 + max_threads windows.
+  static constexpr std::size_t kCapacityProbes = 12;
+  static constexpr std::size_t kBandwidthProbes = 4;
+
+  CalibrationStoreTest() {
+    cs_.buffer_bytes = 4ull * 1024 * 1024 / kScale;
+    bw_.buffer_bytes = 4096;
+    opts_.max_threads = 2;
+    opts_.buffer_to_l3_ratios = {2.0, 3.0};
+    opts_.probe_distributions = {4, 9};
+    opts_.accesses_per_probe = 5'000;
+  }
+
+  CapacityCalibration capacity(ResultStore* store) const {
+    return calibrate_capacity(machine_, cs_, opts_, store);
+  }
+  BandwidthCalibration bandwidth(ResultStore* store) const {
+    return calibrate_bandwidth(machine_, bw_, opts_.max_threads, opts_.seed,
+                               store);
+  }
+
+  static void expect_same(const CapacityCalibration& a,
+                          const CapacityCalibration& b) {
+    EXPECT_EQ(a.available_bytes, b.available_bytes);
+    EXPECT_EQ(a.stddev_bytes, b.stddev_bytes);
+  }
+  static void expect_same(const BandwidthCalibration& a,
+                          const BandwidthCalibration& b) {
+    EXPECT_EQ(a.peak_bytes_per_sec, b.peak_bytes_per_sec);
+    EXPECT_EQ(a.used_bytes_per_sec, b.used_bytes_per_sec);
+  }
+
+  const MachineConfig machine_ = MachineConfig::xeon20mb_scaled(kScale);
+  interfere::CSThrConfig cs_;
+  interfere::BWThrConfig bw_;
+  CalibrationOptions opts_;
+};
+
+TEST_F(CalibrationStoreTest, ColdCallRecordsEveryProbeAndWarmCallReadsThem) {
+  const auto cap = capacity(nullptr);
+  const auto bw = bandwidth(nullptr);
+
+  ResultStore store;
+  expect_same(capacity(&store), cap);
+  EXPECT_EQ(store.size(), kCapacityProbes);
+  expect_same(bandwidth(&store), bw);
+  EXPECT_EQ(store.size(), kCapacityProbes + kBandwidthProbes);
+
+  // Warm: no probe runs, so no record is added, and the bits hold.
+  expect_same(capacity(&store), cap);
+  expect_same(bandwidth(&store), bw);
+  EXPECT_EQ(store.size(), kCapacityProbes + kBandwidthProbes);
+}
+
+TEST_F(CalibrationStoreTest, HitReturnsTheStoredRecordWithoutRunning) {
+  ResultStore cold;
+  const auto cap = capacity(&cold);
+  const auto bw = bandwidth(&cold);
+
+  // Every record altered: a table built from these numbers can only come
+  // from the store, never from an engine.
+  ResultStore altered;
+  for (const ResultRecord* rec : cold.records()) {
+    SimRunResult r = rec->result;
+    r.app_l3_miss_rate = 0.5;
+    r.total_mem_bandwidth = 1e9;
+    altered.put(rec->key, r, rec->host);
+  }
+  const auto cap2 = capacity(&altered);
+  const auto bw2 = bandwidth(&altered);
+  EXPECT_EQ(altered.size(), cold.size()) << "a probe ran";
+
+  EXPECT_EQ(bw2.peak_bytes_per_sec, 1e9);
+  EXPECT_EQ(bw2.used_bytes_per_sec, std::vector<double>(3, 1e9));
+  // Equal miss rates at every level give every level the same estimate.
+  ASSERT_EQ(cap2.available_bytes.size(), 3u);
+  EXPECT_EQ(cap2.available_bytes[1], cap2.available_bytes[0]);
+  EXPECT_EQ(cap2.available_bytes[2], cap2.available_bytes[0]);
+  EXPECT_NE(cap2.available_bytes, cap.available_bytes);
+  EXPECT_NE(bw2.peak_bytes_per_sec, bw.peak_bytes_per_sec);
+}
+
+TEST_F(CalibrationStoreTest, ChangedInputsMissTheCache) {
+  ResultStore store;
+  capacity(&store);
+  bandwidth(&store);
+  const auto added = [&](auto&& call) {
+    const std::size_t before = store.size();
+    call();
+    return store.size() - before;
+  };
+  const CalibrationOptions base = opts_;
+
+  opts_.seed = base.seed + 1;
+  EXPECT_EQ(added([&] { capacity(&store); }), kCapacityProbes);
+  EXPECT_EQ(added([&] { bandwidth(&store); }), kBandwidthProbes);
+  opts_ = base;
+
+  // Only the probes of the changed ratio miss.
+  opts_.buffer_to_l3_ratios = {2.0, 2.5};
+  EXPECT_EQ(added([&] { capacity(&store); }), kCapacityProbes / 2);
+  opts_ = base;
+
+  opts_.accesses_per_probe = 6'000;
+  EXPECT_EQ(added([&] { capacity(&store); }), kCapacityProbes);
+  opts_ = base;
+
+  // The k = 0 probes run no CSThr, so they still hit.
+  cs_.buffer_bytes *= 2;
+  EXPECT_EQ(added([&] { capacity(&store); }), kCapacityProbes - 4);
 }
 
 }  // namespace

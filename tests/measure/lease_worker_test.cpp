@@ -361,6 +361,33 @@ TEST_F(LeaseWorkerTest, DoneOfferHoldingPointsRunsThemAndReturns) {
   EXPECT_EQ(slurp(lease_store_path(lease_)), slurp(serial_path));
 }
 
+TEST_F(LeaseWorkerTest, SliceStoreHoldsItsOwnPointsOnly) {
+  // The canonical store (the worker's lookup seed) holds two of the
+  // slice's points and a record of another grid. The slice runs only its
+  // third point, and its store holds exactly its three points: the seeded
+  // hits are adopted, the other grid's record is not copied.
+  gate_.open();
+  ResultStore canonical;
+  runner_.run_points(plan_, nullptr, &canonical, {0, 3});
+  const auto other = ScenarioKey::make("other-machine", "other grid",
+                                       Resource::kBandwidth, 1, "bw", 1, 1);
+  canonical.put(other, SimRunResult{}, "host");
+  canonical.save(store_path(dir(), "drv"));
+  LeaseOffer slice;
+  slice.lease.points = {4, 0, 3};
+  slice.done = true;
+  write_lease_offer(lease_, slice);
+  start();
+  ASSERT_EQ(worker_.wait_for(20s), std::future_status::ready);
+  EXPECT_EQ(worker_.get().executed, 1u);
+
+  const auto own = ResultStore::load(lease_store_path(lease_));
+  EXPECT_EQ(own.size(), 3u);
+  for (const std::size_t p : {0, 3, 4})
+    EXPECT_TRUE(own.has(runner_.key_for(plan_, p))) << p;
+  EXPECT_FALSE(own.has(other));
+}
+
 TEST_F(LeaseWorkerTest, ThrowingPointIsRethrownAfterInFlightPointsSettle) {
   const auto boom = plan_.add_workload(
       {"boom", [](sim::Engine&) -> WorkloadInfo {

@@ -613,9 +613,40 @@ TEST_F(ResultStoreTest, ForLeaseStoreSeedsFromCanonicalCache) {
   EXPECT_EQ(file.path(), path("drv.lease0.tsv"));
   EXPECT_TRUE(file.store()->has(key("w", 1)));
   EXPECT_EQ(file.store()->run_seconds(key("w", 1)), 4.0);
+  // The canonical records are a lookup seed: the lease store file holds
+  // only what the lease itself put there.
+  file.save();
+  EXPECT_TRUE(ResultStore::load(file.path()).empty());
 
   EXPECT_THROW(ResultStoreFile::for_lease(dir_.string(), "drv", ""),
                std::invalid_argument);
+}
+
+TEST_F(ResultStoreTest, SeedIsLookedUpButOnlyAdoptedRecordsAreSaved) {
+  ResultStore cache;
+  cache.put(key("seeded", 1), result(), "host-a", 2.0);
+  cache.put(key("shared", 1), result(), "host-a");
+
+  ResultStore store;
+  store.put(key("shared", 1), result(), "host-b");
+  store.seed(cache);
+  EXPECT_TRUE(store.has(key("seeded", 1)));
+  EXPECT_EQ(store.run_seconds(key("seeded", 1)), 2.0);
+  EXPECT_FALSE(store.has(key("absent", 1)));
+  EXPECT_EQ(store.size(), 1u);
+  // Own records win over the seed.
+  EXPECT_EQ(store.records()[0]->host, "host-b");
+
+  store.adopt(key("absent", 1));  // in neither: no-op
+  store.adopt(key("shared", 1));  // already own: no-op
+  store.adopt(key("seeded", 1));
+  store.save(path("adopted.tsv"));
+  const auto saved = ResultStore::load(path("adopted.tsv"));
+  ASSERT_EQ(saved.size(), 2u);
+  EXPECT_TRUE(saved.has(key("seeded", 1)));
+  EXPECT_EQ(saved.run_seconds(key("seeded", 1)), 2.0);
+  for (const auto* rec : saved.records())
+    EXPECT_EQ(rec->host, rec->key.workload == "seeded" ? "host-a" : "host-b");
 }
 
 TEST_F(ResultStoreTest, ShardedTableContainsOnlyOwnedPoints) {

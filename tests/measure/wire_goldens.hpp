@@ -2,13 +2,15 @@
 // Literal bytes of the sweep pipeline's text formats, as their writers
 // emit them for the fixed inputs built in the suites that include this
 // header (result_store_test, plan_wire_test, lease_worker_test,
-// amsweepd_test). Each is pinned by a byte-equality test there and is a
-// seed document for wire_mutation_test. Host- and timing-dependent
+// amsweepd_test; the binary frame stream in wire_mutation_test). Each is
+// pinned by a byte-equality test there and is a seed document for
+// wire_mutation_test. Host- and timing-dependent
 // documents (the two manifests) are pinned by their row shape instead.
 #include <cstddef>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace am::measure::golden {
 
@@ -91,6 +93,16 @@ inline constexpr const char* kQueue =
     "next_job\t3\n"
     "job\t1\talice\tqueued\t2\t0\t\n"
     "job\t2\tbob\tcancelled\t2\t0\t\n";
+// Three daemon frames back to back, as encode_frame writes them: a
+// 16-byte header ("AMSW", version 1, type, payload length, little-endian)
+// and the payload. Pinned in wire_mutation_test; binary, so sized
+// explicitly.
+inline constexpr char kFrameBytes[] =
+    "AMSW\x01\x00\x01\x00" "\x05\x00\x00\x00\x00\x00\x00\x00" "hello"
+    "AMSW\x01\x00\x02\x00" "\x00\x00\x00\x00\x00\x00\x00\x00"
+    "AMSW\x01\x00\x03\x01" "\x06\x00\x00\x00\x00\x00\x00\x00" "a\tb\n\x00\xff";
+inline constexpr std::string_view kFrames{kFrameBytes,
+                                          sizeof(kFrameBytes) - 1};
 
 /// The whole file, byte for byte ("" when absent).
 inline std::string read_bytes(const std::string& path) {

@@ -10,6 +10,12 @@
 // text loses its tabs, an empty distribution name becomes the workload
 // name), which is why the fixed point is taken after one write.
 //
+// The daemon's binary FrameReader gets the same mutations of a pinned
+// three-frame stream, fed in seeded chunk sizes. Each run must yield
+// frames that re-encode to the stream's own leading bytes and then
+// either hold the rest as pending bytes, or end failed() with nothing
+// pending and stay poisoned when fed more.
+//
 // One run covers kMutations inputs per reader from googletest's
 // --gtest_random_seed (0 by default). Each --gtest_repeat repetition
 // moves on to the next seed, so `--gtest_random_seed=S --gtest_repeat=N`
@@ -28,6 +34,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/socket.hpp"
 #include "common/work_lease.hpp"
 #include "measure/daemon.hpp"
 #include "measure/plan_wire.hpp"
@@ -254,6 +261,54 @@ TEST_F(WireMutationTest, ResultStore) {
         save(store);
         return golden::read_bytes(path("out.tsv.times"));
       });
+}
+
+TEST_F(WireMutationTest, FrameReader) {
+  EXPECT_EQ(encode_frame({1, "hello"}) + encode_frame({2, ""}) +
+                encode_frame({0x103, std::string("a\tb\n\0\xff", 6)}),
+            golden::kFrames);
+  std::mt19937_64 rng(seed_);
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  const std::string golden_frames(golden::kFrames);
+  int clean = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string input =
+        i == 0 ? golden_frames : mutate(golden_frames, rng);
+    FrameReader reader;
+    std::string consumed;  // the frames read so far, re-encoded
+    for (std::size_t at = 0; at < input.size();) {
+      const std::size_t n = std::min(pick(1, 24), input.size() - at);
+      reader.feed(input.data() + at, n);
+      at += n;
+      while (const auto frame = reader.next()) consumed += encode_frame(*frame);
+    }
+    const auto context = [&] {
+      return "seed " + std::to_string(seed_) + " mutation " +
+             std::to_string(i) + "\n--- input\n" + escaped(input);
+    };
+    ASSERT_EQ(input.compare(0, consumed.size(), consumed), 0)
+        << "frames that are not the stream's own bytes: " << context();
+    if (i == 0) {
+      ASSERT_EQ(consumed, golden_frames) << "the golden stream, in chunks";
+    }
+    if (!reader.failed()) {
+      ASSERT_EQ(reader.pending_bytes(), input.size() - consumed.size())
+          << context();
+      clean += i > 0 ? 1 : 0;
+      continue;
+    }
+    EXPECT_FALSE(reader.error().empty()) << context();
+    EXPECT_EQ(reader.pending_bytes(), 0u) << context();
+    reader.feed(golden_frames.data(), golden_frames.size());
+    EXPECT_FALSE(reader.next().has_value()) << "revived: " << context();
+    EXPECT_TRUE(reader.failed()) << context();
+    EXPECT_EQ(reader.pending_bytes(), 0u) << context();
+  }
+  // A sanity check on the mutator, as in fuzz(): some edits (a changed
+  // payload byte, a cut at a frame boundary) must leave the stream whole.
+  EXPECT_GT(clean, 0) << "seed " << seed_;
 }
 
 }  // namespace
