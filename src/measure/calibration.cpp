@@ -71,11 +71,14 @@ std::string idle_name(sim::Cycles cycles) {
 /// lay probes out by ascending k, and probe cost grows steeply with k, so
 /// the longest probe starts first instead of last. Each probe writes only
 /// its own slot, so the results do not depend on the pool's size or
-/// schedule.
-std::vector<SimRunResult> run_probes(const sim::MachineConfig& machine,
+/// schedule. Every probe runs on socket 0 of node 0, so probes run on,
+/// and are keyed by, one node of `machine`: machines that differ only in
+/// their node count share every probe record.
+std::vector<SimRunResult> run_probes(sim::MachineConfig machine,
                                      std::uint64_t seed,
                                      const std::vector<Probe>& probes,
                                      ResultStore* store) {
+  machine.nodes = 1;
   std::vector<SimRunResult> results(probes.size());
   std::vector<ScenarioKey> keys;
   std::vector<std::size_t> misses;

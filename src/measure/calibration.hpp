@@ -23,8 +23,11 @@
 // starts; only the misses run, and their results are put into the store
 // after the join. A hit reads back the bits a run would produce, so a
 // cached calibration equals a computed one. Without a store (the default)
-// every probe runs. Drivers keep these records apart from their grid
-// stores, in store_path(results_dir, "calibration"), which they share.
+// every probe runs. Every probe sits on socket 0 of node 0, so probes
+// run on, and are keyed by, a one-node copy of the machine: fig10's 12
+// nodes and fig12's 32 share their records. Drivers keep these records
+// apart from their grid stores, in store_path(results_dir,
+// "calibration"), which they share.
 #include <cstdint>
 #include <vector>
 

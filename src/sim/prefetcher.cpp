@@ -1,6 +1,5 @@
 #include "sim/prefetcher.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <stdexcept>
@@ -17,46 +16,43 @@ void PrefetcherConfig::validate() const {
 StreamPrefetcher::StreamPrefetcher(PrefetcherConfig config) : config_(config) {
   if (!config_.enabled) return;
   config_.validate();
-  // Two buckets per stream keeps chains short in both indexes.
+  // Two buckets per stream keeps buckets sparse in both indexes.
   const std::uint64_t buckets =
       std::bit_ceil(2 * static_cast<std::uint64_t>(config_.num_streams));
   bucket_shift_ = 64 - static_cast<unsigned>(std::countr_zero(buckets));
   granule_shift_ = static_cast<unsigned>(std::countr_zero(std::bit_ceil(
       2 * static_cast<std::uint64_t>(config_.max_stride_lines))));
+  words_ = (config_.num_streams + 63) / 64;
 }
 
 void StreamPrefetcher::materialize() {
-  const std::uint64_t buckets = std::uint64_t{1} << (64 - bucket_shift_);
+  const std::size_t words = std::size_t{words_} << (64 - bucket_shift_);
   streams_.resize(config_.num_streams);
-  next_heads_.assign(buckets, kNone);
-  fresh_heads_.assign(buckets, kNone);
+  next_index_.assign(words, 0);
+  fresh_index_.assign(words, 0);
 }
 
-StreamPrefetcher::Slot StreamPrefetcher::bucket(Addr key) const {
+StreamPrefetcher::Word* StreamPrefetcher::bucket(std::vector<Word>& index,
+                                                 Addr key) {
   // Fibonacci hashing: the top bits of a multiplicative hash.
-  return static_cast<Slot>((key * 0x9E3779B97F4A7C15ull) >> bucket_shift_);
+  const auto b = (key * 0x9E3779B97F4A7C15ull) >> bucket_shift_;
+  return &index[b * words_];
 }
 
-StreamPrefetcher::Slot* StreamPrefetcher::chain_of(const Stream& s) {
-  if (s.stride == 0)
-    return &fresh_heads_[bucket(s.last_line >> granule_shift_)];
+StreamPrefetcher::Word* StreamPrefetcher::bucket_of(const Stream& s) {
+  if (s.stride == 0) return bucket(fresh_index_, s.last_line >> granule_shift_);
   const auto next = static_cast<std::int64_t>(s.last_line) + s.stride;
   if (next < 0) return nullptr;
-  return &next_heads_[bucket(static_cast<Addr>(next))];
+  return bucket(next_index_, static_cast<Addr>(next));
 }
 
 void StreamPrefetcher::link(Slot i) {
-  Slot* head = chain_of(streams_[i]);
-  if (head == nullptr) return;
-  streams_[i].chain_next = *head;
-  *head = i;
+  if (Word* bits = bucket_of(streams_[i])) bits[i / 64] |= Word{1} << (i % 64);
 }
 
 void StreamPrefetcher::unlink(Slot i) {
-  Slot* at = chain_of(streams_[i]);
-  if (at == nullptr) return;
-  while (*at != i) at = &streams_[*at].chain_next;
-  *at = streams_[i].chain_next;
+  if (Word* bits = bucket_of(streams_[i]))
+    bits[i / 64] &= ~(Word{1} << (i % 64));
 }
 
 void StreamPrefetcher::touch(Slot i) {
@@ -81,12 +77,14 @@ void StreamPrefetcher::touch(Slot i) {
 }
 
 template <typename Match>
-StreamPrefetcher::Slot StreamPrefetcher::lowest_match(
-    const std::vector<Slot>& heads, Slot b, Match match) const {
-  Slot best = kNone;
-  for (Slot i = heads[b]; i != kNone; i = streams_[i].chain_next)
-    if (i < best && match(streams_[i])) best = i;
-  return best;
+auto StreamPrefetcher::first_match(const Word* a, const Word* b,
+                                   Match match) const -> Slot {
+  for (Slot w = 0; w < words_; ++w)
+    for (Word bits = a[w] | b[w]; bits != 0; bits &= bits - 1) {
+      const Slot i = w * 64 + static_cast<Slot>(std::countr_zero(bits));
+      if (match(streams_[i])) return i;
+    }
+  return kNone;
 }
 
 void StreamPrefetcher::on_miss(Addr line_addr, std::vector<Addr>& out) {
@@ -94,11 +92,11 @@ void StreamPrefetcher::on_miss(Addr line_addr, std::vector<Addr>& out) {
   if (streams_.empty()) materialize();  // the first miss
 
   // Pass 1: does this miss continue an existing stream?
-  const Slot cont =
-      lowest_match(next_heads_, bucket(line_addr), [&](const Stream& s) {
-        return static_cast<Addr>(static_cast<std::int64_t>(s.last_line) +
-                                 s.stride) == line_addr;
-      });
+  const Word* next = bucket(next_index_, line_addr);
+  const Slot cont = first_match(next, next, [&](const Stream& s) {
+    return static_cast<Addr>(static_cast<std::int64_t>(s.last_line) +
+                             s.stride) == line_addr;
+  });
   if (cont != kNone) {
     Stream& s = streams_[cont];
     unlink(cont);
@@ -125,7 +123,6 @@ void StreamPrefetcher::on_miss(Addr line_addr, std::vector<Addr>& out) {
 
   // Pass 2: does it pair with a recent miss to form a new stride? We match
   // against each fresh stream's last address; a plausible stride arms it.
-  // Lines within max_stride_lines of the miss span at most two granules.
   const std::uint64_t window = config_.max_stride_lines;
   const auto pairs = [&](const Stream& s) {
     const auto delta = static_cast<std::int64_t>(line_addr) -
@@ -134,11 +131,10 @@ void StreamPrefetcher::on_miss(Addr line_addr, std::vector<Addr>& out) {
            static_cast<std::uint64_t>(std::llabs(delta)) <= window;
   };
   const Addr lo = line_addr >= window ? line_addr - window : 0;
-  const Slot b_lo = bucket(lo >> granule_shift_);
-  const Slot b_hi = bucket((line_addr + window) >> granule_shift_);
-  Slot pair = lowest_match(fresh_heads_, b_lo, pairs);
-  if (b_hi != b_lo)
-    pair = std::min(pair, lowest_match(fresh_heads_, b_hi, pairs));
+  const Slot pair =
+      first_match(bucket(fresh_index_, lo >> granule_shift_),
+                  bucket(fresh_index_, (line_addr + window) >> granule_shift_),
+                  pairs);
   if (pair != kNone) {
     Stream& s = streams_[pair];
     unlink(pair);

@@ -8,23 +8,24 @@
 //
 // Every L2 miss runs on_miss, and the interference agents' misses dominate
 // the simulator's host time, so each of its three decisions is an indexed
-// lookup rather than a scan of the stream table:
+// lookup rather than a scan of the stream table. An index hashes a key to
+// a bucket, a bitmask over the slots (ceil(num_streams / 64) words):
+// indexing a stream sets one bit, unindexing it clears that bit, and a
+// lookup visits set bits in ascending order and stops at the first match.
+// So when several streams match a miss the lowest slot wins, as in a
+// front-to-back scan of the table, whatever the bucket layout.
 //
-//  * Continue: armed streams (stride != 0) are hashed by their predicted
+//  * Continue: armed streams (stride != 0) are indexed by their predicted
 //    next line, last_line + stride. A negative prediction can never match
 //    a miss and is left unindexed.
-//  * Pair: fresh streams (stride == 0, confidence 0) are hashed by their
+//  * Pair: fresh streams (stride == 0, confidence 0) are indexed by their
 //    last line's granule, a power of two >= 2 * max_stride_lines lines, so
 //    every line within max_stride_lines of a miss lies in one of the two
-//    granules around it. Candidates are checked exactly against
-//    0 < |delta| <= max_stride_lines.
+//    granules around it; the lookup visits the OR of their two bitmasks.
+//    Candidates are checked exactly against 0 < |delta| <= max_stride_lines.
 //  * Allocate: valid slots always form a prefix of the table and every
 //    touch is a distinct moment, so the victim is the first never-used
 //    slot, else the head of an intrusive LRU list.
-//
-// When several streams match a miss, the lowest slot index wins — the
-// order a front-to-back scan of the table would find them — so the
-// prefetcher's decisions do not depend on hash-bucket layout.
 //
 // The stream table and both indexes are allocated at the first on_miss:
 // an engine builds a prefetcher for every core of the machine, and a core
@@ -80,36 +81,37 @@ class StreamPrefetcher {
 
  private:
   using Slot = std::uint32_t;
+  using Word = std::uint64_t;
   static constexpr Slot kNone = ~Slot{0};
 
   struct Stream {
     Addr last_line = 0;
     std::int64_t stride = 0;  // 0 until the stream pairs (confidence 0)
     std::uint32_t confidence = 0;
-    Slot chain_next = kNone;  // next slot in the same index bucket
     Slot lru_prev = kNone;    // towards the least recently used slot
     Slot lru_next = kNone;    // towards the most recently used slot
   };
 
   /// Allocates the stream table and both indexes (see the file comment).
   void materialize();
-  Slot bucket(Addr key) const;
-  /// The index bucket holding `s`, or nullptr when `s` is unindexed.
-  Slot* chain_of(const Stream& s);
+  /// The bitmask of the bucket `key` hashes to in `index`.
+  Word* bucket(std::vector<Word>& index, Addr key);
+  /// The bitmask indexing `s`, or nullptr when `s` is unindexed.
+  Word* bucket_of(const Stream& s);
   void link(Slot i);
   void unlink(Slot i);
   /// Moves `i` to the most recently used end of the LRU list.
   void touch(Slot i);
-  /// Lowest slot in bucket `b` of `heads` accepted by `match`, or kNone.
+  /// Lowest slot set in `a | b` that `match` accepts, or kNone.
   template <typename Match>
-  Slot lowest_match(const std::vector<Slot>& heads, Slot b,
-                    Match match) const;
+  Slot first_match(const Word* a, const Word* b, Match match) const;
 
   PrefetcherConfig config_;
   std::vector<Stream> streams_;    // slots [0, used_) are valid; empty
                                    // until the first on_miss
-  std::vector<Slot> next_heads_;   // armed streams by predicted next line
-  std::vector<Slot> fresh_heads_;  // fresh streams by last-line granule
+  std::vector<Word> next_index_;   // armed streams by predicted next line
+  std::vector<Word> fresh_index_;  // fresh streams by last-line granule
+  Slot words_ = 0;                 // bitmask words per bucket
   unsigned bucket_shift_ = 0;
   unsigned granule_shift_ = 0;
   Slot used_ = 0;

@@ -23,13 +23,17 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/line_doc.hpp"
 #include "common/work_lease.hpp"
+#include "seeded.hpp"
 #include "wire_goldens.hpp"
 
 namespace am::measure {
@@ -427,6 +431,106 @@ TEST_F(SweepDaemonTest, QueueFileJobWithAnUnholdablePointCountIsSkipped) {
   const auto report = harness.drain();
   ASSERT_EQ(report.jobs.size(), 1u);
   EXPECT_EQ(report.jobs[0].ns, "good");
+}
+
+/// A job line as a clean read gives it, with the `done` indices inside
+/// its bitmap that later lines name.
+struct QueuedJob {
+  JobStatus status;
+  std::set<std::uint64_t> done;
+};
+
+/// The jobs a queue file describes, read line by line apart from the
+/// daemon's reader: a job line needs an id, a valid namespace, a known
+/// state, a point count and an executed count (an error text may
+/// follow); the first line of an id wins; a line holding a CR other than
+/// its last byte, or a document under another header, describes nothing.
+std::map<std::uint64_t, QueuedJob> clean_read(const std::string& text) {
+  std::map<std::uint64_t, QueuedJob> jobs;
+  std::istringstream in(text);
+  std::string line;
+  const auto next_line = [&] {
+    if (!std::getline(in, line)) return false;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    return true;
+  };
+  if (!next_line() || line != "#am-sweepd-queue v1") return jobs;
+  const auto state_named = [](const std::string& s) -> std::optional<JobState> {
+    for (const JobState st : {JobState::kQueued, JobState::kRunning,
+                              JobState::kDone, JobState::kFailed,
+                              JobState::kCancelled})
+      if (s == job_state_name(st)) return st;
+    return std::nullopt;
+  };
+  while (next_line()) {
+    if (line.find('\r') != std::string::npos) continue;
+    std::vector<std::string> f;
+    std::istringstream split(line);
+    for (std::string field; std::getline(split, field, '\t');)
+      f.push_back(field);
+    if (!line.empty() && line.back() == '\t') f.emplace_back();
+    std::uint64_t id = 0, points = 0, executed = 0;
+    if (f.size() >= 6 && f[0] == "job" && parse_u64(f[1], id) &&
+        SweepDaemon::valid_namespace(f[2]) && state_named(f[3]) &&
+        parse_u64(f[4], points) && parse_u64(f[5], executed)) {
+      jobs.emplace(id, QueuedJob{{id, f[2], *state_named(f[3]), points, 0,
+                                  executed, f.size() > 6 ? f[6] : ""},
+                                 {}});
+    } else if (f.size() >= 2 && f[0] == "done" && parse_u64(f[1], id) &&
+               jobs.count(id) != 0) {
+      QueuedJob& job = jobs.at(id);
+      for (std::size_t i = 2; i < f.size(); ++i)
+        if (std::uint64_t p = 0; parse_u64(f[i], p) && p < job.status.points)
+          job.done.insert(p);
+    }
+  }
+  return jobs;
+}
+
+TEST_F(SweepDaemonTest, MutatedQueueFileResumesWhatItsJobLinesSay) {
+  // The pinned two-job queue with `done` lines, mutated by this run's
+  // seed (tests/seeded.hpp); every input goes through a daemon start.
+  // Job 1's index 2 lies just past its two-point bitmap.
+  const std::string pinned =
+      std::string(golden::kQueue) + "done\t1\t1\t2\ndone\t2\t0\t1\n";
+  const std::uint64_t seed = test::repetition_seed();
+  std::mt19937_64 rng(seed);
+  fs::create_directories(SweepDaemon::daemon_dir(dir()));
+  std::size_t resumed = 0;
+  for (int i = 0; i < 40; ++i) {
+    const std::string input = i == 0 ? pinned : test::mutate(pinned, rng);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " mutation " +
+                 std::to_string(i) + "\n--- input\n" + test::escaped(input));
+    std::ofstream(SweepDaemon::queue_path(dir()), std::ios::binary) << input;
+    const auto want = clean_read(input);
+    if (i == 0) {
+      ASSERT_EQ(want.size(), 2u) << "the pinned queue must read";
+    }
+    DaemonHarness harness(accept_only());
+    auto client = DaemonClient::connect_unix(sock());
+    for (const auto& [id, job] : want) {
+      const DaemonReply live = client.status(id);
+      EXPECT_EQ(live.points, job.status.points);
+      EXPECT_EQ(live.state, job.status.state);
+    }
+    const DaemonReport report = harness.drain();
+    ASSERT_TRUE(report.clean_exit) << report.error;
+    ASSERT_EQ(report.jobs.size(), want.size());
+    for (const JobStatus& got : report.jobs) {
+      ASSERT_EQ(want.count(got.id), 1u) << "job " << got.id;
+      const QueuedJob& job = want.at(got.id);
+      EXPECT_EQ(got.ns, job.status.ns);
+      EXPECT_EQ(got.state, job.status.state);
+      EXPECT_EQ(got.points, job.status.points);
+      EXPECT_EQ(got.executed, job.status.executed);
+      EXPECT_EQ(got.error, job.status.error);
+      // Only indices inside the bitmap count as done.
+      EXPECT_LE(got.done_points, job.done.size());
+      ++resumed;
+    }
+  }
+  // A sanity check on the mutator: some edits leave job lines readable.
+  EXPECT_GT(resumed, 2u);
 }
 
 TEST_F(SweepDaemonTest, SubmitRejectsAnUnknownMemoryBackendWithoutAJob) {

@@ -300,5 +300,25 @@ TEST_F(CalibrationStoreTest, ChangedInputsMissTheCache) {
   EXPECT_EQ(added([&] { capacity(&store); }), kCapacityProbes - 4);
 }
 
+// Every probe runs on socket 0 of node 0, so the probes of a 12-node and
+// a 32-node machine are the one-node probes, under the one-node keys.
+TEST_F(CalibrationStoreTest, MachinesThatDifferOnlyInNodeCountShareRecords) {
+  ResultStore store;
+  const auto twelve = MachineConfig::xeon20mb_scaled(kScale, 12);
+  const auto cap = calibrate_capacity(twelve, cs_, opts_, &store);
+  const auto bw = calibrate_bandwidth(twelve, bw_, opts_.max_threads,
+                                      opts_.seed, &store);
+  ASSERT_EQ(store.size(), kCapacityProbes + kBandwidthProbes);
+
+  const auto thirty_two = MachineConfig::xeon20mb_scaled(kScale, 32);
+  expect_same(calibrate_capacity(thirty_two, cs_, opts_, &store), cap);
+  expect_same(calibrate_bandwidth(thirty_two, bw_, opts_.max_threads,
+                                  opts_.seed, &store),
+              bw);
+  expect_same(capacity(&store), cap);  // machine_ has one node
+  expect_same(bandwidth(&store), bw);
+  EXPECT_EQ(store.size(), kCapacityProbes + kBandwidthProbes) << "a probe ran";
+}
+
 }  // namespace
 }  // namespace am::measure

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <numeric>
 #include <random>
 #include <sstream>
 
@@ -16,6 +20,7 @@
 #include "measure/app_workloads.hpp"
 #include "measure/lease.hpp"
 #include "model/distributions.hpp"
+#include "seeded.hpp"
 
 namespace am::measure {
 namespace {
@@ -475,16 +480,50 @@ TEST(SweepRunner, SeedsDependOnPlanIndexOnly) {
   EXPECT_EQ(constant.seed_for(7), 42u);
 }
 
+std::string saved_bytes(const ResultStore& store, const std::string& name) {
+  const auto path = std::filesystem::temp_directory_path() /
+                    (name + "_" + std::to_string(::getpid()) + ".tsv");
+  store.save(path.string());
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  std::filesystem::remove(path);
+  std::filesystem::remove(path.string() + ".times");
+  return bytes.str();
+}
+
+// Besides pools of 1 and 4, each run draws a pool size of 1 to 8 and a
+// subset of points already in the store from its seed (tests/seeded.hpp);
+// the store it saves must hold the bytes a serial run's does.
 TEST(SweepRunner, TableIsInvariantUnderThreadCount) {
   const auto plan = two_workload_plan();
   const SweepRunner runner(machine(), options());
-  const auto serial = runner.run(plan, nullptr);
+  std::vector<std::size_t> all(plan.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  ResultStore serial_store;
+  const auto serial = runner.run_points(plan, nullptr, &serial_store, all);
   ThreadPool one(1);
   const auto pooled_one = runner.run(plan, &one);
   ThreadPool four(4);
   const auto pooled_four = runner.run(plan, &four);
   expect_identical(plan, serial, pooled_one);
   expect_identical(plan, serial, pooled_four);
+
+  std::mt19937_64 rng(test::repetition_seed());
+  const std::size_t threads = 1 + rng() % 8;
+  ResultStore store;
+  for (const ResultRecord* r : serial_store.records())
+    if (rng() % 2 == 0) store.put(r->key, r->result, r->host, r->run_seconds);
+  const std::size_t cached = store.size();
+  SCOPED_TRACE(testing::Message() << threads << " threads, " << cached
+                                  << " points cached");
+  ThreadPool drawn(threads);
+  std::size_t executed = 0;
+  expect_identical(plan, serial,
+                   runner.run_points(plan, &drawn, &store, all, &executed));
+  EXPECT_EQ(executed, plan.size() - cached);
+  EXPECT_EQ(saved_bytes(store, "am_drawn_pool"),
+            saved_bytes(serial_store, "am_serial"));
 }
 
 TEST(SweepRunner, BaselineIsSharedAcrossResources) {
